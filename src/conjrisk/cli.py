@@ -1,36 +1,38 @@
 """Command-line interface orchestrating the analysis library.
 
 Exit codes: 0 on success, 2 on input errors (bad flags, malformed files,
-invalid parameters), 3 on numerical failures. Stochastic commands require a
-seed, either via ``--seed`` or the ``seed`` key of the config file; given
-identical flags, config, and seed, every command is byte-deterministic in
-its outputs.
+invalid parameters, unsupported propositions), 3 on numerical failures.
+Stochastic commands require a seed, either via ``--seed`` or the ``seed``
+key of the config file; given identical flags, config, and seed, every
+command is byte-deterministic in its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .detection import (
-    ThresholdPolicy,
-    default_threshold_grid,
     detection_curve,
     dilution_boundary,
     false_confidence_demo,
     proof_halfwidth,
 )
-from .errors import InputValidationError, NumericalError
+from .errors import ConjunctionAnalysisError, InputValidationError, NumericalError
 from .fileio import (
     Config,
-    conjunction_json_text,
+    csv_text,
     curve_csv_text,
+    format_cell,
+    json_text,
     load_config,
     parse_conjunction,
     write_json,
+    write_text,
 )
 from .probability import dilution_curve, pc_contour
 from .geometry import standardized_encounter
@@ -44,10 +46,6 @@ from .validity import (
 )
 
 _STOCHASTIC_HINT = "provide --seed or set 'seed' in the config file"
-
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
 
 
 def _resolve_seed(args, config: Config) -> int:
@@ -71,63 +69,46 @@ def _read_conjunction(args):
                 f"cannot infer format from suffix {suffix!r}; "
                 "pass --input-format json|kvn"
             )
-    return parse_conjunction(path.read_bytes(), fmt)
+    cf = parse_conjunction(path.read_bytes(), fmt)
+    for warning in cf.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return cf
 
 
-def _emit(args, config: Config, json_doc: dict, csv_text: str | None) -> None:
+def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
+    """Write a result to ``--output``: ``doc`` as JSON or ``rows`` as CSV."""
     if args.output is None:
         return
     if args.format == "json":
-        write_json(json_doc, args.output)
+        write_json(doc, args.output)
     else:
-        if csv_text is None:
-            raise InputValidationError("this command has no CSV representation")
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(csv_text)
+        write_text(csv_text(rows, config.output_precision), args.output)
 
 
 def _cmd_pc(args, config: Config) -> int:
     cf = _read_conjunction(args)
     enc = standardized_encounter(cf.to_joint_state())
     result = pc_contour(enc, n_quad=args.n_quad, quad_floor=config.quad_floor)
-    prec = config.output_precision
-    print(_fmt(result.pc, prec))
+    print(format_cell(result.pc, config.output_precision))
     if result.below_min_quad:
         print(
             "warning: requested quadrature count is below the anisotropy rule",
             file=sys.stderr,
         )
-    doc = {
-        "pc": result.pc,
-        "n_quad": result.n_quad,
-        "quad_error_est": result.quad_error_est,
-        "below_min_quad": result.below_min_quad,
-    }
-    csv_text = (
-        "pc,n_quad,quad_error_est\n"
-        f"{_fmt(result.pc, prec)},{result.n_quad},{_fmt(result.quad_error_est, prec)}\n"
-    )
-    _emit(args, config, doc, csv_text)
+    _emit(args, config, result.to_json_dict(), result.csv_rows())
     return 0
 
 
 def _cmd_dilution_curve(args, config: Config) -> int:
     curve = dilution_curve(args.d_over_r, args.s_min, args.s_max, args.n_points)
     prec = config.output_precision
-    csv_text = curve_csv_text(curve, precision=prec)
-    doc = {
-        "d_over_r": curve.d_over_r,
-        "peak_s_over_r": curve.peak_s_over_r,
-        "peak_pc": curve.peak_pc,
-        "grid": [[s, p] for s, p in curve.grid],
-    }
     if args.output is None:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(curve_csv_text(curve, precision=prec))
     else:
-        _emit(args, config, doc, csv_text)
+        _emit(args, config, curve.to_json_dict(), curve.csv_rows())
         print(
-            f"peak_s_over_r={_fmt(curve.peak_s_over_r, prec)} "
-            f"peak_pc={_fmt(curve.peak_pc, prec)}"
+            f"peak_s_over_r={format_cell(curve.peak_s_over_r, prec)} "
+            f"peak_pc={format_cell(curve.peak_pc, prec)}"
         )
     return 0
 
@@ -148,9 +129,6 @@ def _parse_threshold_grid(spec: str) -> np.ndarray | None:
 
 
 def _cmd_detection_curve(args, config: Config) -> int:
-    thresholds = _parse_threshold_grid(args.threshold_grid)
-    if thresholds is None:
-        thresholds = default_threshold_grid(ThresholdPolicy())
     seed = None
     n_trials = args.n_trials if args.n_trials is not None else config.mc_trials
     if args.method == "monte-carlo":
@@ -158,26 +136,15 @@ def _cmd_detection_curve(args, config: Config) -> int:
     curve = detection_curve(
         args.s_over_r,
         args.d_true,
-        thresholds=thresholds,
+        thresholds=_parse_threshold_grid(args.threshold_grid),
         method=args.method,
         n_trials=n_trials,
         seed=seed,
     )
-    csv_text = curve_csv_text(curve, precision=config.output_precision)
-    doc = {
-        "s_over_r": curve.s_over_r,
-        "d_true_over_r": curve.d_true_over_r,
-        "method": curve.method,
-        "seed": curve.seed,
-        "points": [
-            {"threshold": t, "detection_rate": 1.0 - f, "failure_probability": f}
-            for t, f in curve.points
-        ],
-    }
     if args.output is None:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(curve_csv_text(curve, precision=config.output_precision))
     else:
-        _emit(args, config, doc, csv_text)
+        _emit(args, config, curve.to_json_dict(), curve.csv_rows())
         print(f"wrote {len(curve.points)} thresholds to {args.output}")
     return 0
 
@@ -186,20 +153,15 @@ def _cmd_boundary(args, config: Config) -> int:
     boundary = dilution_boundary(args.threshold)
     prec = config.output_precision
     doc = {"threshold": args.threshold, "s_over_r_boundary": boundary}
-    row_names = "threshold,s_over_r_boundary"
-    row_values = f"{_fmt(args.threshold, prec)},{_fmt(boundary, prec)}"
-    print(_fmt(boundary, prec))
+    print(format_cell(boundary, prec))
     if args.combined_radius is not None:
         if args.combined_radius <= 0:
             raise InputValidationError(
                 f"--combined-radius must be positive, got {args.combined_radius}"
             )
-        meters = boundary * args.combined_radius
-        doc["uncertainty_m"] = meters
-        row_names += ",uncertainty_m"
-        row_values += f",{_fmt(meters, prec)}"
-        print(_fmt(meters, prec))
-    _emit(args, config, doc, f"{row_names}\n{row_values}\n")
+        doc["uncertainty_m"] = boundary * args.combined_radius
+        print(format_cell(doc["uncertainty_m"], prec))
+    _emit(args, config, doc, [doc])
     return 0
 
 
@@ -207,15 +169,8 @@ def _cmd_screen(args, config: Config) -> int:
     cf = _read_conjunction(args)
     decision = screen_conjunction(cf.to_joint_state(), args.k_sigma)
     doc = decision.to_json_dict()
-    import json as _json
-
-    print(_json.dumps(doc, sort_keys=True, indent=2))
-    header = ",".join(doc)
-    row = ",".join(
-        str(v).lower() if isinstance(v, bool) else _fmt(v, config.output_precision)
-        for v in doc.values()
-    )
-    _emit(args, config, doc, f"{header}\n{row}\n")
+    sys.stdout.write(json_text(doc))
+    _emit(args, config, doc, decision.csv_rows())
     return 0
 
 
@@ -228,6 +183,8 @@ def _cmd_validity(args, config: Config) -> int:
             f"--alpha-grid must be comma-separated floats, got {args.alpha_grid!r}"
         ) from None
     sigma = args.sigma
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise InputValidationError(f"sigma must be positive, got {sigma}")
     cov = np.array([[sigma * sigma]])
     if args.rule == "ksigma":
         rule = gaussian_region_rule(cov)
@@ -242,11 +199,10 @@ def _cmd_validity(args, config: Config) -> int:
         n_trials=args.n_trials,
         seed=seed,
     )
-    csv_text = curve_csv_text(report, precision=config.output_precision)
     if args.output is None:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(curve_csv_text(report, precision=config.output_precision))
     else:
-        _emit(args, config, report.to_json_dict(), csv_text)
+        _emit(args, config, report.to_json_dict(), report.csv_rows())
         print("pass" if report.passed() else "fail")
     return 0
 
@@ -264,26 +220,12 @@ def _cmd_false_confidence(args, config: Config) -> int:
         seed=seed,
     )
     prec = config.output_precision
-    doc = {
-        "alpha": report.alpha,
-        "p_target": report.p_target,
-        "neighborhood_halfwidth": report.neighborhood_halfwidth,
-        "empirical_rate": report.empirical_rate,
-        "n_trials": report.n_trials,
-        "seed": report.seed,
-    }
     print(
-        f"empirical_rate={_fmt(report.empirical_rate, prec)} "
-        f"p_target={_fmt(report.p_target, prec)} "
-        f"halfwidth={_fmt(report.neighborhood_halfwidth, prec)}"
+        f"empirical_rate={format_cell(report.empirical_rate, prec)} "
+        f"p_target={format_cell(report.p_target, prec)} "
+        f"halfwidth={format_cell(report.neighborhood_halfwidth, prec)}"
     )
-    header = "alpha,p_target,neighborhood_halfwidth,empirical_rate,n_trials,seed"
-    row = (
-        f"{_fmt(report.alpha, prec)},{_fmt(report.p_target, prec)},"
-        f"{_fmt(report.neighborhood_halfwidth, prec)},"
-        f"{_fmt(report.empirical_rate, prec)},{report.n_trials},{report.seed}"
-    )
-    _emit(args, config, doc, f"{header}\n{row}\n")
+    _emit(args, config, report.to_json_dict(), report.csv_rows())
     return 0
 
 
@@ -414,12 +356,12 @@ def run_command(argv) -> int:
     try:
         config = load_config(args.config)
         return args.handler(args, config)
-    except InputValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ConjunctionAnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

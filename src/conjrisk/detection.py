@@ -14,7 +14,7 @@ false proposition, no matter the realized data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize, special
@@ -62,6 +62,15 @@ class DetectionCurve:
     method: str
     seed: int | None = None
 
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "points": self.csv_rows()}
+
+    def csv_rows(self) -> list[dict]:
+        return [
+            {"threshold": t, "detection_rate": 1.0 - f, "failure_probability": f}
+            for t, f in self.points
+        ]
+
 
 @dataclass(frozen=True)
 class FalseConfidenceReport:
@@ -79,6 +88,12 @@ class FalseConfidenceReport:
             raise InputValidationError(
                 f"empirical_rate must be in [0, 1], got {self.empirical_rate}"
             )
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    def csv_rows(self) -> list[dict]:
+        return [asdict(self)]
 
 
 def ncx2_cdf(dof: int, noncentrality: float, x: float) -> float:
@@ -168,6 +183,46 @@ def critical_displacement(threshold: float, s_over_r: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
+def _detection_rates(
+    thresholds: np.ndarray,
+    s_over_r: float,
+    d_true_over_r: float,
+    method: str,
+    n_trials: int,
+    seed: int | None,
+) -> np.ndarray:
+    """Detection rate at each threshold of an array (see ``detection_rate``)."""
+    if not np.all((thresholds > 0.0) & (thresholds < 1.0)):
+        raise InputValidationError("thresholds must lie in (0, 1)")
+    if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
+        raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
+    if not (d_true_over_r >= 0.0 and math.isfinite(d_true_over_r)):
+        raise InputValidationError(
+            f"d_true_over_r must be >= 0, got {d_true_over_r}"
+        )
+    lam = (d_true_over_r / s_over_r) ** 2
+    if method == _SEMI_ANALYTIC:
+        rates = []
+        for threshold in thresholds:
+            d_crit = critical_displacement(threshold, s_over_r)
+            # None: unreachable threshold; 0: reached only by a head-on estimate
+            rates.append(ncx2_cdf(2, lam, d_crit * d_crit) if d_crit else 0.0)
+        return np.array(rates)
+    if method == _MONTE_CARLO:
+        seed = rngmod.validate_seed(seed)
+        offset = math.sqrt(lam)
+        hits = np.zeros(thresholds.size, dtype=np.int64)
+        for gen, count in rngmod.blocks(seed, n_trials):
+            xi = gen.standard_normal((count, 2))
+            d_over_s = np.hypot(offset + xi[:, 0], xi[:, 1])
+            pc = pc_circular_batch(d_over_s * s_over_r, s_over_r)
+            hits += np.count_nonzero(pc[:, None] >= thresholds, axis=0)
+        return hits / n_trials
+    raise InputValidationError(
+        f"method must be '{_SEMI_ANALYTIC}' or '{_MONTE_CARLO}', got {method!r}"
+    )
+
+
 def detection_rate(
     threshold: float,
     s_over_r: float,
@@ -187,35 +242,10 @@ def detection_rate(
     displacement from its sampling law, computes the collision probability
     per draw, and counts threshold exceedances; it requires a seed.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
-    if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
-        raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
-    if not (d_true_over_r >= 0.0 and math.isfinite(d_true_over_r)):
-        raise InputValidationError(
-            f"d_true_over_r must be >= 0, got {d_true_over_r}"
-        )
-    lam = (d_true_over_r / s_over_r) ** 2
-    if method == _SEMI_ANALYTIC:
-        d_crit = critical_displacement(threshold, s_over_r)
-        if d_crit is None or d_crit == 0.0:
-            return 0.0
-        return ncx2_cdf(2, lam, d_crit * d_crit)
-    if method == _MONTE_CARLO:
-        seed = rngmod.validate_seed(seed)
-        if n_trials < 1:
-            raise InputValidationError(f"n_trials must be positive, got {n_trials}")
-        offset = math.sqrt(lam)
-        hits = 0
-        for gen, count in rngmod.blocks(seed, n_trials):
-            xi = gen.standard_normal((count, 2))
-            d_over_s = np.hypot(offset + xi[:, 0], xi[:, 1])
-            pc = pc_circular_batch(d_over_s * s_over_r, s_over_r)
-            hits += int(np.count_nonzero(pc >= threshold))
-        return hits / n_trials
-    raise InputValidationError(
-        f"method must be '{_SEMI_ANALYTIC}' or '{_MONTE_CARLO}', got {method!r}"
+    rates = _detection_rates(
+        np.array([float(threshold)]), s_over_r, d_true_over_r, method, n_trials, seed
     )
+    return float(rates[0])
 
 
 def default_threshold_grid(policy: ThresholdPolicy | None = None) -> np.ndarray:
@@ -244,29 +274,9 @@ def detection_curve(
     )
     if thresholds.size == 0:
         raise InputValidationError("threshold grid is empty")
-    if np.any(thresholds <= 0.0) or np.any(thresholds >= 1.0):
-        raise InputValidationError("thresholds must lie in (0, 1)")
-    if method == _MONTE_CARLO:
-        seed = rngmod.validate_seed(seed)
-        lam = (d_true_over_r / s_over_r) ** 2
-        offset = math.sqrt(lam)
-        hits = np.zeros(thresholds.size, dtype=np.int64)
-        for gen, count in rngmod.blocks(seed, n_trials):
-            xi = gen.standard_normal((count, 2))
-            d_over_s = np.hypot(offset + xi[:, 0], xi[:, 1])
-            pc = pc_circular_batch(d_over_s * s_over_r, s_over_r)
-            hits += np.count_nonzero(pc[:, None] >= thresholds, axis=0)
-        rates = hits / n_trials
-        used_seed = seed
-    elif method == _SEMI_ANALYTIC:
-        rates = np.array(
-            [detection_rate(t, s_over_r, d_true_over_r) for t in thresholds]
-        )
-        used_seed = None
-    else:
-        raise InputValidationError(
-            f"method must be '{_SEMI_ANALYTIC}' or '{_MONTE_CARLO}', got {method!r}"
-        )
+    rates = _detection_rates(
+        thresholds, s_over_r, d_true_over_r, method, n_trials, seed
+    )
     points = tuple(
         (float(t), float(1.0 - rate)) for t, rate in zip(thresholds, rates)
     )
@@ -275,7 +285,7 @@ def detection_curve(
         d_true_over_r=float(d_true_over_r),
         points=points,
         method=method,
-        seed=used_seed,
+        seed=int(seed) if method == _MONTE_CARLO else None,
     )
 
 

@@ -24,11 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import DetectionCurve
 from .errors import InputValidationError, ParseError
 from .geometry import JointState
-from .probability import DilutionCurve
-from .validity import ValidityReport
 
 ENV_CONFIG = "CONJRISK_CONFIG"
 
@@ -328,7 +325,7 @@ def conjunction_json_text(cf: ConjunctionFile) -> str:
     }
     if cf.metadata:
         doc["metadata"] = dict(sorted(cf.metadata.items()))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 # -- KVN -------------------------------------------------------------------
@@ -520,42 +517,45 @@ def load_config(path: str | None = None) -> Config:
         return parse_config(handle.read())
 
 
-# -- CSV -------------------------------------------------------------------
+# -- output ----------------------------------------------------------------
 
-def _fmt(value: float, precision: int) -> str:
+def format_cell(value, precision: int) -> str:
+    """One output value as text: ``true``/``false`` for booleans, ``str`` for
+    integers and strings, ``precision`` significant digits for floats."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
     return f"{value:.{precision}g}"
 
 
+def csv_text(rows: list[dict], precision: int) -> str:
+    """Render rows that share one key order as CSV text (header plus rows)."""
+    if not rows:
+        raise InputValidationError("nothing to write: the result is empty")
+    lines = [",".join(rows[0])]
+    lines += [",".join(format_cell(v, precision) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def curve_csv_text(curve, precision: int = 9) -> str:
-    """Render a curve or report as CSV text (header plus rows)."""
-    if isinstance(curve, DilutionCurve):
-        if not curve.grid:
-            raise InputValidationError("curve is empty")
-        lines = ["s_over_r,pc"]
-        lines += [
-            f"{_fmt(s, precision)},{_fmt(p, precision)}" for s, p in curve.grid
-        ]
-    elif isinstance(curve, DetectionCurve):
-        if not curve.points:
-            raise InputValidationError("curve is empty")
-        lines = ["threshold,detection_rate,failure_probability"]
-        lines += [
-            f"{_fmt(t, precision)},{_fmt(1.0 - f, precision)},{_fmt(f, precision)}"
-            for t, f in curve.points
-        ]
-    elif isinstance(curve, ValidityReport):
-        lines = ["alpha,rate,stderr,verdict"]
-        lines += [
-            f"{_fmt(a, precision)},{_fmt(r, precision)},{_fmt(s, precision)},{v}"
-            for a, r, s, v in zip(
-                curve.alpha_grid, curve.rates, curve.stderrs, curve.verdicts
-            )
-        ]
-    else:
+    """Render a result with ``csv_rows()`` (a curve or report) as CSV text."""
+    if not hasattr(curve, "csv_rows"):
         raise InputValidationError(
             f"no CSV schema for objects of type {type(curve).__name__}"
         )
-    return "\n".join(lines) + "\n"
+    return csv_text(curve.csv_rows(), precision)
+
+
+def json_text(doc: dict) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing LF."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_text(text: str, path) -> None:
+    """Write output text as UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 def write_curve_csv(curve, path, precision: int = 9) -> None:
@@ -563,12 +563,9 @@ def write_curve_csv(curve, path, precision: int = 9) -> None:
 
     Identical inputs produce byte-identical files.
     """
-    text = curve_csv_text(curve, precision=precision)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    write_text(curve_csv_text(curve, precision), path)
 
 
 def write_json(doc: dict, path) -> None:
     """Write a JSON document deterministically (sorted keys, LF, UTF-8)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_text(json_text(doc), path)

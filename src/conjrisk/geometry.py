@@ -286,11 +286,13 @@ def encounter_projection(
         ``(mean2, cov2)``: 2-vector displacement estimate (m) and 2x2
         covariance (m^2) in the encounter plane.
     """
-    rot = encounter_frame(rs, u_axis=u_axis)
+    return _project(rs, encounter_frame(rs, u_axis=u_axis))
+
+
+def _project(rs: RelativeState, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean3 = rot @ rs.delta_pos_hat
     cov3 = rot @ rs.c_delta @ rot.T
-    cov2 = 0.5 * (cov3[:2, :2] + cov3[:2, :2].T)
-    return mean3[:2].copy(), cov2
+    return mean3[:2].copy(), 0.5 * (cov3[:2, :2] + cov3[:2, :2].T)
 
 
 def standardize(mean2, cov2, r_combined: float, rot_m=None) -> StandardizedEncounter:
@@ -347,7 +349,5 @@ def standardized_encounter(js: JointState, u_axis=None) -> StandardizedEncounter
     """Full reduction from joint state to standardized encounter plane."""
     rs = relative_covariance(js)
     rot = encounter_frame(rs, u_axis=u_axis)
-    mean3 = rot @ rs.delta_pos_hat
-    cov3 = rot @ rs.c_delta @ rot.T
-    cov2 = 0.5 * (cov3[:2, :2] + cov3[:2, :2].T)
-    return standardize(mean3[:2], cov2, js.r_combined, rot_m=rot)
+    mean2, cov2 = _project(rs, rot)
+    return standardize(mean2, cov2, js.r_combined, rot_m=rot)

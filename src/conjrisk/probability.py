@@ -11,7 +11,7 @@ are required, with a floor of 64 for a uniform small-error guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,6 +89,12 @@ class PcResult:
             raise InputValidationError(
                 f"quad_error_est must be non-negative, got {self.quad_error_est}"
             )
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    def csv_rows(self) -> list[dict]:
+        return [{k: v for k, v in asdict(self).items() if k != "below_min_quad"}]
 
 
 def pc_contour(
@@ -192,6 +198,12 @@ class DilutionCurve:
     grid: tuple[tuple[float, float], ...]
     peak_s_over_r: float
     peak_pc: float
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "grid": [list(point) for point in self.grid]}
+
+    def csv_rows(self) -> list[dict]:
+        return [{"s_over_r": s, "pc": p} for s, p in self.grid]
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import InputValidationError
 
-#: Name of the only supported generator engine (config key ``rng``).
-ENGINE = "philox"
-
 #: Trials per substream block. Fixed so results are partition-independent.
 BLOCK_SIZE = 65536
 

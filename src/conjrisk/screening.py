@@ -90,6 +90,9 @@ class ScreeningDecision:
             "risk_cap": self.collision_risk_cap,
         }
 
+    def csv_rows(self) -> list[dict]:
+        return [self.to_json_dict()]
+
 
 def position_ellipsoids(js: JointState, k: float) -> tuple[Ellipsoid, Ellipsoid]:
     """K-sigma position ellipsoids for the two objects of a joint state.

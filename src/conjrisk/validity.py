@@ -195,13 +195,16 @@ class ValidityReport:
             "seed": self.seed,
             "worst_alpha": self.worst_alpha,
             "worst_proposition_index": self.worst_proposition_index,
-            "levels": [
-                {"alpha": a, "rate": r, "stderr": s, "verdict": v}
-                for a, r, s, v in zip(
-                    self.alpha_grid, self.rates, self.stderrs, self.verdicts
-                )
-            ],
+            "levels": self.csv_rows(),
         }
+
+    def csv_rows(self) -> list[dict]:
+        return [
+            {"alpha": a, "rate": r, "stderr": s, "verdict": v}
+            for a, r, s, v in zip(
+                self.alpha_grid, self.rates, self.stderrs, self.verdicts
+            )
+        ]
 
 
 def validity_check(

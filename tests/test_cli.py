@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conjrisk.cli import run_command
-from conjrisk.errors import NumericalError
+from conjrisk.errors import ConjunctionAnalysisError, NumericalError
+
+KVN_WARNING = "warning: cross-covariance missing, defaulting to zero\n"
+
+
+def _error_classes(cls=ConjunctionAnalysisError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
 
 
 @pytest.fixture()
@@ -74,8 +82,14 @@ class TestPcCommand:
         kvn_path.write_text(conjunction_kvn_text(cf), encoding="utf-8")
         status = run_command(["pc", "--input", str(kvn_path)])
         assert status == 0
-        value = float(capsys.readouterr().out.strip())
-        assert value == pytest.approx(4.9875e-3, rel=1e-4)
+        captured = capsys.readouterr()
+        assert float(captured.out.strip()) == pytest.approx(4.9875e-3, rel=1e-4)
+        # the parse-time assumption reaches the user on stderr only
+        assert captured.err == KVN_WARNING
+        assert run_command(["screen", "--input", str(kvn_path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["overlap"] is True
+        assert captured.err == KVN_WARNING
 
 
 class TestScreenCommand:
@@ -136,6 +150,17 @@ class TestDetectionCurveCommand:
         capsys.readouterr()
         assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
+    @pytest.mark.parametrize("method", ["semi-analytic", "monte-carlo"])
+    @pytest.mark.parametrize("flag, value", [("--s-over-r", "0"), ("--d-true", "-1")])
+    def test_invalid_ratio_exits_two(self, method, flag, value, capsys):
+        # the later occurrence of a flag wins
+        status = run_command(
+            ["detection-curve", "--s-over-r", "3", "--d-true", "0.5", flag, value,
+             "--method", method, "--n-trials", "2000", "--seed", "1"]
+        )
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBoundaryCommand:
     def test_reference_values(self, capsys):
@@ -172,6 +197,18 @@ class TestValidityCommand:
         assert status == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].endswith("fail")
+
+    @pytest.mark.parametrize(
+        "rule, sigma", [("ksigma", "0"), ("additive", "0"), ("additive", "nan")]
+    )
+    def test_invalid_sigma_exits_two(self, rule, sigma, capsys):
+        status = run_command(
+            ["validity", "--rule", rule, "--sigma", sigma, "--halfwidth", "0.1",
+             "--n-trials", "1000", "--seed", "1"]
+        )
+        assert status == 2
+        expected = f"error: sigma must be positive, got {float(sigma)}\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestFalseConfidenceCommand:
@@ -229,6 +266,23 @@ class TestErrorPaths:
         # rebuild the parser binding to the patched handler
         status = cli.run_command(parser_cmds)
         assert status == 3
+
+    @pytest.mark.parametrize(
+        "error", sorted(set(_error_classes()), key=lambda cls: cls.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_package_error_maps_to_exit_code(self, error, monkeypatch, capsys):
+        import conjrisk.cli as cli
+
+        def boom(args, config):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "_cmd_boundary", boom)
+        status = cli.run_command(["boundary", "--threshold", "0.1"])
+        numerical = issubclass(error, NumericalError)
+        assert status == (3 if numerical else 2)
+        prefix = "numerical failure" if numerical else "error"
+        assert capsys.readouterr().err == f"{prefix}: synthetic failure\n"
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

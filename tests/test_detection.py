@@ -156,6 +156,45 @@ class TestDetectionRate:
         )
         assert a == b
 
+    def test_monte_carlo_hit_counts_pinned(self):
+        # hit counts of 70000 trials (two substream blocks) at seed 5;
+        # detection_rate and detection_curve share one sample per seed
+        n = 70000
+        expected = {1e-7: 70000, 4.4e-4: 69438, 1e-2: 57028}
+        curve = detection_curve(
+            3.0, 0.7, thresholds=sorted(expected), method="monte-carlo",
+            n_trials=n, seed=5,
+        )
+        for (threshold, failure), (t, hits) in zip(curve.points, expected.items()):
+            assert threshold == t
+            rate = detection_rate(
+                t, 3.0, 0.7, method="monte-carlo", n_trials=n, seed=5
+            )
+            assert rate == hits / n
+            assert failure == 1.0 - hits / n
+
+    @pytest.mark.parametrize("method", ["semi-analytic", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "s_over_r, d_true_over_r",
+        [(0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
+         (3.0, -1.0), (3.0, math.inf), (3.0, math.nan)],
+    )
+    def test_both_methods_validate_inputs(self, method, s_over_r, d_true_over_r):
+        kwargs = dict(method=method, n_trials=1000, seed=1)
+        with pytest.raises(InputValidationError):
+            detection_rate(1e-4, s_over_r, d_true_over_r, **kwargs)
+        with pytest.raises(InputValidationError):
+            detection_curve(s_over_r, d_true_over_r, thresholds=[1e-4], **kwargs)
+
+    @pytest.mark.parametrize("method", ["semi-analytic", "monte-carlo"])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -1e-3, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, method, threshold):
+        kwargs = dict(method=method, n_trials=1000, seed=1)
+        with pytest.raises(InputValidationError):
+            detection_rate(threshold, 3.0, 0.5, **kwargs)
+        with pytest.raises(InputValidationError):
+            detection_curve(3.0, 0.5, thresholds=[1e-4, threshold], **kwargs)
+
 
 class TestDetectionCurve:
     def test_failure_monotone_in_threshold(self):

@@ -150,16 +150,17 @@ def _cmd_detection_curve(args, config: Config) -> int:
 
 
 def _cmd_boundary(args, config: Config) -> int:
+    radius = args.combined_radius
+    if radius is not None and not (radius > 0.0 and math.isfinite(radius)):
+        raise InputValidationError(
+            f"--combined-radius must be positive and finite, got {radius}"
+        )
     boundary = dilution_boundary(args.threshold)
     prec = config.output_precision
     doc = {"threshold": args.threshold, "s_over_r_boundary": boundary}
     print(format_cell(boundary, prec))
-    if args.combined_radius is not None:
-        if args.combined_radius <= 0:
-            raise InputValidationError(
-                f"--combined-radius must be positive, got {args.combined_radius}"
-            )
-        doc["uncertainty_m"] = boundary * args.combined_radius
+    if radius is not None:
+        doc["uncertainty_m"] = boundary * radius
         print(format_cell(doc["uncertainty_m"], prec))
     _emit(args, config, doc, [doc])
     return 0

@@ -3,27 +3,29 @@
 An ellipsoid is stored as center, orthonormal axes, and semi-axis lengths.
 Every geometric decision reduces to the range of one ellipsoid's
 standardized squared radius over another ellipsoid, which diagonalizes to a
-one-dimensional secular equation solved by bracketing. Minimum distance
-between disjoint ellipsoids uses alternating projection onto the two solids
-from a deterministic set of starts; intersection is certified exactly first,
-so the iteration only ever runs on separated bodies.
+one-dimensional secular equation solved by bracketing. The distance between
+separated bodies is the largest separation ``n.delta - h1(n) - h2(n)`` over
+unit directions, from the closed-form support functions ``h``; one run of
+Newton steps on the sphere brackets it from both sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
 from .errors import InputValidationError, NumericalError
-from .geometry import validated_covariance
+from .geometry import covariance_eigh
 
 _ORTHONORMAL_ATOL = 1e-10
 _CONTACT_RTOL = 1e-12
 _PROJECTION_MAX_ITERS = 10**4
 _DISTANCE_TOL_SCALE = 1e-10
+_NEWTON_HALVINGS = 20
 _DEGENERATE_SIGMA = 1e-12
 
 
@@ -105,13 +107,13 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
     image of the radius-``k`` sphere under the standardizing pivot.
 
     Raises:
-        InputValidationError: if ``cov`` is singular (degenerate region) or
-            ``k`` is not positive.
+        InputValidationError: if ``cov`` is not positive definite (degenerate
+            region) or ``k`` is not positive.
     """
     if not (k > 0.0 and math.isfinite(k)):
         raise InputValidationError(f"k must be positive, got {k}")
     center = np.asarray(center, dtype=float)
-    cov = validated_covariance(cov, "ellipsoid covariance")
+    cov, eigvals, eigvecs = covariance_eigh(cov, "ellipsoid covariance")
     if center.ndim != 1 or cov.shape != (center.shape[0],) * 2:
         raise InputValidationError(
             f"center shape {center.shape} inconsistent with covariance "
@@ -119,11 +121,10 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
         )
     if not np.all(np.isfinite(center)):
         raise InputValidationError("center contains non-finite entries")
-    eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] <= 0.0:
         raise InputValidationError(
-            f"covariance is singular (eigenvalue {eigvals[0]:.6e}): "
-            "uncertainty region is degenerate"
+            f"covariance is not positive definite (eigenvalue "
+            f"{eigvals[0]:.6e}): uncertainty region is degenerate"
         )
     order = np.argsort(eigvals)[::-1]
     return Ellipsoid(
@@ -282,25 +283,92 @@ def _centerline_crosses_both(e1: Ellipsoid, e2: Ellipsoid) -> bool:
     return lo <= hi
 
 
+class _Probe(NamedTuple):
+    """One unit direction with the separation data ``_probe`` computes."""
+
+    n: np.ndarray
+    g: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+
+def _probe(shapes, delta: np.ndarray, direction: np.ndarray) -> _Probe:
+    """Separation of the two bodies along ``direction``, scaled to unit length.
+
+    ``shapes`` holds ``M = S A^T`` of each body, so that a body's support
+    function is ``h(n) = n.c + ||M n||``. Gives the lower bound
+    ``g(n) = n.delta - ||M1 n|| - ||M2 n||`` on the distance, its gradient
+    ``q - p`` (the gap between the two support points, whose norm is an
+    upper bound) and its Hessian, all taken in the ambient space.
+    """
+    n = direction / float(np.linalg.norm(direction))
+    g = float(n @ delta)
+    grad = np.array(delta)
+    hess = np.zeros((n.size, n.size))
+    for mat in shapes:
+        u = mat @ n
+        radius = float(np.linalg.norm(u))
+        w = mat.T @ u
+        g -= radius
+        grad -= w / radius
+        hess -= (mat.T @ mat - np.outer(w, w) / (radius * radius)) / radius
+    return _Probe(n, g, grad, hess)
+
+
+def _newton_ascent(shapes, delta, best: _Probe, halvings: int, upper: float):
+    """A Riemannian Newton step on the unit sphere that raises ``g``.
+
+    The Hessian on the tangent space is ``P hess P - g P`` (``g`` is
+    positively homogeneous, so ``n.grad = g``); ``P hess P`` is negative
+    semidefinite, so the whole is negative definite wherever ``g > 0`` and
+    often a little below. Adding ``-n n^T`` makes the system regular and
+    keeps the step tangent. Where the Hessian is not negative definite the
+    step need not ascend and none is tried. Otherwise the step is halved
+    until ``g`` rises, at most ``halvings`` tries. Returns the probe that
+    raised ``g`` (or None) and ``upper`` lowered to the smallest
+    support-point gap of the tries: near the optimum that gap still shrinks
+    when ``g`` no longer rises above its round-off.
+    """
+    n = best.n
+    proj = np.eye(n.size) - np.outer(n, n)
+    tangent_hess = proj @ best.hess @ proj - best.g * proj - np.outer(n, n)
+    try:
+        np.linalg.cholesky(-tangent_hess)
+    except np.linalg.LinAlgError:
+        return None, upper
+    step = np.linalg.solve(tangent_hess, -(proj @ best.grad))
+    for halving in range(halvings):
+        trial = _probe(shapes, delta, n + 0.5**halving * step)
+        upper = min(upper, float(np.linalg.norm(trial.grad)))
+        if trial.g > best.g:
+            return trial, upper
+    return None, upper
+
+
 def min_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
     """Euclidean distance between two solid ellipsoids.
 
-    Zero when the solids intersect. Otherwise the unique closest pair is
-    found by alternating projection onto the two solids, run from eight
-    deterministic starts (the six axis extremes of the first ellipsoid plus
-    the two center-line boundary crossings) with the smallest resulting
-    distance kept. Distance between convex solids is a jointly convex
-    problem, so every converged start agrees; the multi-start guards
-    degenerate ties.
+    Zero when the solids intersect, which is certified exactly first.
+    Otherwise one run brackets the distance: each unit direction ``n`` gives
+    the lower bound ``g(n) = n.delta - ||S1 A1^T n|| - ||S2 A2^T n||`` from
+    the closed-form support functions, and the distance ``||q - p||``
+    between its two support points is an upper bound (``delta`` is the
+    center offset). The first direction joins the center-line surface point of
+    ``e1`` to its projection onto ``e2``; Riemannian Newton steps then
+    maximize ``g``, with an alternating-projection step wherever no Newton
+    step raises it. Once the bracket is within ``_DISTANCE_TOL_SCALE`` of
+    the problem scale, full Newton steps polish it to round-off and the
+    upper bound is returned. All work is relative to ``e1``'s center, so
+    large absolute coordinates cost no precision.
 
     Raises:
-        NumericalError: if no start converges within the iteration cap; the
-            message carries the best distance bound found.
+        NumericalError: if the bracket does not close within
+            ``_PROJECTION_MAX_ITERS`` steps; the message carries both bounds.
     """
     if e1.dim != e2.dim:
         raise InputValidationError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    center_gap = float(np.linalg.norm(e2.center - e1.center))
-    scale = max(center_gap, e1.bounding_radius, e2.bounding_radius)
+    delta = e2.center - e1.center
+    scale = max(float(np.linalg.norm(delta)), e1.bounding_radius, e2.bounding_radius)
 
     # cheap sufficient checks, then the exact certificate
     if e1.contains(e2.center) or e2.contains(e1.center):
@@ -310,38 +378,39 @@ def min_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
     if ellipsoids_intersect(e1, e2):
         return 0.0
 
-    starts = [
-        e1.center + sign * e1.semi_lengths[i] * e1.axes[:, i]
-        for i in range(e1.dim)
-        for sign in (1.0, -1.0)
-    ]
-    gap_dir = e2.center - e1.center
-    starts.append(e1.surface_point(gap_dir))
-    starts.append(e1.surface_point(-gap_dir))
-
+    body1 = Ellipsoid(np.zeros_like(delta), e1.axes, e1.semi_lengths)
+    body2 = Ellipsoid(delta, e2.axes, e2.semi_lengths)
+    shapes = [e.semi_lengths[:, None] * e.axes.T for e in (e1, e2)]
     tol = _DISTANCE_TOL_SCALE * scale
-    best: float | None = None
-    converged = False
-    for p0 in starts:
-        p = p0
-        q = project_point(e2, p)
-        ok = False
-        for _ in range(_PROJECTION_MAX_ITERS):
-            p_new = project_point(e1, q)
-            q_new = project_point(e2, p_new)
-            move = max(
-                float(np.linalg.norm(p_new - p)), float(np.linalg.norm(q_new - q))
+
+    p = body1.surface_point(delta)
+    q = project_point(body2, p)
+    best = _probe(shapes, delta, q - p)
+    lower = max(0.0, best.g)
+    upper = min(float(np.linalg.norm(q - p)), float(np.linalg.norm(best.grad)))
+    newton = True    # a Newton step from ``best`` is untried
+    for _ in range(_PROJECTION_MAX_ITERS):
+        certified = upper - lower <= tol
+        trial = None
+        if newton:
+            halvings = 1 if certified else _NEWTON_HALVINGS
+            trial, upper = _newton_ascent(shapes, delta, best, halvings, upper)
+        if trial is None:
+            if certified:
+                return upper
+            p = project_point(body1, q)
+            q = project_point(body2, p)
+            trial = _probe(shapes, delta, q - p)
+            upper = min(
+                upper, float(np.linalg.norm(q - p)), float(np.linalg.norm(trial.grad))
             )
-            p, q = p_new, q_new
-            if move < tol:
-                ok = True
-                break
-        dist = float(np.linalg.norm(p - q))
-        if best is None or dist < best:
-            best = dist
-        converged = converged or ok
-    if not converged:
-        raise NumericalError(
-            f"ellipsoid distance iteration did not converge; best bound {best:.6e}"
-        )
-    return best
+        newton = trial.g > best.g
+        if newton:
+            best = trial
+            lower = max(lower, best.g)
+    if upper - lower <= tol:
+        return upper
+    raise NumericalError(
+        "ellipsoid distance iteration did not converge: distance between "
+        f"{lower:.6e} and {upper:.6e}"
+    )

@@ -50,6 +50,16 @@ def validated_covariance(mat, name: str = "covariance") -> np.ndarray:
     matrix is reconstructed; anything below that is rejected with the
     offending eigenvalue in the message.
     """
+    return covariance_eigh(mat, name)[0]
+
+
+def covariance_eigh(mat, name: str = "covariance"):
+    """``validated_covariance`` with the eigendecomposition it checked.
+
+    Returns ``(sym, eigvals, eigvecs)``: the validated matrix, its
+    eigenvalues in ascending order after clamping, and the eigenvectors as
+    columns, so that ``sym = eigvecs @ diag(eigvals) @ eigvecs.T``.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InputValidationError(f"{name} must be square, got shape {mat.shape}")
@@ -75,7 +85,7 @@ def validated_covariance(mat, name: str = "covariance") -> np.ndarray:
         eigvals = np.clip(eigvals, 0.0, None)
         sym = eigvecs @ np.diag(eigvals) @ eigvecs.T
         sym = 0.5 * (sym + sym.T)
-    return sym
+    return sym, eigvals, eigvecs
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

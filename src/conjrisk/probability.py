@@ -20,6 +20,8 @@ from .geometry import StandardizedEncounter
 
 #: Minimum quadrature point count used even for near-circular encounters.
 QUAD_FLOOR = 64
+#: Largest grid ``dilution_curve`` accepts; each point is one Pc evaluation.
+MAX_CURVE_POINTS = 10**5
 
 # below this squared radius the radial kernel is replaced by its limit 1/(4 pi)
 _TINY_RSQ = 1e-16
@@ -236,14 +238,17 @@ def dilution_curve(
     The peak is located by a grid scan followed by golden-section refinement
     to ``1e-6`` relative in ``s_over_r``. At zero displacement the curve is
     monotone decreasing and the peak is reported at ``s_over_r_min``.
+    ``n_points`` must lie in ``[16, MAX_CURVE_POINTS]``.
     """
     if not (0.0 < s_over_r_min < s_over_r_max):
         raise InputValidationError(
             f"need 0 < s_over_r_min < s_over_r_max, got "
             f"({s_over_r_min}, {s_over_r_max})"
         )
-    if n_points < 16:
-        raise InputValidationError(f"n_points must be >= 16, got {n_points}")
+    if not (16 <= n_points <= MAX_CURVE_POINTS):
+        raise InputValidationError(
+            f"n_points must be in [16, {MAX_CURVE_POINTS}], got {n_points}"
+        )
     if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
         raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
     s_grid = np.geomspace(s_over_r_min, s_over_r_max, int(n_points))

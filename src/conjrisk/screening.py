@@ -101,17 +101,16 @@ def position_ellipsoids(js: JointState, k: float) -> tuple[Ellipsoid, Ellipsoid]
     block; cross-covariance between the objects is not used for region
     construction (the Frechet bound covers arbitrary dependence).
     """
-    cov1 = js.c_theta[0:3, 0:3]
-    cov2 = js.c_theta[6:9, 6:9]
-    for label, block in (("object 1", cov1), ("object 2", cov2)):
-        if np.linalg.eigvalsh(block)[0] <= 0.0:
-            raise InputValidationError(
-                f"{label} position covariance block is not positive definite"
+    ellipsoids = []
+    for label, rows in (("object 1", slice(0, 3)), ("object 2", slice(6, 9))):
+        try:
+            ellipsoids.append(
+                build_ellipsoid(js.theta_hat[rows], js.c_theta[rows, rows], k)
             )
-    return (
-        build_ellipsoid(js.theta_hat[0:3], cov1, k),
-        build_ellipsoid(js.theta_hat[6:9], cov2, k),
-    )
+        except InputValidationError as exc:
+            raise InputValidationError(f"{label} position ellipsoid: {exc}") from exc
+    e1, e2 = ellipsoids
+    return e1, e2
 
 
 def screen_conjunction(js: JointState, k: float) -> ScreeningDecision:

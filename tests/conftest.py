@@ -4,11 +4,15 @@ The oracles here deliberately avoid the code paths they check: collision
 probability is counted from raw normal samples against the disk condition,
 relative covariance is recomputed with the explicit difference matrix, and
 ellipsoid distance is minimized over densely sampled boundary points with a
-derivative-free local refinement.
+derivative-free local refinement, or maximized over separating directions in
+mpmath with numerical derivatives.
 """
 
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 from scipy import optimize
 
@@ -156,3 +160,79 @@ def separated_ellipsoid_pair(
         semi_lengths=shape2.semi_lengths,
     )
     return e1, e2
+
+
+def ellipsoid_pair_with_gap(
+    rng: np.random.Generator,
+    axis_ratio: float,
+    rel_gap: float,
+    offset: float = 0.0,
+) -> tuple[Ellipsoid, Ellipsoid]:
+    """Disjoint pair of elongated ellipsoids a set distance apart.
+
+    Both have largest-to-smallest semi-axis ratio ``axis_ratio`` (smallest
+    semi-axis 100) and random orientations. The second is placed so that
+    the two support points of a random unit direction ``n`` lie apart along
+    it by ``rel_gap`` times the touching size ``h1(n) + h2(n)`` (the support
+    functions about the centers); that is the distance. ``e1`` sits
+    ``offset`` from the origin.
+    """
+    bodies = []
+    for _ in range(2):
+        semi = 100.0 * np.array([axis_ratio, axis_ratio ** rng.uniform(0.0, 1.0), 1.0])
+        bodies.append((random_rotation(rng), semi))
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    (a1, s1), (a2, s2) = bodies
+    m1, m2 = s1[:, None] * a1.T, s2[:, None] * a2.T
+    h1, h2 = np.linalg.norm(m1 @ n), np.linalg.norm(m2 @ n)
+    tip1, tip2 = m1.T @ (m1 @ n) / h1, -(m2.T @ (m2 @ n)) / h2
+    c1 = offset * random_rotation(rng)[:, 0]
+    c2 = c1 + tip1 + rel_gap * (h1 + h2) * n - tip2
+    return Ellipsoid(c1, a1, s1), Ellipsoid(c2, a2, s2)
+
+
+def mp_ellipsoid_distance(c1, cov1, c2, cov2, k: float = 1.0, dps: int = 40):
+    """Distance between the disjoint solids ``(x-c)' cov^-1 (x-c) <= k^2``.
+
+    Maximizes the separation ``g(n) = n.(c2 - c1) - k sqrt(n' cov1 n) -
+    k sqrt(n' cov2 n)`` over unit directions, which equals the distance: a
+    float BFGS run finds the direction, then ``mpmath.findroot`` zeroes the
+    tangent gradient (by numerical differentiation) at ``dps`` digits. The
+    float inputs are taken as exact; the result is an mpf.
+    """
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+    covs = [np.asarray(c, dtype=float) for c in (cov1, cov2)]
+    delta = c2 - c1
+
+    def separation(m):
+        n = m / np.linalg.norm(m)
+        return float(n @ delta) - k * sum(math.sqrt(n @ c @ n) for c in covs)
+
+    res = optimize.minimize(
+        lambda m: -separation(m), delta / np.linalg.norm(delta), method="BFGS",
+        options={"gtol": 1e-14, "maxiter": 2000},
+    )
+    start = res.x / np.linalg.norm(res.x)
+    tangents = np.linalg.svd(start[None, :])[2][1:]
+    with mpmath.workdps(dps):
+        d = mpmath.matrix([mpmath.mpf(b) - mpmath.mpf(a) for a, b in zip(c1, c2)])
+        mp_covs = [mpmath.matrix(c.tolist()) for c in covs]
+        mp_k = mpmath.mpf(k)
+        n0 = mpmath.matrix(start.tolist())
+        t1, t2 = (mpmath.matrix(t.tolist()) for t in tangents)
+
+        def g(a, b):
+            m = n0 + a * t1 + b * t2
+            n = m / mpmath.norm(m)
+            spread = sum(mpmath.sqrt((n.T * c * n)[0]) for c in mp_covs)
+            return (n.T * d)[0] - mp_k * spread
+
+        def tangent_gradient(a, b):
+            return [
+                mpmath.diff(lambda x: g(x, b), a),
+                mpmath.diff(lambda y: g(a, y), b),
+            ]
+
+        a, b = mpmath.findroot(tangent_gradient, (mpmath.mpf(0), mpmath.mpf(0)))
+        return +g(a, b)

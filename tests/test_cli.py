@@ -172,6 +172,27 @@ class TestBoundaryCommand:
         assert float(lines[0]) == pytest.approx(33.71, abs=0.1)
         assert float(lines[1]) == pytest.approx(168.5, abs=0.5)
 
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+    def test_invalid_radius_exits_two_before_output(self, radius, capsys):
+        status = run_command(
+            ["boundary", "--threshold", "1e-4", "--combined-radius", radius]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --combined-radius")
+
+
+class TestDilutionCurveCommand:
+    def test_point_cap_exits_two(self, capsys):
+        status = run_command(
+            ["dilution-curve", "--d-over-r", "1", "--n-points", "100000000000"]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_points must be in [16, 100000]")
+
 
 class TestValidityCommand:
     def test_ksigma_passes(self, capsys):

@@ -1,5 +1,7 @@
 """Ellipsoid construction, projection, exact range queries, and distance."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,21 +9,39 @@ from numpy.testing import assert_allclose
 from conjrisk import (
     Ellipsoid,
     InputValidationError,
+    NumericalError,
     build_ellipsoid,
     ellipsoid_contains,
     ellipsoids_intersect,
     min_distance,
     project_point,
 )
+from conjrisk import ellipsoids
 from conjrisk.ellipsoids import standardized_range
 
 from conftest import (
     dense_min_distance_oracle,
+    ellipsoid_pair_with_gap,
     fibonacci_sphere,
+    mp_ellipsoid_distance,
     random_ellipsoid,
     random_spd,
     separated_ellipsoid_pair,
 )
+
+
+def _scale(e1, e2):
+    return max(
+        float(np.linalg.norm(e1.center - e2.center)),
+        e1.bounding_radius,
+        e2.bounding_radius,
+    )
+
+
+def _mp_distance(e1, e2):
+    """The mpmath distance of two ellipsoids, shapes ``A S^2 A'``."""
+    shapes = [(e.axes * e.semi_lengths**2) @ e.axes.T for e in (e1, e2)]
+    return mp_ellipsoid_distance(e1.center, shapes[0], e2.center, shapes[1])
 
 
 def _sphere(center, radius, dim=3):
@@ -215,14 +235,48 @@ class TestMinDistance:
         rng = np.random.default_rng(17)
         for _ in range(10):
             e1, e2 = separated_ellipsoid_pair(rng)
-            scale = max(
-                float(np.linalg.norm(e1.center - e2.center)),
-                e1.bounding_radius,
-                e2.bounding_radius,
-            )
             got = min_distance(e1, e2)
             oracle = dense_min_distance_oracle(e1, e2)
-            assert abs(got - oracle) <= 1e-6 * scale
+            assert abs(got - oracle) <= 1e-6 * _scale(e1, e2)
+
+    @pytest.mark.parametrize("rel_gap", [1e-2, 1e-3])
+    @pytest.mark.parametrize("axis_ratio", [10.0, 30.0, 100.0])
+    def test_elongated_near_touching_against_mpmath(self, axis_ratio, rel_gap):
+        rng = np.random.default_rng([int(axis_ratio), int(1.0 / rel_gap)])
+        for offset in (0.0, 7.0e6):
+            e1, e2 = ellipsoid_pair_with_gap(rng, axis_ratio, rel_gap, offset)
+            reference = float(_mp_distance(e1, e2))
+            assert reference > 0.0
+            got = min_distance(e1, e2)
+            assert abs(got - reference) <= 1e-9 * _scale(e1, e2)
+
+    def test_iteration_cap_reports_both_bounds(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        e1, e2 = ellipsoid_pair_with_gap(rng, 30.0, 1e-3)
+        monkeypatch.setattr(ellipsoids, "_PROJECTION_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            min_distance(e1, e2)
+        bounds = re.search(r"between (\S+) and (\S+)$", str(info.value))
+        lower, upper = (float(b) for b in bounds.groups())
+        reference = float(_mp_distance(e1, e2))
+        assert 0.0 <= lower < reference < upper
+
+    def test_projection_work_budget(self, monkeypatch):
+        # one run, not a multi-start: the separated pairs need one
+        # projection each to find a direction that Newton steps finish
+        calls = []
+        project = ellipsoids.project_point
+
+        def counted(ell, point):
+            calls.append(1)
+            return project(ell, point)
+
+        monkeypatch.setattr(ellipsoids, "project_point", counted)
+        rng = np.random.default_rng(19)
+        pairs = 50
+        for _ in range(pairs):
+            min_distance(*separated_ellipsoid_pair(rng, min_factor=1.0))
+        assert 0 < len(calls) <= 2 * pairs
 
     def test_far_separation(self):
         rng = np.random.default_rng(18)

@@ -17,7 +17,7 @@ from conjrisk import (
     pc_circular,
     pc_contour,
 )
-from conjrisk.probability import auto_n_quad, pc_circular_batch
+from conjrisk.probability import MAX_CURVE_POINTS, auto_n_quad, pc_circular_batch
 
 from conftest import mc_pc_oracle
 
@@ -216,3 +216,5 @@ class TestDilutionCurve:
             dilution_curve(2.0, 5.0, 1.0, 32)
         with pytest.raises(InputValidationError):
             dilution_curve(2.0, 1.0, 50.0, 8)
+        with pytest.raises(InputValidationError, match="n_points"):
+            dilution_curve(2.0, 1.0, 50.0, MAX_CURVE_POINTS + 1)

@@ -1,6 +1,7 @@
 """K-sigma screening decisions: confidences, overlap rule, coverage cap."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from conjrisk import (
     JointState,
     joint_confidence,
     ksigma_confidence,
+    parse_conjunction,
     screen_conjunction,
 )
 
-from conftest import random_rotation, random_spd
+from conftest import mp_ellipsoid_distance, random_rotation, random_spd
+
+FULL12 = Path(__file__).parent / "golden" / "inputs" / "full12.json"
 
 
 def _conjunction_state(p1, p2, cov1_pos, cov2_pos, r1=5.0, r2=5.0, vel_var=1e-4):
@@ -95,6 +99,19 @@ class TestScreenConjunction:
         # spheres of radius 40 at separation 400: gap 320, combined radius 10
         assert decision.min_distance == pytest.approx(320.0, abs=1e-6)
         assert not decision.overlap
+
+    def test_distance_within_one_ulp(self):
+        # input of the screen_full12 golden: within one ulp of the 40-digit
+        # distance between the K-sigma position ellipsoids
+        conj = parse_conjunction(FULL12.read_text(encoding="utf-8"), "json")
+        js = conj.to_joint_state()
+        k = 5.0
+        got = screen_conjunction(js, k).min_distance
+        reference = mp_ellipsoid_distance(
+            js.theta_hat[0:3], js.c_theta[0:3, 0:3],
+            js.theta_hat[6:9], js.c_theta[6:9, 6:9], k=k,
+        )
+        assert abs(got - reference) <= math.ulp(got)
 
     def test_identical_positions_always_overlap(self):
         rng = np.random.default_rng(20)

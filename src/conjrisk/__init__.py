@@ -1,7 +1,8 @@
 """Conjunction analysis toolkit.
 
 Reduces joint satellite state estimates to the encounter plane, computes
-collision probability by contour integration, quantifies how probability
+collision probability by contour integration (by the exact noncentral
+chi-squared series for circular encounters), quantifies how probability
 dilution degrades threshold-based detection, and provides K-sigma
 uncertainty-ellipsoid screening whose missed-detection rate is capped by
 construction, together with a harness for empirically testing belief rules
@@ -19,7 +20,6 @@ from .detection import (
     dilution_boundary,
     equivalent_circular_s_over_r,
     false_confidence_demo,
-    ncx2_cdf,
     proof_halfwidth,
 )
 from .ellipsoids import (
@@ -64,6 +64,7 @@ from .probability import (
     PcResult,
     dilution_curve,
     max_pc_head_on,
+    ncx2_cdf,
     pc_circular,
     pc_contour,
 )

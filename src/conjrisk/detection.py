@@ -17,14 +17,15 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import rng as rngmod
-from .errors import InputValidationError
+from .errors import InputValidationError, NumericalError
 from .geometry import StandardizedEncounter
-from .probability import max_pc_head_on, pc_circular, pc_circular_batch
+from .probability import max_pc_head_on, ncx2_cdf, pc_circular
 
-_POISSON_TAIL = 1e-13
+#: Most Pc evaluations one critical-displacement solve may take.
+_NEWTON_MAX_ITERS = 100
 _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
 
@@ -96,66 +97,28 @@ class FalseConfidenceReport:
         return [asdict(self)]
 
 
-def ncx2_cdf(dof: int, noncentrality: float, x: float) -> float:
-    """CDF of the noncentral chi-squared distribution.
-
-    Evaluated as the Poisson-weighted series of central chi-squared CDFs,
-    started at the Poisson mode and expanded outward until the remaining
-    weight is below ``1e-13``.
-
-    Args:
-        dof: degrees of freedom, >= 1.
-        noncentrality: noncentrality parameter, >= 0.
-        x: evaluation point, >= 0.
-    """
-    if not (isinstance(dof, (int, np.integer)) and dof >= 1):
-        raise InputValidationError(f"dof must be an integer >= 1, got {dof}")
-    if not (math.isfinite(noncentrality) and noncentrality >= 0.0):
-        raise InputValidationError(
-            f"noncentrality must be finite and >= 0, got {noncentrality}"
-        )
-    if not (math.isfinite(x) and x >= 0.0):
-        raise InputValidationError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    half_lam = noncentrality / 2.0
-    half_x = x / 2.0
-    if half_lam == 0.0:
-        return float(special.gammainc(dof / 2.0, half_x))
-
-    mode = int(half_lam)
-    log_w_mode = -half_lam + mode * math.log(half_lam) - math.lgamma(mode + 1)
-    w_mode = math.exp(log_w_mode)
-
-    total = w_mode * float(special.gammainc(dof / 2.0 + mode, half_x))
-    acc_weight = w_mode
-
-    # expand downward then upward from the mode; weights decay both ways
-    w = w_mode
-    for j in range(mode - 1, -1, -1):
-        w *= (j + 1) / half_lam
-        if w == 0.0:
-            break
-        acc_weight += w
-        total += w * float(special.gammainc(dof / 2.0 + j, half_x))
-    w = w_mode
-    j = mode
-    while 1.0 - acc_weight >= _POISSON_TAIL and w > 0.0:
-        j += 1
-        w *= half_lam / j
-        acc_weight += w
-        total += w * float(special.gammainc(dof / 2.0 + j, half_x))
-    return min(1.0, max(0.0, total))
-
-
 def critical_displacement(threshold: float, s_over_r: float) -> float | None:
     """Displacement-to-uncertainty ratio at which the threshold is hit.
 
-    Returns the unique ``d >= 0`` (in units of the uncertainty, i.e. ``D/S``)
-    with ``pc_circular(d * s_over_r, s_over_r) == threshold``, found by
-    bisection to ``1e-12`` relative using monotonicity in ``d``. Returns
-    ``None`` when the threshold exceeds the head-on maximum, i.e. the
-    encounter is fully diluted and the threshold is unreachable.
+    Returns the unique ``u >= 0`` (``D/S``, the displacement in units of the
+    uncertainty) with ``pc_circular(u * s_over_r, s_over_r) == threshold``,
+    to ``1e-12`` relative. Returns ``None`` when the threshold exceeds the
+    head-on maximum, i.e. the encounter is fully diluted and the threshold
+    is unreachable, and ``0.0`` when it equals that maximum.
+
+    Solved by safeguarded Newton steps on ``log Pc`` in ``u``, each
+    evaluating ``Pc`` through ``pc_circular``. With ``Pc = F_2(u^2)``, where
+    ``F_k`` is ``ncx2_cdf`` as a function of its noncentrality ``lam``, the
+    slope is ``dF_k/dlam = (F_{k+2} - F_k) / 2``; for ``k = 2`` that is the
+    Rice density, ``dPc/du = -b exp(-(u - b)^2/2) ive(1, u b)`` with
+    ``b = 1/s_over_r``. ``Pc`` is log-concave in ``u``, so a step from above
+    the root stays above it and a step from below crosses it. While no
+    point with ``Pc < threshold`` is known, steps are limited to doubling
+    ``u``; after, a step that leaves the bracket ``[lo, hi]``
+    (``Pc(lo) >= threshold > Pc(hi)``), or one from where ``Pc``
+    underflows, is replaced by bisection. Raises ``NumericalError`` with
+    the bracket reached if ``_NEWTON_MAX_ITERS`` evaluations do not
+    converge.
     """
     if not (0.0 < threshold < 1.0):
         raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
@@ -166,21 +129,37 @@ def critical_displacement(threshold: float, s_over_r: float) -> float | None:
         return None
     if threshold >= peak * (1.0 - 1e-15):
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if pc_circular(hi * s_over_r, s_over_r) < threshold:
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - pc decays like exp(-d^2/2), unreachable
-        raise InputValidationError("failed to bracket the critical displacement")
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if pc_circular(mid * s_over_r, s_over_r) >= threshold:
-            lo = mid
+    b = 1.0 / s_over_r
+    log_threshold = math.log(threshold)
+    # beyond u = b, Pc falls off about like peak * exp(-(u - b)^2 / 2)
+    u = b + math.sqrt(2.0 * (math.log(peak) - log_threshold))
+    lo, hi = 0.0, math.inf
+    for _ in range(_NEWTON_MAX_ITERS):
+        pc = pc_circular(u * s_over_r, s_over_r)
+        if pc >= threshold:
+            lo = u
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = u
+        nxt = math.nan
+        if pc > 0.0:
+            # -dlog(Pc)/du = b exp(-(u - b)^2 / 2) ive(1, u b) / Pc
+            log_rate = (
+                math.log(b * float(special.ive(1, u * b)))
+                - 0.5 * (u - b) ** 2
+                - math.log(pc)
+            )
+            nxt = u + (math.log(pc) - log_threshold) * math.exp(min(-log_rate, 700.0))
+        if hi == math.inf:
+            nxt = min(2.0 * u, nxt)
+        elif not lo <= nxt <= hi:  # also catches NaN
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - u) <= 1e-12 * nxt:
+            return nxt
+        u = nxt
+    raise NumericalError(
+        f"critical displacement did not converge in {_NEWTON_MAX_ITERS} steps: "
+        f"the root is bracketed by D/S in [{lo!r}, {hi!r}]"
+    )
 
 
 def _detection_rates(
@@ -200,27 +179,26 @@ def _detection_rates(
         raise InputValidationError(
             f"d_true_over_r must be >= 0, got {d_true_over_r}"
         )
-    lam = (d_true_over_r / s_over_r) ** 2
-    if method == _SEMI_ANALYTIC:
-        rates = []
-        for threshold in thresholds:
-            d_crit = critical_displacement(threshold, s_over_r)
-            # None: unreachable threshold; 0: reached only by a head-on estimate
-            rates.append(ncx2_cdf(2, lam, d_crit * d_crit) if d_crit else 0.0)
-        return np.array(rates)
+    if method not in (_SEMI_ANALYTIC, _MONTE_CARLO):
+        raise InputValidationError(
+            f"method must be '{_SEMI_ANALYTIC}' or '{_MONTE_CARLO}', got {method!r}"
+        )
     if method == _MONTE_CARLO:
         seed = rngmod.validate_seed(seed)
-        offset = math.sqrt(lam)
-        hits = np.zeros(thresholds.size, dtype=np.int64)
-        for gen, count in rngmod.blocks(seed, n_trials):
-            xi = gen.standard_normal((count, 2))
-            d_over_s = np.hypot(offset + xi[:, 0], xi[:, 1])
-            pc = pc_circular_batch(d_over_s * s_over_r, s_over_r)
-            hits += np.count_nonzero(pc[:, None] >= thresholds, axis=0)
-        return hits / n_trials
-    raise InputValidationError(
-        f"method must be '{_SEMI_ANALYTIC}' or '{_MONTE_CARLO}', got {method!r}"
-    )
+    lam = (d_true_over_r / s_over_r) ** 2
+    # Pc is strictly decreasing in the displacement, so Pc >= t exactly
+    # where D/S <= u_crit(t); an unreachable threshold (None) and one
+    # reached only by a head-on estimate (0) have rate 0
+    u_crit = np.array([critical_displacement(t, s_over_r) or 0.0 for t in thresholds])
+    if method == _SEMI_ANALYTIC:
+        return ncx2_cdf(2, lam, u_crit * u_crit)
+    offset = math.sqrt(lam)
+    hits = np.zeros(thresholds.size, dtype=np.int64)
+    for gen, count in rngmod.blocks(seed, n_trials):
+        xi = gen.standard_normal((count, 2))
+        d_over_s = np.sort(np.hypot(offset + xi[:, 0], xi[:, 1]))
+        hits += np.searchsorted(d_over_s, u_crit, side="right")
+    return hits / n_trials
 
 
 def detection_rate(
@@ -239,8 +217,9 @@ def detection_rate(
 
     The semi-analytic path evaluates the noncentral chi-squared CDF at the
     critical displacement. The Monte Carlo path redraws the estimated
-    displacement from its sampling law, computes the collision probability
-    per draw, and counts threshold exceedances; it requires a seed.
+    displacement from its sampling law and counts the draws at or below the
+    critical displacement, which are exactly those whose collision
+    probability reaches the threshold; it requires a seed.
     """
     rates = _detection_rates(
         np.array([float(threshold)]), s_over_r, d_true_over_r, method, n_trials, seed
@@ -378,6 +357,8 @@ def false_confidence_demo(
     if max_mass <= alpha:
         p_target = 1.0
     else:
+        from scipy import optimize  # imported on first use: slow to import
+
         x_star = optimize.brentq(
             lambda x: float(_interval_belief(np.array(x), halfwidth, sigma)) - alpha,
             0.0,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InputValidationError, NumericalError
 from .geometry import covariance_eigh
@@ -135,6 +134,8 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
 
 
 def _brentq(fn, lo: float, hi: float) -> float:
+    from scipy import optimize  # imported on first use: slow to import
+
     return float(optimize.brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16))
 
 

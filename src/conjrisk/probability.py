@@ -1,11 +1,19 @@
 """Collision probability on the standardized encounter plane.
 
-The probability that the true relative displacement falls inside the
-combined-radius disk, under bivariate normal uncertainty, is evaluated as a
-single periodic contour integral around the disk boundary mapped into unit
-normal space. The trapezoidal rule on evenly spaced points converges
-spectrally for this integrand; at least ``10 * max(s1/s2, s2/s1)`` points
-are required, with a floor of 64 for a uniform small-error guarantee.
+For an anisotropic encounter (``pc_contour``) the probability that the true
+relative displacement falls inside the combined-radius disk, under bivariate
+normal uncertainty, is evaluated as a single periodic contour integral
+around the disk boundary mapped into unit normal space. The trapezoidal rule
+on evenly spaced points converges spectrally for this integrand; at least
+``10 * max(s1/s2, s2/s1)`` points are required, with a floor of 64 for a
+uniform small-error guarantee.
+
+For a circular encounter (``s1 == s2 == s``, ``pc_circular``) the squared
+displacement over ``s`` is noncentral chi-squared with two degrees of
+freedom, so the probability is exactly ``ncx2_cdf(2, (d/s)^2, (r/s)^2)``,
+one minus a Marcum Q function. ``ncx2_cdf`` sums the Poisson series outward
+from its largest term, which keeps full relative precision in the far tail
+at a cost that grows like the square roots of its arguments.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import gammainc, gammaln, xlog1py, xlogy
 
 from .errors import InputValidationError, NumericalError
 from .geometry import StandardizedEncounter
@@ -135,44 +144,272 @@ def pc_contour(
     )
 
 
-def _circular_encounter(d_over_r: float, s_over_r: float) -> StandardizedEncounter:
-    return StandardizedEncounter(
-        u_hat=float(d_over_r),
-        v_hat=0.0,
-        s1=float(s_over_r),
-        s2=float(s_over_r),
-        rot_m=np.eye(3),
-        rot_es=np.eye(2),
-        r_combined=1.0,
+#: Share of the series total that ``ncx2_cdf`` may leave out.
+_SERIES_TOL = 1e-13
+#: The series is evaluated in blocks of this many consecutive terms, each
+#: factor exact at one end of a block and carried through it by its ratio
+#: recurrence, which keeps the rounding of the running sums near 1e-14.
+_BLOCK = 64
+#: Most series terms held at once (rows times window); one evaluation that
+#: needs a wider window raises ``NumericalError``. Bounds the memory used.
+_MAX_TERMS = 2**20
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# bd0 = d v + 2 x v sum_k v^(2k) / (2k + 1); v^56 / 57 < 1e-19 for |v| < 1/2
+_SERIES_K = np.arange(1.0, 29.0)
+_SERIES_COEF = 1.0 / (2.0 * _SERIES_K + 1.0)
+_FIRST_OF_BLOCK = np.arange(_BLOCK) == 0
+
+
+def _log_poisson(x: np.ndarray, mean) -> np.ndarray:
+    """``log(mean^x exp(-mean) / Gamma(x + 1))`` for ``x >= 0``, ``mean > 0``
+    (``mean`` broadcasts against ``x``).
+
+    Loader's saddle-point form ``-stirling_error(x) - bd0 - log(2 pi x)/2``
+    with ``bd0 = x log(x/mean) + mean - x``, summed as a series in
+    ``v = (x - mean)/(x + mean)`` where ``|v| < 1/2`` and ``|x - mean| > 32``,
+    so that the error is a few ulps of ``min(|x - mean|, 32 + bd0)`` rather
+    than of ``mean``. The Stirling series serves ``x > 15``.
+    """
+    d = x - mean
+    bd0 = xlog1py(x, d / mean) - d
+    v = d / (x + mean)
+    near = (np.abs(v) < 0.5) & (np.abs(d) > 32.0)
+    if np.count_nonzero(near):
+        v, d = v[near], d[near]
+        series = ((v * v)[:, None] ** _SERIES_K) @ _SERIES_COEF
+        bd0[near] = d * v + 2.0 * x[near] * v * series
+    inv2 = 1.0 / (x * x)
+    stirling = (
+        1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))
+    ) / x
+    out = -stirling - bd0 - _HALF_LOG_2PI - 0.5 * np.log(x)
+    small = x <= 15.0
+    if np.count_nonzero(small):
+        xs = x[small]
+        out[small] = xlogy(xs, xs) - xs - gammaln(xs + 1.0) - bd0[small]
+    return out
+
+
+def _poisson_blocks(z: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``mean^z exp(-mean) / Gamma(z + 1)`` over blocks of consecutive
+    ``z`` (last axis): exact at each block's first value, then up the block
+    by the ratio ``mean / z``. ``mean`` has a trailing axis of length 1.
+    """
+    steps = np.log1p((mean - z) / z)
+    steps[..., 0] = _log_poisson(z[..., 0], mean[..., 0])
+    return np.exp(np.cumsum(steps, axis=-1))
+
+
+def _gamma_blocks(a: float, blocks: np.ndarray, y) -> np.ndarray:
+    """``P(a + j, y)`` for the ``_BLOCK`` values of ``j`` of each block id.
+
+    With ``g(x) = y^x e^-y / Gamma(x + 1) = P(x, y) - P(x + 1, y)``, each
+    block is filled from ``gammainc`` at its ends: downward from just past
+    the block by adding ``g`` where ``x >= y`` (``P`` below about 1/2), and
+    upward from its first value by subtracting ``g`` where ``x < y`` (``P``
+    above about 1/2), so that no value loses precision to cancellation; the
+    first value is ``gammainc``'s own. ``y`` broadcasts against ``blocks``;
+    the result has a trailing axis of length ``_BLOCK``.
+    """
+    x = a + (blocks[..., None] * _BLOCK + np.arange(_BLOCK))
+    y_col = np.asarray(y)[..., None]
+    g = _poisson_blocks(x, y_col)
+    down = gammainc(x[..., -1:] + 1.0, y_col) + np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
+    up = gammainc(x[..., :1], y_col) - (np.cumsum(g, axis=-1) - g)
+    return np.where((x < y_col) | _FIRST_OF_BLOCK, up, down)
+
+
+def _series_window(a: float, mu: np.ndarray, y, centre: np.ndarray, half: int):
+    """Sum ``Pois(j; mu) P(a + j, y)`` over the whole blocks of terms that
+    cover ``centre - half <= j < centre + half`` in each row.
+
+    With a scalar ``y`` the ``P`` values are computed once per distinct
+    block. Returns the sums and, per row, whether the geometric bound on
+    the terms left out on either side is within ``_SERIES_TOL`` of the sum.
+    """
+    first = np.maximum(np.floor((centre - half) / _BLOCK), 0.0)
+    blocks = first[:, None] + np.arange(-(-2 * half // _BLOCK) + 1)
+    weights = _poisson_blocks(
+        blocks[:, :, None] * _BLOCK + np.arange(_BLOCK), mu[:, None, None]
     )
+    if np.ndim(y) == 0 and mu.size > 1:
+        ids, index = np.unique(blocks, return_inverse=True)
+        p = _gamma_blocks(a, ids, y)[index.reshape(blocks.shape)]
+    else:
+        p = _gamma_blocks(a, blocks, np.reshape(y, (-1, 1)))
+    terms = (weights * p).reshape(mu.size, -1)
+    total = terms.sum(axis=1)
+    # The terms are log-concave, so beyond an edge term t whose inner
+    # neighbour is t' > t they fall at least geometrically and sum to at
+    # most t^2 / (t' - t); beyond one that underflowed to 0 they underflow
+    # too, and below j = 0 there is nothing to bound.
+    edge = terms[:, [-1, 0]]
+    edge[:, 1] *= first > 0.0
+    gap = terms[:, [-2, 1]] - edge
+    bounded = (edge == 0.0) | (
+        (gap > 0.0) & (edge * (edge / gap) <= (_SERIES_TOL * total)[:, None])
+    )
+    return total, bounded.all(axis=1)
+
+
+def _ncx2_series(a: float, mu: np.ndarray, y, centre: np.ndarray, half: int):
+    """``_series_window`` over all rows, in chunks of at most ``_MAX_TERMS``
+    terms; rows whose tail bound is not met are evaluated again with twice
+    the window. Returns the sums and the number of terms evaluated.
+    """
+    width = (-(-2 * half // _BLOCK) + 1) * _BLOCK
+    if width > _MAX_TERMS:
+        raise NumericalError(
+            f"ncx2 series needs more than {_MAX_TERMS} terms "
+            f"(noncentrality/2 up to {mu.max():.6g})"
+        )
+    shared = np.ndim(y) == 0
+    chunk = _MAX_TERMS // width
+    if mu.size > chunk:
+        parts = [
+            _ncx2_series(a, mu[i : i + chunk], y if shared else y[i : i + chunk],
+                         centre[i : i + chunk], half)
+            for i in range(0, mu.size, chunk)
+        ]
+        return np.concatenate([v for v, _ in parts]), sum(n for _, n in parts)
+    total, done = _series_window(a, mu, y, centre, half)
+    n_terms = mu.size * width
+    if not done.all():
+        redo = ~done
+        total[redo], more = _ncx2_series(
+            a, mu[redo], y if shared else y[redo], centre[redo], 2 * half
+        )
+        n_terms += more
+    return total, n_terms
+
+
+def _ncx2_terms(a: float, mu: np.ndarray, y) -> tuple[np.ndarray, int]:
+    """``sum_j Pois(j; mu) P(a + j, y)`` for a 1-D array ``mu > 0`` and a
+    scalar or matching ``y > 0``; returns the sums and the number of terms.
+
+    The largest term is near the Poisson mode ``mu`` where ``P`` is near
+    one, else near the root of ``(j + 1)(j + a + 1) = mu y``, where ``P``
+    decays like ``y^j / j!``. The first window reaches 8 standard
+    deviations of a Poisson law at that point, plus 8 terms, to either
+    side.
+    """
+    centre = np.minimum(mu, np.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
+    half = math.ceil(8.0 * math.sqrt(float(centre.max()) + 1.0) + 8.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ncx2_series(a, mu, y, centre, half)
+
+
+def _ncx2_scalar(a: float, mu: float, y: float) -> tuple[float, int]:
+    """``_ncx2_terms`` for one evaluation. Where the first window would lie
+    within the first ``2 _BLOCK`` terms, they are summed one by one from
+    ``j = 0`` in Python floats, which costs less than numpy's per-call
+    overhead."""
+    centre = min(mu, math.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
+    if centre + 8.0 * math.sqrt(centre + 1.0) + 8.0 > 2 * _BLOCK:
+        values, n_terms = _ncx2_terms(a, np.array([mu]), y)
+        return float(values[0]), n_terms
+    log_w, log_mu = -mu, math.log(mu)
+    total = before = 0.0
+    for j in range(2 * _BLOCK):
+        if j:
+            log_w += log_mu - math.log(j)
+        term = math.exp(log_w) * float(gammainc(a + j, y))
+        total += term
+        if before > term and term * (term / (before - term)) <= _SERIES_TOL * total:
+            return total, j + 1
+        before = term
+    values, n_terms = _ncx2_terms(a, np.array([mu]), y)
+    return float(values[0]), 2 * _BLOCK + n_terms
+
+
+def _finite_nonnegative(name: str, value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    valid = (
+        math.isfinite(float(values)) and float(values) >= 0.0
+        if values.ndim == 0
+        else bool(np.all(np.isfinite(values) & (values >= 0.0)))
+    )
+    if not valid:
+        raise InputValidationError(f"{name} must be finite and >= 0, got {value}")
+    return values
+
+
+def _central_cdf(dof: int, y):
+    """Chi-squared CDF at ``x = 2 y``: ``1 - exp(-y)`` for two degrees of
+    freedom (as ``max_pc_head_on`` computes the head-on circular Pc)."""
+    if dof != 2:
+        return gammainc(0.5 * dof, y)
+    return -math.expm1(-y) if np.ndim(y) == 0 else -np.expm1(-y)
+
+
+def ncx2_cdf(dof: int, noncentrality, x):
+    """CDF of the noncentral chi-squared distribution.
+
+    ``sum_j Pois(j; noncentrality/2) P(dof/2 + j, x/2)``, with ``P`` the
+    regularized lower incomplete gamma function. The terms are log-concave
+    in ``j``; they are summed outward from the largest one until the
+    geometric bound on the rest is under ``1e-13`` of the total, which
+    takes ``O(sqrt(noncentrality) + sqrt(x))`` terms and keeps full relative
+    precision far into the lower tail (values down to about ``1e-300``).
+
+    Args:
+        dof: degrees of freedom, an integer >= 1.
+        noncentrality: noncentrality parameter, >= 0; scalar or array.
+        x: evaluation point, >= 0; scalar or array broadcast against
+            ``noncentrality``.
+
+    Returns:
+        A float for scalar arguments, else an array of the broadcast shape.
+    """
+    if isinstance(dof, bool) or not (isinstance(dof, (int, np.integer)) and dof >= 1):
+        raise InputValidationError(f"dof must be an integer >= 1, got {dof!r}")
+    lam = _finite_nonnegative("noncentrality", noncentrality)
+    xs = _finite_nonnegative("x", x)
+    if lam.ndim == 0 and xs.ndim == 0:
+        mu, y = 0.5 * float(lam), 0.5 * float(xs)
+        if mu == 0.0 or y == 0.0:
+            return float(_central_cdf(dof, y))
+        return min(_ncx2_scalar(0.5 * dof, mu, y)[0], 1.0)
+    shape = np.broadcast_shapes(lam.shape, xs.shape)
+    mu = np.broadcast_to(0.5 * lam, shape).ravel()
+    y = np.broadcast_to(0.5 * xs, shape).ravel()
+    # the central law, and 0 at x = 0, where the series has a single term
+    values = _central_cdf(dof, y)
+    rows = (mu > 0.0) & (y > 0.0)
+    if np.count_nonzero(rows):
+        shared = 0.5 * float(xs) if xs.ndim == 0 else y[rows]
+        values[rows] = _ncx2_terms(0.5 * dof, mu[rows], shared)[0]
+    return np.minimum(values, 1.0).reshape(shape)
 
 
 def pc_circular(d_over_r: float, s_over_r: float) -> float:
     """Collision probability for the equal-deviation special case.
 
     With ``s1 == s2`` the probability depends only on the displacement ratio
-    ``d_over_r`` and the uncertainty ratio ``s_over_r``.
+    ``d_over_r`` and the uncertainty ratio ``s_over_r``; it is the validated
+    scalar form of ``pc_circular_batch``.
     """
     if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
         raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
-    return pc_contour(_circular_encounter(d_over_r, s_over_r)).pc
+    return float(pc_circular_batch(d_over_r, s_over_r))
 
 
-def pc_circular_batch(
-    d_over_r: np.ndarray, s_over_r: float, n_quad: int | None = None
-) -> np.ndarray:
-    """Vectorized ``pc_circular`` over an array of displacement ratios."""
+def pc_circular_batch(d_over_r, s_over_r: float) -> np.ndarray:
+    """Circular-encounter collision probability over displacement ratios.
+
+    ``ncx2_cdf(2, (d/s)^2, 1/s^2)`` with ``s = s_over_r`` for every ``d`` of
+    the array (a 0-d array for a scalar); the regularized gamma values are
+    shared across the array.
+    """
     d = np.asarray(d_over_r, dtype=float)
     if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0.0)):
         raise InputValidationError("d_over_r values must be finite and >= 0")
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
     s = float(s_over_r)
-    n = auto_n_quad(s, s) if n_quad is None else int(n_quad)
-    pc = _contour_integral(d, 0.0, s, s, 1.0, n)
-    return np.clip(pc, 0.0, 1.0)
+    return np.asarray(ncx2_cdf(2, (d / s) ** 2, 1.0 / (s * s)))
 
 
 def max_pc_head_on(s_over_r: float) -> float:
@@ -252,7 +489,7 @@ def dilution_curve(
     if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
         raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
     s_grid = np.geomspace(s_over_r_min, s_over_r_max, int(n_points))
-    pc_grid = np.array([pc_circular(d_over_r, s) for s in s_grid])
+    pc_grid = ncx2_cdf(2, (d_over_r / s_grid) ** 2, 1.0 / s_grid**2)
     grid = tuple((float(s), float(p)) for s, p in zip(s_grid, pc_grid))
     imax = int(np.argmax(pc_grid))
     if imax == 0:

@@ -25,9 +25,9 @@ import numpy as np
 from scipy import special
 
 from . import rng as rngmod
-from .detection import ncx2_cdf
 from .ellipsoids import Ellipsoid, build_ellipsoid
 from .errors import InputValidationError, UnsupportedPropositionError
+from .probability import ncx2_cdf
 from .propositions import (
     Ball,
     Complement,

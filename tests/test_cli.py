@@ -126,6 +126,14 @@ class TestDetectionCurveCommand:
         assert rate == pytest.approx(0.912, abs=2e-3)
         assert failure == pytest.approx(1.0 - 0.912, abs=2e-3)
 
+    def test_series_beyond_term_budget_exits_three(self, capsys):
+        # (d/s)^2 near 1e12 would need about 1e7 series terms per Pc
+        status = run_command(["detection-curve", "--s-over-r", "1e-6", "--d-true", "1"])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "terms" in captured.err
+
     def test_monte_carlo_requires_seed(self, capsys):
         status = run_command(
             [

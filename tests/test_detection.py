@@ -3,12 +3,15 @@ false-confidence simulation."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import conjrisk.detection as detection_module
 from conjrisk import (
     InputValidationError,
+    NumericalError,
     StandardizedEncounter,
     ThresholdPolicy,
     critical_displacement,
@@ -22,6 +25,9 @@ from conjrisk import (
     pc_circular,
     proof_halfwidth,
 )
+from conjrisk.probability import _ncx2_scalar, pc_circular_batch
+
+from conftest import mp_ncx2_cdf, mp_pc_circular
 
 # frozen 1e7-sample oracle (seed 77): sum of two shifted squared normals
 NCX2_ORACLE_VALUE = 0.5851047
@@ -73,6 +79,59 @@ class TestNcx2Cdf:
             ncx2_cdf(2, -1.0, 1.0)
         with pytest.raises(InputValidationError):
             ncx2_cdf(2, 1.0, float("nan"))
+        with pytest.raises(InputValidationError):
+            ncx2_cdf(2, [1.0, math.inf], 1.0)
+
+    @pytest.mark.parametrize("dof", [True, False, 2.0])
+    def test_non_integer_dof_rejected(self, dof):
+        with pytest.raises(InputValidationError, match="dof"):
+            ncx2_cdf(dof, 1.0, 1.0)
+
+    @pytest.mark.parametrize("dof", range(1, 8))
+    def test_against_mpmath(self, dof):
+        # from the bulk to the far lower tail, where the mass sits far
+        # below the Poisson mode; 40-digit references
+        cases = [(0.0, 0.5), (0.0, 7.0)]
+        for lam in (1e-3, 0.5, 3.0, 25.0, 300.0, 2000.0):
+            cases += [(lam, q * (lam + dof)) for q in (1e-3, 0.3, 1.0, 2.0, 5.0)]
+        for lam in (300.0, 1000.0, 2000.0):
+            cases += [(lam, (math.sqrt(lam) - z) ** 2) for z in (3.0, 12.0, 19.0, 28.0, 30.0)]
+        checked = 0
+        for lam, x in cases:
+            ref = mp_ncx2_cdf(dof, lam, x)
+            if ref < 1e-200:
+                continue
+            assert ncx2_cdf(dof, lam, x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+            checked += 1
+        assert checked >= 30
+
+    def test_arrays_match_scalar_calls(self):
+        lam = np.array([0.0, 0.2, 4.0, 90.0, 3000.0])
+        x = np.array([[0.0], [0.7], [6.0], [80.0], [2500.0]])
+        table = ncx2_cdf(3, lam, x)
+        assert table.shape == (5, 5)
+        for i in range(5):
+            for k in range(5):
+                assert table[i, k] == pytest.approx(
+                    ncx2_cdf(3, float(lam[k]), float(x[i, 0])), rel=1e-13, abs=1e-300
+                )
+
+    def test_series_beyond_term_budget_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="terms"):
+            ncx2_cdf(2, 1e15, 1e15)
+
+    def test_series_length_grows_with_square_roots(self):
+        # the series is summed outward from its largest term, so the terms
+        # evaluated grow like sqrt(lam) + sqrt(x); a sum down to j = 0
+        # would take lam / 2 = 4.5e6 of them here
+        lam = 9e6
+        for x in (lam, (math.sqrt(lam) - 20.0) ** 2, 1e6):
+            value, n_terms = _ncx2_scalar(1.0, lam / 2.0, x / 2.0)
+            assert n_terms <= 6 * (math.sqrt(lam) + math.sqrt(x)) + 128
+            # scipy's incomplete gamma, under both, is good to about 1e-6
+            # relative at shape 4.5e6 in the tail
+            reference = float(stats.ncx2.cdf(x, 2, lam))
+            assert value == pytest.approx(reference, rel=1e-5, abs=1e-300)
 
 
 class TestCriticalDisplacement:
@@ -97,6 +156,45 @@ class TestCriticalDisplacement:
             d = critical_displacement(t, s)
             assert d is not None
             assert pc_circular(d * s, s) == pytest.approx(t, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [0.01, 0.1, 1.0, 10.0, 30.0])
+    def test_newton_against_mpmath_root(self, s):
+        # D/S is the Rice variable, so Pc(u) = 1 - Q1(u, 1/s); 40-digit
+        # values either side of u bracket the root to 1e-12 relative
+        for t in (1e-8, 4.4e-4, 1e-2):
+            u = critical_displacement(t, s)
+            if u is None:
+                continue
+            below, above = u * (1.0 - 1e-12), u * (1.0 + 1e-12)
+            assert mp_pc_circular(below * s, s) >= t >= mp_pc_circular(above * s, s)
+
+    def test_few_pc_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(d_over_r, s_over_r):
+            calls.append(d_over_r)
+            return pc_circular(d_over_r, s_over_r)
+
+        monkeypatch.setattr(detection_module, "pc_circular", counted)
+        solves = 0
+        for s in (0.01, 0.1, 1.0, 5.0, 20.0):
+            for t in np.geomspace(1e-8, 0.1, 15):
+                solves += critical_displacement(float(t), s) is not None
+        # about 40 per solve with the former bisection
+        assert len(calls) <= 8 * solves
+
+    def test_failed_newton_run_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(detection_module, "_NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match=r"bracketed by D/S in \[") as info:
+            critical_displacement(4.4e-4, 10.0)
+        lo, hi = (float(v) for v in
+                  str(info.value).split("[")[1].rstrip("]").split(","))
+        assert lo <= CRITICAL_D_UPPER_10 <= hi
+
+    def test_failed_bracket_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(detection_module, "pc_circular", lambda d, s: 1.0)
+        with pytest.raises(NumericalError, match=r"inf\]"):
+            critical_displacement(4.4e-4, 10.0)
 
 
 class TestDetectionRate:
@@ -138,6 +236,36 @@ class TestDetectionRate:
         assert detection_rate(threshold, boundary * 1.001, 0.0) == 0.0
         assert detection_rate(threshold, boundary * 1.001, 1.0) == 0.0
         assert detection_rate(threshold, boundary * 0.999, 0.0) > 0.0
+
+    def test_threshold_counting_matches_pc_per_draw(self):
+        # Pc is strictly decreasing in the displacement, so counting draws
+        # with D/S <= u_crit(t) equals counting draws with Pc >= t
+        rng = np.random.default_rng(17)
+        for s, d_true in ((0.05, 1.0), (0.5, 0.3), (3.0, 0.7), (20.0, 0.0)):
+            xi = rng.standard_normal((4000, 2))
+            d_over_s = np.hypot(d_true / s + xi[:, 0], xi[:, 1])
+            pc = pc_circular_batch(d_over_s * s, s)
+            for t in (1e-7, 4.4e-4, 1e-2):
+                u = critical_displacement(t, s) or 0.0
+                assert np.count_nonzero(pc >= t) == np.count_nonzero(d_over_s <= u)
+
+    @pytest.mark.parametrize("s", [0.001, 0.01])
+    def test_tiny_uncertainty_ratio(self, s):
+        thresholds = [1e-8, 4.4e-4, 0.1]
+        u_crit = [critical_displacement(t, s) for t in thresholds]
+        # three radii away: Pc >= t needs D/S <= u_crit, about 1/s, while
+        # D/S ~ Rice(3/s) falls there with probability below Phi(u - 3/s)
+        far = detection_curve(s, 3.0, thresholds=thresholds)
+        for (_t, failure), u in zip(far.points, u_crit):
+            assert mpmath.ncdf(u - 3.0 / s) < 1e-300
+            assert failure == 1.0
+        if s < 0.01:
+            return  # the 40-digit Bessel series below would take seconds
+        near = detection_curve(s, 1.0, thresholds=thresholds)
+        for (_t, failure), u in zip(near.points, u_crit):
+            # rate = P(Rice(1/s) <= u) = 1 - Q1(1/s, u)
+            ref = mp_pc_circular(1.0 / s / u, 1.0 / u)
+            assert 1.0 - failure == pytest.approx(float(ref), rel=1e-9)
 
     def test_monte_carlo_requires_seed(self):
         with pytest.raises(InputValidationError, match="seed"):

@@ -19,7 +19,7 @@ from conjrisk import (
 )
 from conjrisk.probability import MAX_CURVE_POINTS, auto_n_quad, pc_circular_batch
 
-from conftest import mc_pc_oracle
+from conftest import mc_pc_oracle, mp_pc_circular
 
 # frozen 1e7-sample oracle values (seed 20240101), fraction and standard error
 FIG2_ORACLE = {
@@ -60,6 +60,8 @@ class TestClosedForms:
         expected = 1.0 - math.exp(-1.0 / (2.0 * s * s))
         assert pc_circular(0.0, s) == pytest.approx(expected, abs=1e-9)
         assert max_pc_head_on(s) == pytest.approx(expected, abs=1e-12)
+        # critical_displacement compares thresholds with this maximum
+        assert pc_circular(0.0, s) == max_pc_head_on(s)
 
     def test_max_head_on_limits(self):
         assert max_pc_head_on(1.0) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
@@ -73,6 +75,41 @@ class TestClosedForms:
 
     def test_vanishing_tail(self):
         assert pc_circular(50.0, 1.0) < 1e-12
+
+
+class TestCircularSeries:
+    def test_against_mpmath(self):
+        # 40-digit Marcum Q values at the exact float arguments, from the
+        # bulk down to Pc ~ 1e-200 (d and s are rounded once when the
+        # kernel forms (d/s)^2 and 1/s^2, which costs up to about 2e-13
+        # relative in the far tail at s/r = 0.01)
+        checked = 0
+        for s in (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0):
+            for d in (0.0, 0.5, 1.0, 1.2, 1.3, 2.0, 3.0, 4.0, 5.0, 8.0, 12.0, 20.0):
+                if s < 0.05 and d > 1.3:
+                    continue  # Pc < 1e-300
+                ref = mp_pc_circular(d, s)
+                if ref < 1e-200:
+                    continue
+                assert pc_circular(d, s) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 60
+
+    def test_contour_agrees_at_equal_deviations(self):
+        # the 64-point contour resolves the circle from s/r = 0.1 up; it
+        # has an absolute floor of about 1e-17 from cancellation
+        for s in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
+            for d in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0):
+                contour = pc_contour(_encounter(d, 0.0, s, s)).pc
+                circular = pc_circular(d, s)
+                assert abs(contour - circular) <= min(2e-10, 1e-4 * circular + 1e-16)
+
+    def test_batch_matches_scalar(self):
+        for s in (0.05, 0.7, 4.0, 60.0):
+            d = np.concatenate([np.linspace(0.0, 3.0, 25), [0.99, 1.0, 1.01, 7.5]])
+            batch = pc_circular_batch(d, s)
+            for d_i, p_i in zip(d, batch):
+                assert p_i == pytest.approx(pc_circular(float(d_i), s), rel=1e-13, abs=1e-300)
 
 
 class TestMonteCarloOracle:

@@ -201,6 +201,14 @@ class TestDilutionCurveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: n_points must be in [16, 100000]")
 
+    def test_series_beyond_term_budget_exits_three(self, capsys):
+        # at s/r = 1e-5 and d/r = 1 one Pc needs about 1.1e6 series terms
+        status = run_command(["dilution-curve", "--d-over-r", "1", "--s-min", "1e-5"])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "terms" in captured.err
+
 
 class TestValidityCommand:
     def test_ksigma_passes(self, capsys):

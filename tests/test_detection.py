@@ -25,7 +25,7 @@ from conjrisk import (
     pc_circular,
     proof_halfwidth,
 )
-from conjrisk.probability import _ncx2_scalar, pc_circular_batch
+from conjrisk.probability import _ncx2_scalar, _ncx2_terms, pc_circular_batch
 
 from conftest import mp_ncx2_cdf, mp_pc_circular
 
@@ -132,6 +132,15 @@ class TestNcx2Cdf:
             # relative at shape 4.5e6 in the tail
             reference = float(stats.ncx2.cdf(x, 2, lam))
             assert value == pytest.approx(reference, rel=1e-5, abs=1e-300)
+
+    def test_each_row_gets_its_own_window(self):
+        # one long series among short ones must not widen their windows:
+        # a shared window would take 200 times the long one's 34112 terms
+        mu = np.array([4.5e6] + [3.0] * 199)
+        y = np.array([4.5e6] + [4.0] * 199)
+        values, n_terms = _ncx2_terms(1.0, mu, y)
+        assert n_terms <= _ncx2_scalar(1.0, 4.5e6, 4.5e6)[1] + 199 * 128
+        assert values[1] == pytest.approx(ncx2_cdf(2, 6.0, 8.0), rel=1e-13)
 
 
 class TestCriticalDisplacement:

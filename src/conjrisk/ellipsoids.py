@@ -1,12 +1,15 @@
 """Uncertainty ellipsoids and exact distance/overlap primitives.
 
 An ellipsoid is stored as center, orthonormal axes, and semi-axis lengths.
-Every geometric decision reduces to the range of one ellipsoid's
-standardized squared radius over another ellipsoid, which diagonalizes to a
-one-dimensional secular equation solved by bracketing. The distance between
-separated bodies is the largest separation ``n.delta - h1(n) - h2(n)`` over
-unit directions, from the closed-form support functions ``h``; one run of
-Newton steps on the sphere brackets it from both sides.
+Every geometric decision reduces to one bound of one ellipsoid's
+standardized squared radius over another ellipsoid: the minimum decides
+overlap and the maximum containment. In a shared SVD frame each bound, and
+the projection of a point onto an ellipsoid, is the root of one secular
+equation ``sum((c_i / (d_i + t))**2) = 1``, solved by one safeguarded
+Newton kernel. The distance between separated bodies is the largest
+separation ``n.delta - h1(n) - h2(n)`` over unit directions, from the
+closed-form support functions ``h``; one run of Newton steps on the sphere
+brackets it from both sides.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputValidationError, NumericalError
-from .geometry import covariance_eigh
+from .geometry import _ORTHONORMAL_ATOL, covariance_eigh
 
-_ORTHONORMAL_ATOL = 1e-10
 _CONTACT_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+_SECULAR_MAX_ITERS = 100
 _PROJECTION_MAX_ITERS = 10**4
 _DISTANCE_TOL_SCALE = 1e-10
 _NEWTON_HALVINGS = 20
@@ -84,8 +88,8 @@ class Ellipsoid:
         xi = self.standardized(point)
         return float(xi @ xi)
 
-    def contains(self, point, tol: float = _CONTACT_RTOL) -> bool:
-        return self.squared_radius(point) <= 1.0 + tol
+    def contains(self, point) -> bool:
+        return self.squared_radius(point) <= 1.0 + _CONTACT_RTOL
 
     def surface_point(self, direction) -> np.ndarray:
         """Boundary point in the given direction from the center."""
@@ -133,82 +137,52 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
     )
 
 
-def _brentq(fn, lo: float, hi: float) -> float:
-    from scipy import optimize  # imported on first use: slow to import
+def _secular_root(c, d) -> float:
+    """The ``t >= 0`` where ``f(t) = sum((c_i / (d_i + t))**2)`` equals 1.
 
-    return float(optimize.brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16))
+    Needs ``d_i >= 0`` and ``f(0) > 1``, infinite if some ``d_i = 0`` has
+    ``c_i != 0``; terms with ``c_i = 0`` are dropped. ``1/sqrt(f) - 1`` is
+    concave and increasing (Moré & Sorensen 1983), so every Newton point on
+    it is a lower bound: Newton rises monotonically from the largest
+    single-term root ``max(|c_i| - d_i, 0)``, jumps to the geometric mean
+    of the bracket where its steps grow yet do not double ``t``, and stops
+    at the round-off of ``f``. The vectors have the dimension of the space,
+    so the sums run in Python floats.
 
-
-def _min_max_quad_on_ball(b: np.ndarray, mat: np.ndarray) -> tuple[float, float]:
-    """Exact range of ``||b + M z||^2`` over the unit ball ``||z|| <= 1``.
-
-    Diagonalizes via the SVD of ``M`` and solves the resulting secular
-    equations; the maximum handles the degenerate ("hard") case where the
-    offset has no component along the largest singular direction.
+    Raises:
+        NumericalError: after ``_SECULAR_MAX_ITERS`` evaluations, with the
+            bracket reached.
     """
-    u_mat, sigma, _ = np.linalg.svd(mat)
-    w = u_mat.T @ b
-    scale = max(float(sigma.max(initial=0.0)), float(np.linalg.norm(w)))
-    if scale == 0.0:
-        return 0.0, 0.0
-    sigma = sigma / scale
-    w = w / scale
-    sig2 = sigma * sigma
-    sw = sigma * w
-
-    active = sigma > _DEGENERATE_SIGMA
-    base = float(np.sum(w[~active] ** 2))
-
-    # minimum: inside test, else root of the shrinking secular sum
-    if np.sum((w[active] / sigma[active]) ** 2) <= 1.0:
-        gmin = base
-    else:
-
-        def ball_norm_sq(mu: float) -> float:
-            return float(np.sum((sw[active] / (sig2[active] + mu)) ** 2))
-
-        hi = float(np.linalg.norm(sw[active]))
-        while ball_norm_sq(hi) > 1.0:
-            hi *= 2.0
-        mu_star = _brentq(lambda mu: ball_norm_sq(mu) - 1.0, 0.0, hi)
-        resid = w[active] * mu_star / (sig2[active] + mu_star)
-        gmin = base + float(np.sum(resid * resid))
-
-    # maximum: always on the sphere
-    sig_max2 = float(sig2.max())
-    if sig_max2 == 0.0:
-        return scale * scale * base, scale * scale * base
-    top = sig2 >= sig_max2 * (1.0 - 1e-12)
-
-    def sphere_norm_sq(nu: float) -> float:
-        return float(np.sum((sw / (nu - sig2)) ** 2))
-
-    if np.all(np.abs(sw[top]) <= 1e-14):
-        # offset has no component on the largest axis: the secular sum stays
-        # finite at the pole; if it fits inside the sphere budget there, the
-        # remaining length goes into the largest axis itself (hard case)
-        leak = float(np.sum((sw[~top] / (sig_max2 - sig2[~top])) ** 2))
-        if leak <= 1.0:
-            rest = w[~top] * sig_max2 / (sig_max2 - sig2[~top])
-            gmax = sig_max2 * (1.0 - leak) + float(np.sum(rest * rest))
-            return scale * scale * gmin, scale * scale * gmax
-
-    lo = np.nextafter(sig_max2, math.inf)
-    hi = sig_max2 + float(np.linalg.norm(sw))
-    while sphere_norm_sq(hi) >= 1.0:
-        hi = sig_max2 + (hi - sig_max2) * 2.0
-    nu_star = _brentq(lambda nu: sphere_norm_sq(nu) - 1.0, lo, hi)
-    stretched = w * nu_star / (nu_star - sig2)
-    gmax = float(np.sum(stretched * stretched))
-    return scale * scale * gmin, scale * scale * gmax
+    terms = [(ci, di) for ci, di in zip(c.tolist(), d.tolist()) if ci != 0.0]
+    t = max(0.0, max(abs(ci) - di for ci, di in terms))
+    norm = math.hypot(*(ci for ci, _ in terms))
+    lo, hi = t, max(t, norm - min(di for _, di in terms))
+    slack = (len(terms) + 3) * _EPS
+    last_rise = math.inf
+    for _ in range(_SECULAR_MAX_ITERS):
+        f = slope = 0.0
+        for ci, di in terms:
+            r = ci / (di + t)
+            f += r * r
+            slope += r * r / (di + t)
+        if f <= 1.0:
+            hi = t
+        step = f * (math.sqrt(f) - 1.0) / slope
+        if abs(step) <= slack * f / slope:
+            return t + step
+        lo = max(lo, t + step)
+        t = math.sqrt(lo * hi) if last_rise < step < t else lo
+        if step > 0.0:
+            last_rise = step
+    raise NumericalError(
+        f"secular equation did not converge: root between {lo:.6e} and {hi:.6e}"
+    )
 
 
-def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float]:
-    """Range of ``prop``'s standardized squared radius over ``region``.
-
-    The pair ``(gmin, gmax)`` decides overlap and containment exactly:
-    ``region`` meets ``prop`` iff ``gmin <= 1`` and lies inside ``prop`` iff
-    ``gmax <= 1``.
+def _range_frame(prop: Ellipsoid, region: Ellipsoid):
+    """``(w, sigma, scale)``: over ``region``, ``prop``'s standardized squared
+    radius is ``scale**2 * ||w + sigma * y||**2`` for ``||y|| <= 1``, from
+    one SVD; ``sigma`` is descending and ``max(sigma, ||w||) = 1``.
     """
     if prop.dim != region.dim:
         raise InputValidationError(
@@ -217,19 +191,74 @@ def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float
     inv_ap = 1.0 / prop.semi_lengths
     b = inv_ap * (prop.axes.T @ (region.center - prop.center))
     mat = (inv_ap[:, None] * prop.axes.T) @ (region.axes * region.semi_lengths)
-    return _min_max_quad_on_ball(b, mat)
+    u_mat, sigma, _ = np.linalg.svd(mat)
+    w = u_mat.T @ b
+    scale = max(float(sigma[0]), float(np.linalg.norm(w)))
+    return w / scale, sigma / scale, scale
+
+
+def _ball_min(w: np.ndarray, sigma: np.ndarray) -> float:
+    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``."""
+    active = sigma > _DEGENERATE_SIGMA
+    base = float(np.sum(w[~active] ** 2))
+    w, sigma = w[active], sigma[active]
+    if np.sum((w / sigma) ** 2) <= 1.0:
+        return base
+    mu = _secular_root(sigma * w, sigma * sigma)
+    resid = w * mu / (sigma * sigma + mu)
+    return base + float(resid @ resid)
+
+
+def _sphere_max(w: np.ndarray, sigma: np.ndarray) -> float:
+    """Maximum of ``||w + sigma * y||**2`` over the unit ball, on its sphere.
+
+    Handles the degenerate ("hard") case where the offset has no component
+    along the largest singular direction.
+    """
+    sig2 = sigma * sigma
+    sw = sigma * w
+    sig_max2 = float(sig2[0])
+    if sig_max2 == 0.0:
+        return float(w @ w)
+    top = sig2 >= sig_max2 * (1.0 - 1e-12)
+    gap = sig_max2 - sig2
+    if np.all(np.abs(sw[top]) <= 1e-14):
+        # offset has no component on the largest axis: the secular sum stays
+        # finite at the pole; if it fits inside the sphere budget there, the
+        # remaining length goes into the largest axis itself (hard case)
+        leak = float(np.sum((sw[~top] / gap[~top]) ** 2))
+        if leak <= 1.0:
+            rest = w[~top] * sig_max2 / gap[~top]
+            return sig_max2 * (1.0 - leak) + float(rest @ rest)
+    # the multiplier is nu = sig_max2 + t; nu - sig2 is taken as gap + t,
+    # because sig_max2 + t rounds away the digits of a small t
+    t = _secular_root(sw, gap)
+    stretched = w * (sig_max2 + t) / (gap + t)
+    return float(stretched @ stretched)
+
+
+def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float]:
+    """Range of ``prop``'s standardized squared radius over ``region``.
+
+    The pair ``(gmin, gmax)`` decides overlap and containment exactly:
+    ``region`` meets ``prop`` iff ``gmin <= 1`` and lies inside ``prop`` iff
+    ``gmax <= 1``; ``ellipsoids_intersect`` and ``ellipsoid_contains`` each
+    compute only the bound they read.
+    """
+    w, sigma, scale = _range_frame(prop, region)
+    return scale * scale * _ball_min(w, sigma), scale * scale * _sphere_max(w, sigma)
 
 
 def ellipsoids_intersect(e1: Ellipsoid, e2: Ellipsoid) -> bool:
     """Exact solid-intersection test."""
-    gmin, _ = standardized_range(e1, e2)
-    return gmin <= 1.0 + _CONTACT_RTOL
+    w, sigma, scale = _range_frame(e1, e2)
+    return scale * scale * _ball_min(w, sigma) <= 1.0 + _CONTACT_RTOL
 
 
 def ellipsoid_contains(outer: Ellipsoid, inner: Ellipsoid) -> bool:
     """Exact solid-containment test (``inner`` inside ``outer``)."""
-    _, gmax = standardized_range(outer, inner)
-    return gmax <= 1.0 + _CONTACT_RTOL
+    w, sigma, scale = _range_frame(outer, inner)
+    return scale * scale * _sphere_max(w, sigma) <= 1.0 + _CONTACT_RTOL
 
 
 def project_point(ell: Ellipsoid, point) -> np.ndarray:
@@ -244,44 +273,9 @@ def project_point(ell: Ellipsoid, point) -> np.ndarray:
     if float(np.sum((z / a) ** 2)) <= 1.0:
         return point.copy()
     a2 = a * a
-    az = a * z
-
-    def surface_norm_sq(t: float) -> float:
-        return float(np.sum((az / (a2 + t)) ** 2))
-
-    hi = float(np.linalg.norm(az))
-    while surface_norm_sq(hi) > 1.0:
-        hi *= 2.0
-    t_star = _brentq(lambda t: surface_norm_sq(t) - 1.0, 0.0, hi)
+    t_star = _secular_root(a * z, a2)
     local = a2 * z / (a2 + t_star)
     return ell.center + ell.axes @ local
-
-
-def _segment_interval(ell: Ellipsoid, origin: np.ndarray, direction: np.ndarray):
-    """Parameter interval of ``origin + t * direction`` inside the solid."""
-    u = (ell.axes.T @ (origin - ell.center)) / ell.semi_lengths
-    v = (ell.axes.T @ direction) / ell.semi_lengths
-    a = float(v @ v)
-    b = 2.0 * float(u @ v)
-    c = float(u @ u) - 1.0
-    if a == 0.0:
-        return (-math.inf, math.inf) if c <= 0.0 else None
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    return ((-b - root) / (2.0 * a), (-b + root) / (2.0 * a))
-
-
-def _centerline_crosses_both(e1: Ellipsoid, e2: Ellipsoid) -> bool:
-    direction = e2.center - e1.center
-    span1 = _segment_interval(e1, e1.center, direction)
-    span2 = _segment_interval(e2, e1.center, direction)
-    if span1 is None or span2 is None:
-        return False
-    lo = max(span1[0], span2[0], 0.0)
-    hi = min(span1[1], span2[1], 1.0)
-    return lo <= hi
 
 
 class _Probe(NamedTuple):
@@ -371,11 +365,6 @@ def min_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
     delta = e2.center - e1.center
     scale = max(float(np.linalg.norm(delta)), e1.bounding_radius, e2.bounding_radius)
 
-    # cheap sufficient checks, then the exact certificate
-    if e1.contains(e2.center) or e2.contains(e1.center):
-        return 0.0
-    if _centerline_crosses_both(e1, e2):
-        return 0.0
     if ellipsoids_intersect(e1, e2):
         return 0.0
 

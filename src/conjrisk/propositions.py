@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoids import Ellipsoid, standardized_range
+from .ellipsoids import (
+    _CONTACT_RTOL,
+    Ellipsoid,
+    ellipsoid_contains,
+    ellipsoids_intersect,
+)
 from .errors import InputValidationError, UnsupportedPropositionError
-
-_CONTACT_RTOL = 1e-12
 
 
 class Proposition:
@@ -176,8 +179,7 @@ def contains_region(prop: Proposition, region: Ellipsoid) -> bool:
     if isinstance(prop, Ball):
         return contains_region(EllipsoidSet(prop.as_ellipsoid()), region)
     if isinstance(prop, EllipsoidSet):
-        _, gmax = standardized_range(prop.ellipsoid, region)
-        return gmax <= 1.0 + _CONTACT_RTOL
+        return ellipsoid_contains(prop.ellipsoid, region)
     if isinstance(prop, HalfSpace):
         _, hi = _halfspace_support(prop, region)
         return hi <= prop.offset + _halfspace_tol(prop, region)
@@ -209,8 +211,7 @@ def intersects_region(prop: Proposition, region: Ellipsoid) -> bool:
     if isinstance(prop, Ball):
         return intersects_region(EllipsoidSet(prop.as_ellipsoid()), region)
     if isinstance(prop, EllipsoidSet):
-        gmin, _ = standardized_range(prop.ellipsoid, region)
-        return gmin <= 1.0 + _CONTACT_RTOL
+        return ellipsoids_intersect(prop.ellipsoid, region)
     if isinstance(prop, HalfSpace):
         lo, _ = _halfspace_support(prop, region)
         return lo <= prop.offset + _halfspace_tol(prop, region)

@@ -31,7 +31,6 @@ from .probability import ncx2_cdf
 from .propositions import (
     Ball,
     Complement,
-    EllipsoidSet,
     FullSpace,
     HalfSpace,
     Proposition,
@@ -82,18 +81,18 @@ class BeliefRule(ABC):
 
 
 class ConfidenceRegionRule(BeliefRule):
-    """Belief rule induced by a data-conditional confidence region."""
+    """Belief rule induced by a data-conditional confidence region.
+
+    Belief is the first value of ``region_belief``, decided by containment
+    alone; the region builder checks the level ``alpha``.
+    """
 
     def __init__(self, region_builder: Callable[[np.ndarray, float], Ellipsoid]):
         self._build = region_builder
 
     def belief(self, x, proposition, alpha):
-        return region_belief(self._build(np.asarray(x, dtype=float), alpha),
-                             alpha, proposition)[0]
-
-    def plausibility(self, x, proposition, alpha):
-        return region_belief(self._build(np.asarray(x, dtype=float), alpha),
-                             alpha, proposition)[1]
+        region = self._build(np.asarray(x, dtype=float), alpha)
+        return 1.0 - alpha if contains_region(proposition, region) else 0.0
 
 
 def ksigma_for_level(alpha: float, dim: int) -> float:
@@ -108,13 +107,15 @@ def gaussian_region_rule(cov) -> ConfidenceRegionRule:
 
     At level ``alpha`` the region is the K-sigma ellipsoid centered at the
     realized estimate, with K chosen so the pivot sphere has chi-squared
-    mass ``1 - alpha``.
+    mass ``1 - alpha``. The covariance is validated and decomposed once,
+    here; each trial only moves and scales that unit ellipsoid.
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    dim = cov.shape[0]
+    unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
 
     def build(x: np.ndarray, alpha: float) -> Ellipsoid:
-        return build_ellipsoid(x, cov, ksigma_for_level(alpha, dim))
+        k = ksigma_for_level(alpha, unit.dim)
+        return Ellipsoid(x, unit.axes, k * unit.semi_lengths)
 
     return ConfidenceRegionRule(build)
 

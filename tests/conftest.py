@@ -8,6 +8,7 @@ derivative-free local refinement, or maximized over separating directions in
 mpmath with numerical derivatives. The noncentral chi-squared references sum
 every Poisson term from zero at 40 digits, and the circular collision
 probability is also taken from the Bessel series of the Marcum Q function.
+Secular-equation roots are bisected at 40 digits.
 """
 
 from __future__ import annotations
@@ -238,6 +239,34 @@ def mp_ellipsoid_distance(c1, cov1, c2, cov2, k: float = 1.0, dps: int = 40):
 
         a, b = mpmath.findroot(tangent_gradient, (mpmath.mpf(0), mpmath.mpf(0)))
         return +g(a, b)
+
+
+def mp_secular_root(c, d, dps: int = 40):
+    """The ``t >= 0`` where ``sum((c_i / (d_i + t))**2) = 1``, at ``dps`` digits.
+
+    Bisection on the bracket ``[max(|c_i| - d_i, 0), ||c|| - min d_i]``
+    over the terms with ``c_i != 0`` (the sum is at least 1 at the lower
+    end, at most 1 at the upper); the float inputs are taken as exact and
+    the result is an mpf.
+    """
+    terms = [(float(ci), float(di)) for ci, di in zip(c, d) if ci != 0.0]
+    with mpmath.workdps(dps + 10):
+        cs = [mpmath.mpf(ci) for ci, _ in terms]
+        ds = [mpmath.mpf(di) for _, di in terms]
+
+        def excess(t):
+            return mpmath.fsum((ci / (di + t)) ** 2 for ci, di in zip(cs, ds)) - 1
+
+        lo = max(mpmath.mpf(0), max(abs(ci) - di for ci, di in zip(cs, ds)))
+        hi = max(lo, mpmath.sqrt(mpmath.fsum(ci * ci for ci in cs)) - min(ds))
+        tol = mpmath.mpf(10) ** (-dps)
+        while hi - lo > tol * hi:
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return +((lo + hi) / 2)
 
 
 def mp_ncx2_cdf(dof: int, noncentrality: float, x: float, dps: int = 40):

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,25 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
         assert run_command(["--config", str(cfg), "boundary", "--threshold", "0.1"]) == 2
+
+
+def test_screen_and_validity_leave_scipy_optimize_unimported():
+    # scipy.optimize costs about 0.3 s to import; no ellipsoid decision needs it
+    src = Path(__file__).parents[1] / "src"
+    full12 = Path(__file__).parent / "golden" / "inputs" / "full12.json"
+    script = (
+        "import sys\n"
+        "from conjrisk.cli import run_command\n"
+        f"assert run_command(['screen', '--input', {str(full12)!r}, '--k-sigma', '5']) == 0\n"
+        "assert run_command(['validity', '--rule', 'ksigma', '--halfwidth', '0.1',"
+        " '--n-trials', '1000', '--seed', '3']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestDeterminism:

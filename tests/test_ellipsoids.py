@@ -2,6 +2,7 @@
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +25,7 @@ from conftest import (
     ellipsoid_pair_with_gap,
     fibonacci_sphere,
     mp_ellipsoid_distance,
+    mp_secular_root,
     random_ellipsoid,
     random_spd,
     separated_ellipsoid_pair,
@@ -119,6 +121,95 @@ class TestProjection:
             assert np.linalg.norm(x - y) <= dists.min() + 1e-9
 
 
+def _near_hard_case(top_c, excess):
+    """Sphere-maximum terms: a pole term ``top_c`` at ``d = 0`` and two
+    terms whose sum at ``t = 0`` (the leak) is ``1 + excess``."""
+    d = np.array([0.0, 0.5, 1.0])
+    base = np.array([0.0, 0.3, 0.7])
+    c = base * np.sqrt((1.0 + excess) / np.sum((base[1:] / d[1:]) ** 2))
+    c[0] = top_c
+    return c, d
+
+
+def _mp_sphere_max(w, sigma):
+    """Secular root and maximum of ``||w + sigma * y||**2`` over the unit
+    ball at 40 digits, for descending ``sigma`` with ``sigma[0] = 1``
+    outside the hard case."""
+    gap = 1.0 - sigma * sigma
+    with mpmath.workdps(40):
+        t = mp_secular_root(sigma * w, gap)
+        return t, mpmath.fsum(
+            (mpmath.mpf(wi) * (1 + t) / (mpmath.mpf(gi) + t)) ** 2
+            for wi, gi in zip(w, gap)
+        )
+
+
+class TestSecularRoot:
+    @staticmethod
+    def _check(c, d, rtol=1e-14):
+        got = ellipsoids._secular_root(c, d)
+        reference = mp_secular_root(c, d)
+        assert abs(got - reference) <= rtol * reference
+
+    def test_pole_terms(self):
+        rng = np.random.default_rng(60)
+        for n_poles in (1, 2):
+            for _ in range(40):
+                c = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 1.0, 3)
+                d = 10.0 ** rng.uniform(-4.0, 0.0, 3)
+                d[:n_poles] = 0.0
+                self._check(c, d)
+
+    def test_widely_spread_poles_axis_ratio_1e4(self):
+        # d = sigma^2 with singular values spread over four decades
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 100:
+            d = np.sort(10.0 ** rng.uniform(-8.0, 0.0, 3))
+            d[0], d[-1] = 1e-8, 1.0
+            c = np.sqrt(d) * rng.standard_normal(3) * 10.0 ** rng.uniform(-1.0, 2.0, 3)
+            if np.sum((c / d) ** 2) > 2.0:
+                self._check(c, d)
+                checked += 1
+
+    def test_near_hard_case_maximum(self):
+        self._check(*_near_hard_case(1e-15, 0.1))
+
+    @pytest.mark.parametrize("excess", [1e-6, 1e-10])
+    def test_near_hard_case_maximum_value(self, excess):
+        # a leak barely above 1 leaves the root itself ill-conditioned
+        # (relative condition number about 1 / excess), but not the maximum:
+        # it moves by only (sig_max2 + t) times the error left in the sum
+        w = np.array([1e-15, 0.3, 0.7])
+        sigma = np.array([1.0, 0.8, 0.6])
+        gap = 1.0 - sigma * sigma
+        w[1:] *= np.sqrt((1.0 + excess) / np.sum((sigma[1:] * w[1:] / gap[1:]) ** 2))
+        t, reference = _mp_sphere_max(w, sigma)
+        got = ellipsoids._sphere_max(w, sigma)
+        assert abs(got - reference) <= 1e-14 * reference
+        root = ellipsoids._secular_root(sigma * w, gap)
+        assert abs(root - t) <= 64 * np.finfo(float).eps / excess * t
+
+    @pytest.mark.parametrize("excess", [1e-10, 1e-14])
+    def test_tiny_pole_needs_few_evaluations(self, excess, monkeypatch):
+        # from the pole's own root Newton alone needs 36-47 evaluations;
+        # geometric-mean jumps reach the leak's scale at once
+        monkeypatch.setattr(ellipsoids, "_SECULAR_MAX_ITERS", 8)
+        c, d = _near_hard_case(1e-300, excess)
+        got = ellipsoids._secular_root(c, d)
+        reference = mp_secular_root(c, d)
+        assert abs(got - reference) <= 64 * np.finfo(float).eps / excess * reference
+
+    def test_iteration_cap_reports_bracket(self, monkeypatch):
+        c, d = np.array([0.3, 2.0, 0.5]), np.array([0.0, 0.1, 1.0])
+        monkeypatch.setattr(ellipsoids, "_SECULAR_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            ellipsoids._secular_root(c, d)
+        bounds = re.search(r"between (\S+) and (\S+)$", str(info.value))
+        lower, upper = (float(b) for b in bounds.groups())
+        assert lower < float(mp_secular_root(c, d)) < upper
+
+
 class TestStandardizedRange:
     def test_concentric_spheres(self):
         gmin, gmax = standardized_range(_sphere([0, 0, 0], 2.0), _sphere([0, 0, 0], 1.0))
@@ -142,6 +233,17 @@ class TestStandardizedRange:
         gmin, gmax = standardized_range(prop, region)
         assert gmin == pytest.approx(0.0, abs=1e-14)
         assert gmax == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-12, 1e-10])
+    def test_maximum_with_pole_just_above_hard_case(self, offset):
+        # the secular root is about ``offset``: the distance to the pole has
+        # to be carried as such, since 1 + offset keeps few of its digits
+        w = np.array([offset, 0.2, 0.1])
+        sigma = np.array([1.0, 0.5, 0.3])
+        region = Ellipsoid(center=w, axes=np.eye(3), semi_lengths=sigma)
+        _, gmax = standardized_range(_sphere([0.0, 0.0, 0.0], 1.0), region)
+        _, reference = _mp_sphere_max(w, sigma)
+        assert abs(gmax - reference) <= 1e-14 * reference
 
     def test_range_matches_sampling(self):
         rng = np.random.default_rng(14)

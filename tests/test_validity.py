@@ -16,6 +16,7 @@ from conjrisk import (
     HalfSpace,
     InputValidationError,
     UnsupportedPropositionError,
+    build_ellipsoid,
     gaussian_region_rule,
     gaussian_sampling_model,
     ksigma_for_level,
@@ -23,6 +24,7 @@ from conjrisk import (
     region_belief,
     validity_check,
 )
+from conjrisk import ellipsoids
 
 
 def _region(center, radius):
@@ -66,6 +68,42 @@ class TestRegionBelief:
     def test_alpha_validation(self):
         with pytest.raises(InputValidationError):
             region_belief(_region([0.0], 1.0), 1.5, FullSpace())
+
+
+class TestConfidenceRegionRule:
+    def test_belief_runs_one_secular_solve(self, monkeypatch):
+        # belief reads containment only: for a ball complement that is one
+        # intersection decision, i.e. one minimum of the standardized radius
+        solves = []
+        solve = ellipsoids._secular_root
+
+        def counted(c, d):
+            solves.append(1)
+            return solve(c, d)
+
+        monkeypatch.setattr(ellipsoids, "_secular_root", counted)
+        rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
+        prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
+        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop, 0.05) == pytest.approx(0.95)
+        assert len(solves) == 1
+
+    def test_plausibility_matches_region_belief(self):
+        cov = np.diag([2.0, 1.0, 0.5])
+        rule = gaussian_region_rule(cov)
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            x = rng.standard_normal(3) * 2.0
+            alpha = rng.uniform(0.01, 0.5)
+            prop = Ball(center=rng.standard_normal(3), radius=rng.uniform(0.1, 2.0))
+            region = build_ellipsoid(x, cov, ksigma_for_level(alpha, 3))
+            for candidate in (prop, Complement(prop)):
+                bel, pls = region_belief(region, alpha, candidate)
+                assert rule.belief(x, candidate, alpha) == bel
+                assert rule.plausibility(x, candidate, alpha) == pytest.approx(pls)
+
+    def test_invalid_covariance_rejected_once_up_front(self):
+        with pytest.raises(InputValidationError, match="degenerate"):
+            gaussian_region_rule(np.diag([1.0, 0.0]))
 
 
 class TestKsigmaForLevel:

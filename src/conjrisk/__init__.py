@@ -74,9 +74,7 @@ from .propositions import (
     EllipsoidSet,
     FullSpace,
     HalfSpace,
-    Intersection,
     Proposition,
-    Union,
     contains_point,
     contains_region,
     intersects_region,

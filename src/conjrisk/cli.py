@@ -88,7 +88,7 @@ def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
 def _cmd_pc(args, config: Config) -> int:
     cf = _read_conjunction(args)
     enc = standardized_encounter(cf.to_joint_state())
-    result = pc_contour(enc, n_quad=args.n_quad, quad_floor=config.quad_floor)
+    result = pc_contour(enc, n_quad=args.n_quad)
     print(format_cell(result.pc, config.output_precision))
     if result.below_min_quad:
         print(

@@ -28,6 +28,8 @@ from .probability import max_pc_head_on, ncx2_cdf, pc_circular
 _NEWTON_MAX_ITERS = 100
 _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
+#: ``special.ndtr(-z)`` is exactly 0 from this ``z`` on.
+_NDTR_ZERO = 38.0
 
 
 @dataclass(frozen=True)
@@ -356,6 +358,9 @@ def false_confidence_demo(
     max_mass = float(_interval_belief(np.array(0.0), halfwidth, sigma))
     if max_mass <= alpha:
         p_target = 1.0
+    elif float(_interval_belief(np.array(_NDTR_ZERO * sigma), halfwidth, sigma)) > alpha:
+        # x_star lies beyond _NDTR_ZERO sigmas, where 2 ndtr(-x_star/sigma) is 0
+        p_target = 0.0
     else:
         from scipy import optimize  # imported on first use: slow to import
 

@@ -36,4 +36,4 @@ class NumericalError(ConjunctionAnalysisError, RuntimeError):
 
 
 class UnsupportedPropositionError(ConjunctionAnalysisError, ValueError):
-    """Containment or intersection is undecidable for this set descriptor."""
+    """The operation is not implemented for this set descriptor."""

@@ -451,17 +451,11 @@ def conjunction_kvn_text(cf: ConjunctionFile) -> str:
 class Config:
     """Runtime defaults read from a ``key = value`` text file."""
 
-    quad_floor: int = 64
     mc_trials: int = 10**6
     seed: int | None = None
     output_precision: int = 9
-    rng: str = "philox"
 
     def __post_init__(self):
-        if self.quad_floor < 1:
-            raise InputValidationError(
-                f"quad_floor must be positive, got {self.quad_floor}"
-            )
         if self.mc_trials < 1:
             raise InputValidationError(
                 f"mc_trials must be positive, got {self.mc_trials}"
@@ -470,15 +464,11 @@ class Config:
             raise InputValidationError(
                 f"output_precision must be in [1, 17], got {self.output_precision}"
             )
-        if self.rng != "philox":
-            raise InputValidationError(
-                f"rng must be 'philox' (the only supported engine), got {self.rng!r}"
-            )
 
 
 def parse_config(text: str) -> Config:
     """Parse ``key = value`` config text (``#`` starts a comment)."""
-    int_keys = {"quad_floor", "mc_trials", "seed", "output_precision"}
+    keys = {"mc_trials", "seed", "output_precision"}
     kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -487,19 +477,16 @@ def parse_config(text: str) -> Config:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
         key, _, value = (part.strip() for part in line.partition("="))
+        if key not in keys:
+            raise ParseError(f"unknown config key {key}", line=lineno)
         if key in kwargs:
             raise ParseError(f"duplicate config key {key}", line=lineno)
-        if key in int_keys:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ParseError(
-                    f"value for {key} must be an integer, got {value!r}", line=lineno
-                ) from None
-        elif key == "rng":
-            kwargs[key] = value
-        else:
-            raise ParseError(f"unknown config key {key}", line=lineno)
+        try:
+            kwargs[key] = int(value)
+        except ValueError:
+            raise ParseError(
+                f"value for {key} must be an integer, got {value!r}", line=lineno
+            ) from None
     return Config(**kwargs)
 
 

@@ -324,10 +324,9 @@ def standardize(mean2, cov2, r_combined: float, rot_m=None) -> StandardizedEncou
             is undefined).
     """
     mean2 = _as_finite_array(mean2, (2,), "mean2")
-    cov2 = validated_covariance(cov2, "cov2")
+    cov2, eigvals, eigvecs = covariance_eigh(cov2, "cov2")
     if cov2.shape != (2, 2):
         raise InputValidationError(f"cov2 must be 2x2, got shape {cov2.shape}")
-    eigvals, eigvecs = np.linalg.eigh(cov2)
     if eigvals[0] <= 0.0:
         raise InputValidationError(
             f"cov2 is singular (eigenvalue {eigvals[0]:.6e}): "

@@ -29,6 +29,9 @@ from .geometry import StandardizedEncounter
 
 #: Minimum quadrature point count used even for near-circular encounters.
 QUAD_FLOOR = 64
+#: Most quadrature points ``pc_contour`` evaluates; the automatic count
+#: reaches it at an axis ratio s1/s2 near 1e5. Bounds the memory used.
+MAX_QUAD = 2**20
 #: Largest grid ``dilution_curve`` accepts; each point is one Pc evaluation.
 MAX_CURVE_POINTS = 10**5
 
@@ -40,9 +43,9 @@ def _rule_minimum(s1: float, s2: float) -> int:
     return int(math.ceil(10.0 * max(s1 / s2, s2 / s1)))
 
 
-def auto_n_quad(s1: float, s2: float, floor: int = QUAD_FLOOR) -> int:
+def auto_n_quad(s1: float, s2: float) -> int:
     """Default quadrature count: anisotropy rule with a floor, rounded even."""
-    n = max(int(floor), _rule_minimum(s1, s2))
+    n = max(QUAD_FLOOR, _rule_minimum(s1, s2))
     return n if n % 2 == 0 else n + 1
 
 
@@ -108,30 +111,37 @@ class PcResult:
         return [{k: v for k, v in asdict(self).items() if k != "below_min_quad"}]
 
 
-def pc_contour(
-    enc: StandardizedEncounter,
-    n_quad: int | None = None,
-    quad_floor: int = QUAD_FLOOR,
-) -> PcResult:
+def pc_contour(enc: StandardizedEncounter, n_quad: int | None = None) -> PcResult:
     """Collision probability for a standardized encounter.
 
     Args:
         enc: standardized encounter-plane description.
-        n_quad: evenly spaced quadrature point count; defaults to
-            ``max(quad_floor, ceil(10 * max(s1/s2, s2/s1)))`` rounded even.
-        quad_floor: minimum automatic point count.
+        n_quad: evenly spaced quadrature point count, at most ``MAX_QUAD``;
+            defaults to ``max(QUAD_FLOOR, ceil(10 * max(s1/s2, s2/s1)))``
+            rounded even.
 
     Returns:
         PcResult with the probability, the point count used, and an error
         estimate from comparing against half the resolution.
+
+    Raises:
+        InputValidationError: if ``n_quad`` is outside ``[1, MAX_QUAD]``.
+        NumericalError: if the automatic count exceeds ``MAX_QUAD``.
     """
     explicit = n_quad is not None
     if explicit:
-        if n_quad < 1:
-            raise InputValidationError(f"n_quad must be positive, got {n_quad}")
+        if not (1 <= n_quad <= MAX_QUAD):
+            raise InputValidationError(
+                f"n_quad must be in [1, {MAX_QUAD}], got {n_quad}"
+            )
         n = int(n_quad)
     else:
-        n = auto_n_quad(enc.s1, enc.s2, floor=quad_floor)
+        n = auto_n_quad(enc.s1, enc.s2)
+        if n > MAX_QUAD:
+            raise NumericalError(
+                f"contour quadrature needs {n} points for s1 = {enc.s1:.6g}, "
+                f"s2 = {enc.s2:.6g}, more than {MAX_QUAD}"
+            )
     below = explicit and n < _rule_minimum(enc.s1, enc.s2)
     args = (enc.v_hat, enc.s1, enc.s2, enc.r_combined)
     pc = float(_contour_integral(np.array(enc.u_hat), *args, n))
@@ -477,9 +487,9 @@ def dilution_curve(
     monotone decreasing and the peak is reported at ``s_over_r_min``.
     ``n_points`` must lie in ``[16, MAX_CURVE_POINTS]``.
     """
-    if not (0.0 < s_over_r_min < s_over_r_max):
+    if not (0.0 < s_over_r_min < s_over_r_max < math.inf):
         raise InputValidationError(
-            f"need 0 < s_over_r_min < s_over_r_max, got "
+            f"need 0 < s_over_r_min < s_over_r_max < inf, got "
             f"({s_over_r_min}, {s_over_r_max})"
         )
     if not (16 <= n_points <= MAX_CURVE_POINTS):

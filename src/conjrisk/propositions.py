@@ -1,19 +1,17 @@
 """Set descriptors with decidable geometry against ellipsoidal regions.
 
 Propositions about the inferred parameter are represented as a closed
-algebra of sets: balls, ellipsoids, half-spaces, complements, and finite
-unions/intersections. The algebra is deliberately restricted so that
-containment of an ellipsoidal confidence region and intersection with one
-are decidable in closed form. Where a combination genuinely cannot be
-decided from the available primitives (e.g. a union covering a region only
-jointly), an explicit unsupported-shape error is raised rather than an
-approximate answer returned.
+algebra of sets: the full space, balls, ellipsoids, half-spaces and
+complements. The algebra is deliberately restricted so that point
+membership, containment of an ellipsoidal confidence region and
+intersection with one are each decided exactly, in closed form or by the
+ellipsoid kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +37,11 @@ class FullSpace(Proposition):
 
 @dataclass(frozen=True, eq=False)
 class Ball(Proposition):
-    """Closed Euclidean ball."""
+    """Closed Euclidean ball, with its unit-axes ellipsoid built once."""
 
     center: np.ndarray
     radius: float
+    ellipsoid: Ellipsoid = field(init=False, repr=False)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -50,18 +49,11 @@ class Ball(Proposition):
             raise InputValidationError("ball center must be a finite vector")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise InputValidationError(f"ball radius must be positive, got {self.radius}")
-        center = np.array(center)
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        n = center.shape[0]
+        ellipsoid = Ellipsoid(center, np.eye(n), np.full(n, float(self.radius)))
+        object.__setattr__(self, "center", ellipsoid.center)
         object.__setattr__(self, "radius", float(self.radius))
-
-    def as_ellipsoid(self) -> Ellipsoid:
-        n = self.center.shape[0]
-        return Ellipsoid(
-            center=self.center,
-            axes=np.eye(n),
-            semi_lengths=np.full(n, self.radius),
-        )
+        object.__setattr__(self, "ellipsoid", ellipsoid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,30 +91,6 @@ class Complement(Proposition):
     inner: Proposition
 
 
-@dataclass(frozen=True)
-class Union(Proposition):
-    """Finite union of propositions."""
-
-    members: tuple[Proposition, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise InputValidationError("union requires at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-
-
-@dataclass(frozen=True)
-class Intersection(Proposition):
-    """Finite intersection of propositions."""
-
-    members: tuple[Proposition, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise InputValidationError("intersection requires at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-
-
 def contains_point(prop: Proposition, point) -> bool:
     """Point membership, exact for every descriptor."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -143,10 +111,6 @@ def contains_point(prop: Proposition, point) -> bool:
         )
     if isinstance(prop, Complement):
         return not contains_point(prop.inner, point)
-    if isinstance(prop, Union):
-        return any(contains_point(m, point) for m in prop.members)
-    if isinstance(prop, Intersection):
-        return all(contains_point(m, point) for m in prop.members)
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 
 
@@ -167,75 +131,28 @@ def _halfspace_tol(hs: HalfSpace, region: Ellipsoid) -> float:
 
 
 def contains_region(prop: Proposition, region: Ellipsoid) -> bool:
-    """Whether the proposition set contains the whole ellipsoidal region.
-
-    Exact for primitives, complements, and intersections. For unions the
-    answer is exact when one member alone contains the region or all members
-    miss it; the genuinely joint cases raise
-    :class:`UnsupportedPropositionError`.
-    """
+    """Whether the proposition set contains the whole ellipsoidal region."""
     if isinstance(prop, FullSpace):
         return True
-    if isinstance(prop, Ball):
-        return contains_region(EllipsoidSet(prop.as_ellipsoid()), region)
-    if isinstance(prop, EllipsoidSet):
+    if isinstance(prop, (Ball, EllipsoidSet)):
         return ellipsoid_contains(prop.ellipsoid, region)
     if isinstance(prop, HalfSpace):
         _, hi = _halfspace_support(prop, region)
         return hi <= prop.offset + _halfspace_tol(prop, region)
     if isinstance(prop, Complement):
         return not intersects_region(prop.inner, region)
-    if isinstance(prop, Intersection):
-        return all(contains_region(m, region) for m in prop.members)
-    if isinstance(prop, Union):
-        if any(contains_region(m, region) for m in prop.members):
-            return True
-        if not any(intersects_region(m, region) for m in prop.members):
-            return False
-        raise UnsupportedPropositionError(
-            "cannot decide whether the union covers the region jointly; "
-            "no single member contains it"
-        )
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 
 
 def intersects_region(prop: Proposition, region: Ellipsoid) -> bool:
-    """Whether the proposition set meets the ellipsoidal region.
-
-    Exact for primitives, complements, and unions. For intersections the
-    answer is exact when a witness point is found or some member misses the
-    region; otherwise an unsupported-shape error is raised.
-    """
+    """Whether the proposition set meets the ellipsoidal region."""
     if isinstance(prop, FullSpace):
         return True
-    if isinstance(prop, Ball):
-        return intersects_region(EllipsoidSet(prop.as_ellipsoid()), region)
-    if isinstance(prop, EllipsoidSet):
+    if isinstance(prop, (Ball, EllipsoidSet)):
         return ellipsoids_intersect(prop.ellipsoid, region)
     if isinstance(prop, HalfSpace):
         lo, _ = _halfspace_support(prop, region)
         return lo <= prop.offset + _halfspace_tol(prop, region)
     if isinstance(prop, Complement):
         return not contains_region(prop.inner, region)
-    if isinstance(prop, Union):
-        return any(intersects_region(m, region) for m in prop.members)
-    if isinstance(prop, Intersection):
-        if any(not intersects_region(m, region) for m in prop.members):
-            return False
-        for witness in _witness_points(prop, region):
-            if contains_point(prop, witness) and region.contains(witness):
-                return True
-        raise UnsupportedPropositionError(
-            "cannot certify intersection of the region with a set "
-            "intersection; no witness point found"
-        )
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
-
-
-def _witness_points(prop: Intersection, region: Ellipsoid):
-    yield region.center
-    for member in prop.members:
-        if isinstance(member, Ball):
-            yield member.center
-        elif isinstance(member, EllipsoidSet):
-            yield member.ellipsoid.center

@@ -51,13 +51,13 @@ def region_belief(
     positive belief implies plausibility one.
 
     Raises:
-        UnsupportedPropositionError: when containment or intersection is
-            undecidable for the descriptor.
+        UnsupportedPropositionError: for a descriptor outside the
+            proposition algebra.
     """
     if not (0.0 <= alpha <= 1.0):
         raise InputValidationError(f"alpha must be in [0, 1], got {alpha}")
     if isinstance(region, Ball):
-        region = region.as_ellipsoid()
+        region = region.ellipsoid
     belief = 1.0 - alpha if contains_region(proposition, region) else 0.0
     plausibility = 1.0 if intersects_region(proposition, region) else alpha
     return belief, plausibility

@@ -21,10 +21,10 @@ def _error_classes(cls=ConjunctionAnalysisError):
         yield from _error_classes(sub)
 
 
-@pytest.fixture()
-def head_on_file(tmp_path):
-    """Head-on encounter with s1 = s2 = 10 m and combined radius 1 m."""
-    doc = {
+def _head_on_doc(var_x=50.0, var_y=50.0):
+    """Head-on encounter in the x-y plane with per-object position variances."""
+    pos_var = [var_x, var_y, 50.0]
+    return {
         "object1": {
             "position_m": [0.0, 0.0, 0.0],
             "velocity_mps": [0.0, 0.0, -3500.0],
@@ -36,12 +36,17 @@ def head_on_file(tmp_path):
             "radius_m": 0.5,
         },
         "covariance": {
-            "object1_cov6": list(np.diag([50.0] * 3 + [1e-4] * 3).ravel()),
-            "object2_cov6": list(np.diag([50.0] * 3 + [1e-4] * 3).ravel()),
+            "object1_cov6": list(np.diag(pos_var + [1e-4] * 3).ravel()),
+            "object2_cov6": list(np.diag(pos_var + [1e-4] * 3).ravel()),
         },
     }
+
+
+@pytest.fixture()
+def head_on_file(tmp_path):
+    """Head-on encounter with s1 = s2 = 10 m and combined radius 1 m."""
     path = tmp_path / "head_on.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(_head_on_doc()), encoding="utf-8")
     return path
 
 
@@ -94,6 +99,24 @@ class TestPcCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["overlap"] is True
         assert captured.err == KVN_WARNING
+
+    def test_explicit_quadrature_over_limit_exits_two(self, capsys):
+        full12 = Path(__file__).parent / "golden" / "inputs" / "full12.json"
+        status = run_command(["pc", "--input", str(full12), "--n-quad", "100000000000"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_quad must be in [1, 1048576]")
+
+    def test_automatic_quadrature_over_limit_exits_three(self, tmp_path, capsys):
+        # axis ratio 1e7 would need 1e8 points
+        path = tmp_path / "needle.json"
+        path.write_text(json.dumps(_head_on_doc(50.0, 50.0e-14)), encoding="utf-8")
+        status = run_command(["pc", "--input", str(path)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "100000000 points for s1 = 10, s2 = 1e-06" in captured.err
 
 
 class TestScreenCommand:
@@ -260,6 +283,14 @@ class TestFalseConfidenceCommand:
         assert status == 0
         out = capsys.readouterr().out
         assert "empirical_rate=1" in out
+
+    def test_halfwidth_far_beyond_sigma(self, capsys):
+        # halfwidth + 50 sigma rounds to halfwidth; the rate is exactly 0
+        status = run_command(
+            ["false-confidence", "--halfwidth", "1e18", "--n-trials", "2000", "--seed", "8"]
+        )
+        assert status == 0
+        assert capsys.readouterr().out.startswith("empirical_rate=0 p_target=0 ")
 
     def test_seed_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -277,18 +277,14 @@ class TestConfig:
     def test_defaults(self):
         cfg = parse_config("")
         assert cfg == Config()
-        assert cfg.quad_floor == 64
         assert cfg.mc_trials == 10**6
         assert cfg.seed is None
         assert cfg.output_precision == 9
-        assert cfg.rng == "philox"
 
     def test_overrides_and_comments(self):
         cfg = parse_config(
-            "quad_floor = 128\nmc_trials=5000 # fast runs\nseed = 7\n"
-            "output_precision = 12\nrng = philox\n"
+            "mc_trials=5000 # fast runs\nseed = 7\noutput_precision = 12\n"
         )
-        assert cfg.quad_floor == 128
         assert cfg.mc_trials == 5000
         assert cfg.seed == 7
         assert cfg.output_precision == 12
@@ -300,8 +296,10 @@ class TestConfig:
             parse_config("seed = abc")
         with pytest.raises(ParseError, match="line 2.*duplicate"):
             parse_config("seed = 1\nseed = 2")
-        with pytest.raises(InputValidationError, match="philox"):
+        with pytest.raises(ParseError, match="unknown config key rng"):
             parse_config("rng = mersenne")
+        with pytest.raises(ParseError, match="unknown config key quad_floor"):
+            parse_config("quad_floor = 128")
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "conjrisk.cfg"

@@ -174,7 +174,6 @@ class TestQuadrature:
         assert auto_n_quad(1.0, 1.0) == 64
         assert auto_n_quad(10.0, 1.0) == 100
         assert auto_n_quad(1.0, 12.5) == 126  # ceil(125) rounded even
-        assert auto_n_quad(10.0, 1.0, floor=128) == 128
 
     def test_convergence_at_rule_count(self):
         rng = np.random.default_rng(6)
@@ -253,5 +252,7 @@ class TestDilutionCurve:
             dilution_curve(2.0, 5.0, 1.0, 32)
         with pytest.raises(InputValidationError):
             dilution_curve(2.0, 1.0, 50.0, 8)
+        with pytest.raises(InputValidationError, match="< inf"):
+            dilution_curve(2.0, 1.0, math.inf, 32)
         with pytest.raises(InputValidationError, match="n_points"):
             dilution_curve(2.0, 1.0, 50.0, MAX_CURVE_POINTS + 1)

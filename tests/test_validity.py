@@ -28,7 +28,7 @@ from conjrisk import ellipsoids
 
 
 def _region(center, radius):
-    return Ball(center=np.atleast_1d(center), radius=radius).as_ellipsoid()
+    return Ball(center=np.atleast_1d(center), radius=radius).ellipsoid
 
 
 class TestRegionBelief:
@@ -86,6 +86,22 @@ class TestConfidenceRegionRule:
         prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
         assert rule.belief(np.array([12.0, 1.0, 0.5]), prop, 0.05) == pytest.approx(0.95)
         assert len(solves) == 1
+
+    def test_belief_builds_only_the_trial_region(self, monkeypatch):
+        # a ball builds its ellipsoid once, with the ball, so a belief on its
+        # complement constructs one Ellipsoid: the trial region
+        built = []
+        post_init = ellipsoids.Ellipsoid.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
+        prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
+        monkeypatch.setattr(ellipsoids.Ellipsoid, "__post_init__", counted)
+        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop, 0.05) == pytest.approx(0.95)
+        assert len(built) == 1
 
     def test_plausibility_matches_region_belief(self):
         cov = np.diag([2.0, 1.0, 0.5])

@@ -42,12 +42,9 @@ from .fileio import (
     Config,
     ConjunctionFile,
     ObjectRecord,
-    conjunction_json_text,
-    conjunction_kvn_text,
     load_config,
     parse_config,
     parse_conjunction,
-    write_curve_csv,
 )
 from .geometry import (
     JointState,

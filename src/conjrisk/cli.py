@@ -26,12 +26,10 @@ from .errors import ConjunctionAnalysisError, InputValidationError, NumericalErr
 from .fileio import (
     Config,
     csv_text,
-    curve_csv_text,
     format_cell,
     json_text,
     load_config,
     parse_conjunction,
-    write_json,
     write_text,
 )
 from .probability import dilution_curve, pc_contour
@@ -80,7 +78,7 @@ def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
     if args.output is None:
         return
     if args.format == "json":
-        write_json(doc, args.output)
+        write_text(json_text(doc), args.output)
     else:
         write_text(csv_text(rows, config.output_precision), args.output)
 
@@ -103,7 +101,7 @@ def _cmd_dilution_curve(args, config: Config) -> int:
     curve = dilution_curve(args.d_over_r, args.s_min, args.s_max, args.n_points)
     prec = config.output_precision
     if args.output is None:
-        sys.stdout.write(curve_csv_text(curve, precision=prec))
+        sys.stdout.write(csv_text(curve.csv_rows(), prec))
     else:
         _emit(args, config, curve.to_json_dict(), curve.csv_rows())
         print(
@@ -142,7 +140,7 @@ def _cmd_detection_curve(args, config: Config) -> int:
         seed=seed,
     )
     if args.output is None:
-        sys.stdout.write(curve_csv_text(curve, precision=config.output_precision))
+        sys.stdout.write(csv_text(curve.csv_rows(), config.output_precision))
     else:
         _emit(args, config, curve.to_json_dict(), curve.csv_rows())
         print(f"wrote {len(curve.points)} thresholds to {args.output}")
@@ -201,7 +199,7 @@ def _cmd_validity(args, config: Config) -> int:
         seed=seed,
     )
     if args.output is None:
-        sys.stdout.write(curve_csv_text(report, precision=config.output_precision))
+        sys.stdout.write(csv_text(report.csv_rows(), config.output_precision))
     else:
         _emit(args, config, report.to_json_dict(), report.csv_rows())
         print("pass" if report.passed() else "fail")

@@ -226,11 +226,7 @@ def relative_covariance(js: JointState) -> RelativeState:
     delta_v = theta[9:12] - theta[3:6]
     cross = cov[0:3, 6:9]
     c_delta = cov[0:3, 0:3] + cov[6:9, 6:9] - cross - cross.T
-    return RelativeState(
-        delta_pos_hat=delta_pos,
-        c_delta=validated_covariance(c_delta, "relative position covariance"),
-        delta_v_hat=delta_v,
-    )
+    return RelativeState(delta_pos_hat=delta_pos, c_delta=c_delta, delta_v_hat=delta_v)
 
 
 def _normalize_u_axis(u_axis, i_dv: np.ndarray) -> np.ndarray:

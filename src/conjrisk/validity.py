@@ -27,6 +27,7 @@ from scipy import special
 from . import rng as rngmod
 from .ellipsoids import Ellipsoid, build_ellipsoid
 from .errors import InputValidationError, UnsupportedPropositionError
+from .geometry import covariance_eigh
 from .probability import ncx2_cdf
 from .propositions import (
     Ball,
@@ -120,6 +121,20 @@ def gaussian_region_rule(cov) -> ConfidenceRegionRule:
     return ConfidenceRegionRule(build)
 
 
+def _definite_covariance(cov) -> np.ndarray:
+    """``cov`` validated as a finite, symmetric, positive-definite matrix.
+
+    A zero eigenvalue (a variance that underflowed, say) leaves the Gaussian
+    degenerate, so it is an input error like a non-finite entry.
+    """
+    cov, eigvals, _ = covariance_eigh(np.atleast_2d(np.asarray(cov, dtype=float)))
+    if eigvals[0] <= 0.0:
+        raise InputValidationError(
+            f"covariance is not positive definite (eigenvalue {eigvals[0]:.6e})"
+        )
+    return cov
+
+
 class AdditiveGaussianRule(BeliefRule):
     """Additive epistemic rule: belief is the posterior Gaussian mass.
 
@@ -129,9 +144,7 @@ class AdditiveGaussianRule(BeliefRule):
     """
 
     def __init__(self, cov):
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if cov.shape[0] != cov.shape[1]:
-            raise InputValidationError("covariance must be square")
+        cov = _definite_covariance(cov)
         self.cov = cov
         self.dim = cov.shape[0]
         offdiag = cov - np.diag(np.diag(cov))
@@ -298,8 +311,7 @@ def validity_check(
 def gaussian_sampling_model(theta_true, cov):
     """Sampling model drawing estimates from ``normal(theta_true, cov)``."""
     theta_true = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    chol = np.linalg.cholesky(cov)
+    chol = np.linalg.cholesky(_definite_covariance(cov))
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         return theta_true + gen.standard_normal((n, theta_true.size)) @ chol.T

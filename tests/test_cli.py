@@ -42,6 +42,26 @@ def _head_on_doc(var_x=50.0, var_y=50.0):
     }
 
 
+def _head_on_kvn() -> str:
+    """The encounter of ``_head_on_doc`` as KVN text, values without units."""
+    doc = _head_on_doc()
+    axes = ("R", "T", "N", "RDOT", "TDOT", "NDOT")
+    lines = []
+    for n in (1, 2):
+        obj = doc[f"object{n}"]
+        state = obj["position_m"] + obj["velocity_mps"]
+        for suffix, value in zip(("X", "Y", "Z", "X_DOT", "Y_DOT", "Z_DOT"), state):
+            lines.append(f"OBJECT{n}_{suffix} = {value}")
+        lines.append(f"OBJECT{n}_RADIUS = {obj['radius_m']}")
+        cov = np.reshape(doc["covariance"][f"object{n}_cov6"], (6, 6))
+        lines += [
+            f"OBJECT{n}_C{axes[i]}_{axes[j]} = {cov[i, j]}"
+            for i in range(6)
+            for j in range(i + 1)
+        ]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture()
 def head_on_file(tmp_path):
     """Head-on encounter with s1 = s2 = 10 m and combined radius 1 m."""
@@ -82,13 +102,9 @@ class TestPcCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "pc,n_quad,quad_error_est"
 
-    def test_kvn_input(self, head_on_file, tmp_path, capsys):
-        # convert the JSON fixture to KVN and reuse it
-        from conjrisk import conjunction_kvn_text, parse_conjunction
-
-        cf = parse_conjunction(head_on_file.read_bytes(), "json")
+    def test_kvn_input(self, tmp_path, capsys):
         kvn_path = tmp_path / "head_on.kvn"
-        kvn_path.write_text(conjunction_kvn_text(cf), encoding="utf-8")
+        kvn_path.write_text(_head_on_kvn(), encoding="utf-8")
         status = run_command(["pc", "--input", str(kvn_path)])
         assert status == 0
         captured = capsys.readouterr()
@@ -274,6 +290,19 @@ class TestValidityCommand:
         expected = f"error: sigma must be positive, got {float(sigma)}\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("rule", ["ksigma", "additive"])
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_degenerate_covariance_exits_two(self, rule, sigma, capsys):
+        # sigma**2 underflows to 0 or overflows to inf
+        status = run_command(
+            ["validity", "--rule", rule, "--sigma", sigma, "--halfwidth", "0.1",
+             "--n-trials", "1000", "--seed", "1"]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "covariance" in captured.err
+
 
 class TestFalseConfidenceCommand:
     def test_default_halfwidth_rate_one(self, capsys):
@@ -321,6 +350,31 @@ class TestErrorPaths:
         bad.write_text("{", encoding="utf-8")
         assert run_command(["pc", "--input", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["radius_m", "position_m"])
+    def test_json_integer_beyond_float_range_exits_two(self, field, tmp_path, capsys):
+        doc = _head_on_doc()
+        huge = 10**400
+        if field == "radius_m":
+            doc["object1"]["radius_m"] = huge
+        else:
+            doc["object1"]["position_m"][0] = huge
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_command(["pc", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: field object1.{field} holds a number too large for a float\n"
+        )
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert run_command(["pc", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
 
     def test_unknown_suffix_needs_explicit_format(self, tmp_path, capsys):
         path = tmp_path / "data.txt"

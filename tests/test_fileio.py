@@ -8,21 +8,16 @@ from numpy.testing import assert_allclose
 
 from conjrisk import (
     Config,
-    ConjunctionFile,
     InputValidationError,
-    ObjectRecord,
     ParseError,
-    conjunction_json_text,
-    conjunction_kvn_text,
     dilution_curve,
     load_config,
     parse_config,
     parse_conjunction,
     pc_contour,
     standardized_encounter,
-    write_curve_csv,
 )
-from conjrisk.fileio import ENV_CONFIG, curve_csv_text
+from conjrisk.fileio import ENV_CONFIG, csv_text, write_text
 
 
 def _object_dict(px=0.0, vy=7500.0, radius=0.5):
@@ -103,44 +98,42 @@ def _kvn_sample(cov1=None, cov2=None):
     )
 
 
-def _files_equal(a: ConjunctionFile, b: ConjunctionFile) -> bool:
-    def arr_eq(x, y):
-        if x is None or y is None:
-            return x is None and y is None
-        return np.array_equal(x, y)
-
-    return (
-        np.array_equal(a.object1.position_m, b.object1.position_m)
-        and np.array_equal(a.object1.velocity_mps, b.object1.velocity_mps)
-        and a.object1.radius_m == b.object1.radius_m
-        and np.array_equal(a.object2.position_m, b.object2.position_m)
-        and np.array_equal(a.object2.velocity_mps, b.object2.velocity_mps)
-        and a.object2.radius_m == b.object2.radius_m
-        and arr_eq(a.cov12, b.cov12)
-        and arr_eq(a.object1_cov6, b.object1_cov6)
-        and arr_eq(a.object2_cov6, b.object2_cov6)
-        and arr_eq(a.cross6, b.cross6)
-        and a.metadata == b.metadata
-    )
-
-
 class TestJsonFormat:
     def test_round_trip_cov12(self):
+        # metadata is validated and then ignored
         cf = parse_conjunction(json.dumps(_json_doc_cov12()), "json")
-        again = parse_conjunction(conjunction_json_text(cf), "json")
-        assert _files_equal(cf, again)
+        assert_allclose(cf.cov12, np.eye(12), rtol=0, atol=0)
+        assert cf.object2.position_m[0] == 100.0
+        assert cf.object2.velocity_mps[1] == -7500.0
+        assert cf.warnings == ()
 
     def test_round_trip_split_with_cross(self):
         cross = 0.1 * np.eye(6)
+        cross[0, 1] = 0.02
         cf = parse_conjunction(json.dumps(_json_doc_split(cross=cross)), "json")
-        again = parse_conjunction(conjunction_json_text(cf), "json")
-        assert _files_equal(cf, again)
+        block = np.diag([50.0] * 3 + [1e-4] * 3)
+        assert_allclose(cf.cov12[0:6, 0:6], block, rtol=0, atol=0)
+        assert_allclose(cf.cov12[6:12, 6:12], block, rtol=0, atol=0)
+        assert_allclose(cf.cov12[0:6, 6:12], cross, rtol=0, atol=0)
+        assert_allclose(cf.cov12[6:12, 0:6], cross.T, rtol=0, atol=0)
         assert cf.warnings == ()
 
     def test_missing_cross_warns(self):
         cf = parse_conjunction(json.dumps(_json_doc_split()), "json")
         assert any("cross" in w for w in cf.warnings)
-        assert_allclose(cf.covariance12()[0:6, 6:12], np.zeros((6, 6)))
+        assert_allclose(cf.cov12[0:6, 6:12], np.zeros((6, 6)))
+
+    def test_cross_block_with_full_covariance_rejected(self):
+        doc = _json_doc_cov12()
+        doc["covariance"]["cross6"] = list(np.zeros(36))
+        with pytest.raises(ParseError, match="exactly one"):
+            parse_conjunction(json.dumps(doc), "json")
+
+    def test_metadata_must_map_strings_to_strings(self):
+        doc = _json_doc_cov12()
+        doc["metadata"] = {"note": 1}
+        with pytest.raises(ParseError, match="metadata"):
+            parse_conjunction(json.dumps(doc), "json")
 
     def test_missing_field_named(self):
         doc = _json_doc_cov12()
@@ -183,11 +176,16 @@ class TestJsonFormat:
 
 class TestKvnFormat:
     def test_round_trip(self):
-        cf = parse_conjunction(_kvn_sample(), "kvn")
-        again = parse_conjunction(conjunction_kvn_text(cf), "kvn")
-        assert _files_equal(cf, again)
-        assert cf.metadata["comment"] == "minimal sample"
-        assert any("cross" in w for w in cf.warnings)
+        # the COMMENT line is accepted and ignored
+        cov2 = np.diag([60.0, 70.0, 80.0, 2e-4, 3e-4, 4e-4])
+        cov2[1, 0] = cov2[0, 1] = 5.0
+        cf = parse_conjunction(_kvn_sample(cov2=cov2), "kvn")
+        expected = np.zeros((12, 12))
+        expected[0:6, 0:6] = np.diag([50.0] * 3 + [1e-4] * 3)
+        expected[6:12, 6:12] = cov2
+        assert_allclose(cf.cov12, expected, rtol=0, atol=0)
+        assert cf.object2.velocity_mps[1] == -7500.0
+        assert cf.warnings == ("cross-covariance missing, defaulting to zero",)
 
     def test_lower_triangle_assembly(self):
         # hand-assembled oracle matrix for object 1
@@ -202,7 +200,7 @@ class TestKvnFormat:
             ]
         )
         cf = parse_conjunction(_kvn_sample(cov1=cov), "kvn")
-        assert_allclose(cf.object1_cov6, cov, rtol=0, atol=0)
+        assert_allclose(cf.cov12[0:6, 0:6], cov, rtol=0, atol=0)
 
     def test_missing_key_named(self):
         text = "\n".join(
@@ -237,6 +235,22 @@ class TestKvnFormat:
         cf = parse_conjunction(text, "kvn")
         assert cf.object1.position_m[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("OBJECT1_CT_R = 0.0 [m**2]", "OBJECT1_CT_R = 1e999 [m**2]"),
+            ("OBJECT2_CN_N = 50.0 [m**2]", "OBJECT2_CN_N = nan [m**2]"),
+            ("OBJECT1_RADIUS = 0.5 [m]", "OBJECT1_RADIUS = inf [m]"),
+        ],
+        ids=["overflow", "nan", "infinite-radius"],
+    )
+    def test_non_finite_value_rejected_on_its_line(self, old, new):
+        text = _kvn_sample()
+        lineno = text[: text.index(old)].count("\n") + 1
+        message = f"line {lineno}: value for {old.split()[0]} is not finite"
+        with pytest.raises(ParseError, match=message):
+            parse_conjunction(text.replace(old, new), "kvn")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(InputValidationError, match="format"):
             parse_conjunction("{}", "xml")
@@ -249,28 +263,13 @@ class TestCovarianceEquivalence:
             "object1": _object_dict(),
             "object2": _object_dict(px=100.0, vy=-7500.0),
             "covariance": {
-                "cov12_row_major": list(split.covariance12().ravel())
+                "cov12_row_major": list(split.cov12.ravel())
             },
         }
         full = parse_conjunction(json.dumps(full_doc), "json")
         pc_split = pc_contour(standardized_encounter(split.to_joint_state())).pc
         pc_full = pc_contour(standardized_encounter(full.to_joint_state())).pc
         assert pc_full == pytest.approx(pc_split, rel=1e-12)
-
-    def test_representation_invariant_enforced(self):
-        rec = ObjectRecord(
-            position_m=[0.0, 0.0, 0.0], velocity_mps=[0.0, 1.0, 0.0], radius_m=1.0
-        )
-        with pytest.raises(InputValidationError, match="exactly one"):
-            ConjunctionFile(object1=rec, object2=rec)
-        with pytest.raises(InputValidationError, match="exactly one"):
-            ConjunctionFile(
-                object1=rec,
-                object2=rec,
-                cov12=np.eye(12),
-                object1_cov6=np.eye(6),
-                object2_cov6=np.eye(6),
-            )
 
 
 class TestConfig:
@@ -328,7 +327,7 @@ class TestCurveCsv:
             peak_pc=curve.peak_pc,
         )
         path = tmp_path / "single.csv"
-        write_curve_csv(single, path)
+        write_text(csv_text(single.csv_rows(), 9), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert lines[0] == "s_over_r,pc"
@@ -336,7 +335,7 @@ class TestCurveCsv:
     def test_row_count_matches_grid(self, tmp_path):
         curve = dilution_curve(5.0, 0.5, 500.0, 64)
         path = tmp_path / "curve.csv"
-        write_curve_csv(curve, path)
+        write_text(csv_text(curve.csv_rows(), 9), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 65
         assert lines[0] == "s_over_r,pc"
@@ -345,14 +344,14 @@ class TestCurveCsv:
         curve = dilution_curve(5.0, 0.5, 500.0, 32)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_curve_csv(curve, p1)
-        write_curve_csv(dilution_curve(5.0, 0.5, 500.0, 32), p2)
+        write_text(csv_text(curve.csv_rows(), 9), p1)
+        write_text(csv_text(dilution_curve(5.0, 0.5, 500.0, 32).csv_rows(), 9), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert b"\r" not in p1.read_bytes()
 
     def test_nine_significant_digits(self):
         curve = dilution_curve(0.0, 1.0, 10.0, 16)
-        text = curve_csv_text(curve)
+        text = csv_text(curve.csv_rows(), 9)
         first_value = text.splitlines()[1].split(",")[1]
         assert len(first_value.replace(".", "").replace("-", "").lstrip("0e")) <= 10
 
@@ -362,8 +361,4 @@ class TestCurveCsv:
             d_over_r=0.0, grid=(), peak_s_over_r=1.0, peak_pc=0.0
         )
         with pytest.raises(InputValidationError, match="empty"):
-            curve_csv_text(empty)
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(InputValidationError, match="CSV schema"):
-            curve_csv_text(object())
+            csv_text(empty.csv_rows(), 9)

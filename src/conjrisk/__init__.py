@@ -12,13 +12,11 @@ against that validity standard.
 from .detection import (
     DetectionCurve,
     FalseConfidenceReport,
-    ThresholdPolicy,
     critical_displacement,
     default_threshold_grid,
     detection_curve,
     detection_rate,
     dilution_boundary,
-    equivalent_circular_s_over_r,
     false_confidence_demo,
     proof_halfwidth,
 )

@@ -21,7 +21,6 @@ from scipy import special
 
 from . import rng as rngmod
 from .errors import InputValidationError, NumericalError
-from .geometry import StandardizedEncounter
 from .probability import max_pc_head_on, ncx2_cdf, pc_circular
 
 #: Most Pc evaluations one critical-displacement solve may take.
@@ -30,24 +29,9 @@ _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
 #: ``special.ndtr(-z)`` is exactly 0 from this ``z`` on.
 _NDTR_ZERO = 38.0
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Lower/upper probability thresholds used for conjunction triage.
-
-    Defaults are the operational values: conjunctions above ``upper`` are
-    treated as high risk, those below ``lower`` are ignored.
-    """
-
-    lower: float = 1e-7
-    upper: float = 4.4e-4
-
-    def __post_init__(self):
-        if not (0.0 < self.lower < self.upper < 1.0):
-            raise InputValidationError(
-                f"need 0 < lower < upper < 1, got ({self.lower}, {self.upper})"
-            )
+#: Operational triage thresholds on Pc: conjunctions below the first are
+#: ignored, those above the second are treated as high risk.
+POLICY_THRESHOLDS = (1e-7, 4.4e-4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,18 +171,23 @@ def _detection_rates(
         )
     if method == _MONTE_CARLO:
         seed = rngmod.validate_seed(seed)
-    lam = (d_true_over_r / s_over_r) ** 2
+    ratio = d_true_over_r / s_over_r
+    if math.isinf(ratio * ratio):
+        raise NumericalError(
+            f"(d_true_over_r / s_over_r)^2 overflows for d_true_over_r = "
+            f"{d_true_over_r!r}, s_over_r = {s_over_r!r}"
+        )
+    lam = ratio**2
     # Pc is strictly decreasing in the displacement, so Pc >= t exactly
     # where D/S <= u_crit(t); an unreachable threshold (None) and one
     # reached only by a head-on estimate (0) have rate 0
     u_crit = np.array([critical_displacement(t, s_over_r) or 0.0 for t in thresholds])
     if method == _SEMI_ANALYTIC:
         return ncx2_cdf(2, lam, u_crit * u_crit)
-    offset = math.sqrt(lam)
     hits = np.zeros(thresholds.size, dtype=np.int64)
     for gen, count in rngmod.blocks(seed, n_trials):
         xi = gen.standard_normal((count, 2))
-        d_over_s = np.sort(np.hypot(offset + xi[:, 0], xi[:, 1]))
+        d_over_s = np.sort(np.hypot(ratio + xi[:, 0], xi[:, 1]))
         hits += np.searchsorted(d_over_s, u_crit, side="right")
     return hits / n_trials
 
@@ -221,7 +210,9 @@ def detection_rate(
     critical displacement. The Monte Carlo path redraws the estimated
     displacement from its sampling law and counts the draws at or below the
     critical displacement, which are exactly those whose collision
-    probability reaches the threshold; it requires a seed.
+    probability reaches the threshold; it requires a seed. A noncentrality
+    ``(d_true_over_r / s_over_r)^2`` that overflows raises
+    ``NumericalError``.
     """
     rates = _detection_rates(
         np.array([float(threshold)]), s_over_r, d_true_over_r, method, n_trials, seed
@@ -229,11 +220,10 @@ def detection_rate(
     return float(rates[0])
 
 
-def default_threshold_grid(policy: ThresholdPolicy | None = None) -> np.ndarray:
-    """Log-spaced threshold grid including the policy thresholds exactly."""
-    policy = policy or ThresholdPolicy()
+def default_threshold_grid() -> np.ndarray:
+    """Log-spaced threshold grid including ``POLICY_THRESHOLDS`` exactly."""
     grid = np.geomspace(1e-8, 1e-1, 43)
-    return np.unique(np.concatenate([grid, [policy.lower, policy.upper]]))
+    return np.unique(np.concatenate([grid, POLICY_THRESHOLDS]))
 
 
 def detection_curve(
@@ -280,18 +270,6 @@ def dilution_boundary(threshold: float) -> float:
     if not (0.0 < threshold < 1.0):
         raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
     return 1.0 / math.sqrt(-2.0 * math.log1p(-threshold))
-
-
-def equivalent_circular_s_over_r(enc: StandardizedEncounter) -> float:
-    """Back-of-the-envelope equal-deviation ratio for unequal axes.
-
-    Maps an anisotropic encounter onto the equal-deviation detection
-    analysis via the geometric mean ``sqrt(s1 * s2) / r``. This is an
-    approximation, reasonable only while ``s1`` and ``s2`` are not too
-    unequal; it is provided for rough threshold studies, not as an exact
-    reduction.
-    """
-    return math.sqrt(enc.s1 * enc.s2) / enc.r_combined
 
 
 def proof_halfwidth(sigma: float, alpha: float) -> float:

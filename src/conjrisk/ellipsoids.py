@@ -21,8 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputValidationError, NumericalError
-from .geometry import _ORTHONORMAL_ATOL, covariance_eigh
+from .geometry import covariance_eigh
 
+_ORTHONORMAL_ATOL = 1e-10
 _CONTACT_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _SECULAR_MAX_ITERS = 100

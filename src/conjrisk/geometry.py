@@ -28,7 +28,6 @@ from .errors import DegenerateEncounterError, InputValidationError
 
 _SYMMETRY_RTOL = 1e-9
 _PSD_TRACE_RTOL = 1e-9
-_ORTHONORMAL_ATOL = 1e-10
 # cross products with the displacement degenerate near angle 0 and pi,
 # so the fallback axis triggers on sin(angle) rather than the angle itself
 _MIN_SIN_U_AXIS = 1e-6
@@ -43,18 +42,12 @@ def _as_finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
-def validated_covariance(mat, name: str = "covariance") -> np.ndarray:
-    """Symmetrize and PSD-check a covariance matrix.
+def covariance_eigh(mat, name: str = "covariance"):
+    """Symmetrize and PSD-check a covariance matrix, and eigendecompose it.
 
     Eigenvalues within ``-1e-9 * trace`` of zero are clamped to zero and the
     matrix is reconstructed; anything below that is rejected with the
     offending eigenvalue in the message.
-    """
-    return covariance_eigh(mat, name)[0]
-
-
-def covariance_eigh(mat, name: str = "covariance"):
-    """``validated_covariance`` with the eigendecomposition it checked.
 
     Returns ``(sym, eigvals, eigvecs)``: the validated matrix, its
     eigenvalues in ascending order after clamping, and the eigenvectors as
@@ -110,7 +103,7 @@ class JointState:
 
     def __post_init__(self):
         theta = _as_finite_array(self.theta_hat, (12,), "theta_hat")
-        cov = validated_covariance(self.c_theta, "c_theta")
+        cov = covariance_eigh(self.c_theta, "c_theta")[0]
         if cov.shape != (12, 12):
             raise InputValidationError(
                 f"c_theta must be 12x12, got shape {cov.shape}"
@@ -140,7 +133,7 @@ class RelativeState:
     def __post_init__(self):
         dpos = _as_finite_array(self.delta_pos_hat, (3,), "delta_pos_hat")
         dvel = _as_finite_array(self.delta_v_hat, (3,), "delta_v_hat")
-        cov = validated_covariance(self.c_delta, "c_delta")
+        cov = covariance_eigh(self.c_delta, "c_delta")[0]
         if cov.shape != (3, 3):
             raise InputValidationError(f"c_delta must be 3x3, got shape {cov.shape}")
         object.__setattr__(self, "delta_pos_hat", _freeze(dpos))
@@ -159,18 +152,14 @@ class StandardizedEncounter:
 
     ``u_hat`` and ``v_hat`` are the displacement estimates (m) along the
     principal directions with standard deviations ``s1 >= s2`` (m).
-    ``rot_m`` is the 3x3 rotation into the encounter frame (rows: in-plane
-    axis 1, in-plane axis 2, relative-velocity axis); ``rot_es`` is the 2x2
-    principal-axis rotation. ``r_combined`` is the combined hard-body
-    radius (m).
+    ``r_combined`` is the combined hard-body radius (m). These five numbers
+    are all that the collision-probability integral reads from the plane.
     """
 
     u_hat: float
     v_hat: float
     s1: float
     s2: float
-    rot_m: np.ndarray
-    rot_es: np.ndarray
     r_combined: float
 
     def __post_init__(self):
@@ -186,20 +175,10 @@ class StandardizedEncounter:
             raise InputValidationError(
                 f"r_combined must be positive, got {self.r_combined}"
             )
-        rot_m = _as_finite_array(self.rot_m, (3, 3), "rot_m")
-        rot_es = _as_finite_array(self.rot_es, (2, 2), "rot_es")
-        for label, rot in (("rot_m", rot_m), ("rot_es", rot_es)):
-            resid = np.max(np.abs(rot @ rot.T - np.eye(rot.shape[0])))
-            if resid > _ORTHONORMAL_ATOL:
-                raise InputValidationError(
-                    f"{label} is not orthonormal: max|R R^T - I| = {resid:.3e}"
-                )
         object.__setattr__(self, "u_hat", float(self.u_hat))
         object.__setattr__(self, "v_hat", float(self.v_hat))
         object.__setattr__(self, "s1", float(self.s1))
         object.__setattr__(self, "s2", float(self.s2))
-        object.__setattr__(self, "rot_m", _freeze(rot_m))
-        object.__setattr__(self, "rot_es", _freeze(rot_es))
         object.__setattr__(self, "r_combined", float(self.r_combined))
 
     @property
@@ -229,29 +208,16 @@ def relative_covariance(js: JointState) -> RelativeState:
     return RelativeState(delta_pos_hat=delta_pos, c_delta=c_delta, delta_v_hat=delta_v)
 
 
-def _normalize_u_axis(u_axis, i_dv: np.ndarray) -> np.ndarray:
-    axis = _as_finite_array(u_axis, (3,), "u_axis")
-    norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        raise InputValidationError("u_axis must be nonzero")
-    axis = axis / norm
-    if abs(float(axis @ i_dv)) > 1e-8:
-        raise InputValidationError(
-            "u_axis must be perpendicular to the relative velocity direction"
-        )
-    return axis
-
-
-def encounter_frame(rs: RelativeState, u_axis=None) -> np.ndarray:
+def encounter_frame(rs: RelativeState) -> np.ndarray:
     """Rotation matrix into the encounter frame.
 
     Rows are the first in-plane axis, the second in-plane axis, and the
-    relative-velocity direction. The first in-plane axis defaults to the
-    normalized cross product of the relative-velocity direction and the
-    displacement estimate; when those are aligned within ``sin(angle) <=
-    1e-6`` the cross product with the least-aligned canonical axis is used
-    instead. Any unit vector perpendicular to the relative velocity may be
-    supplied as ``u_axis`` to override the convention.
+    relative-velocity direction. The first in-plane axis is the normalized
+    cross product of the relative-velocity direction and the displacement
+    estimate; when those are aligned within ``sin(angle) <= 1e-6`` the cross
+    product with the least-aligned canonical axis is used instead. After
+    ``standardize``, ``s1``, ``s2``, ``|u_hat|`` and ``|v_hat|`` do not
+    depend on this choice of in-plane axis.
 
     Raises:
         DegenerateEncounterError: if the relative speed is zero.
@@ -262,27 +228,22 @@ def encounter_frame(rs: RelativeState, u_axis=None) -> np.ndarray:
             "relative velocity is zero: no closest-approach plane exists"
         )
     i_dv = rs.delta_v_hat / speed
-    if u_axis is not None:
-        i_u = _normalize_u_axis(u_axis, i_dv)
+    dpos = rs.delta_pos_hat
+    dpos_norm = float(np.linalg.norm(dpos))
+    cross = np.cross(i_dv, dpos)
+    cross_norm = float(np.linalg.norm(cross))
+    if dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm:
+        i_u = cross / cross_norm
     else:
-        dpos = rs.delta_pos_hat
-        dpos_norm = float(np.linalg.norm(dpos))
-        cross = np.cross(i_dv, dpos)
-        cross_norm = float(np.linalg.norm(cross))
-        if dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm:
-            i_u = cross / cross_norm
-        else:
-            canonical = np.zeros(3)
-            canonical[int(np.argmin(np.abs(i_dv)))] = 1.0
-            fallback = np.cross(i_dv, canonical)
-            i_u = fallback / float(np.linalg.norm(fallback))
+        canonical = np.zeros(3)
+        canonical[int(np.argmin(np.abs(i_dv)))] = 1.0
+        fallback = np.cross(i_dv, canonical)
+        i_u = fallback / float(np.linalg.norm(fallback))
     i_v = np.cross(i_dv, i_u)
     return np.vstack((i_u, i_v, i_dv))
 
 
-def encounter_projection(
-    rs: RelativeState, u_axis=None
-) -> tuple[np.ndarray, np.ndarray]:
+def encounter_projection(rs: RelativeState) -> tuple[np.ndarray, np.ndarray]:
     """Project the relative state onto the encounter plane.
 
     Rotates into the encounter frame and drops the along-velocity
@@ -292,28 +253,25 @@ def encounter_projection(
         ``(mean2, cov2)``: 2-vector displacement estimate (m) and 2x2
         covariance (m^2) in the encounter plane.
     """
-    return _project(rs, encounter_frame(rs, u_axis=u_axis))
-
-
-def _project(rs: RelativeState, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rot = encounter_frame(rs)
     mean3 = rot @ rs.delta_pos_hat
     cov3 = rot @ rs.c_delta @ rot.T
     return mean3[:2].copy(), 0.5 * (cov3[:2, :2] + cov3[:2, :2].T)
 
 
-def standardize(mean2, cov2, r_combined: float, rot_m=None) -> StandardizedEncounter:
+def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
     """Rotate the encounter plane into principal axes.
 
     Eigendecomposes the 2x2 covariance, orders the principal deviations
     descending, and expresses the displacement estimate in the eigenvector
-    basis. The displacement magnitude is preserved.
+    basis, whose signs are fixed so that each eigenvector's largest-magnitude
+    component is positive. The displacement magnitude is preserved; the
+    rotation itself is not kept.
 
     Args:
         mean2: encounter-plane displacement estimate (m).
         cov2: 2x2 encounter-plane covariance (m^2); must be positive definite.
         r_combined: combined hard-body radius (m).
-        rot_m: optional 3x3 encounter-frame rotation to record; defaults to
-            the identity when the caller standardizes a bare plane.
 
     Raises:
         InputValidationError: on singular covariance (the standardized space
@@ -337,22 +295,15 @@ def standardize(mean2, cov2, r_combined: float, rot_m=None) -> StandardizedEncou
         if eigvecs[lead, col] < 0.0:
             eigvecs[:, col] = -eigvecs[:, col]
     uv = eigvecs.T @ mean2
-    if rot_m is None:
-        rot_m = np.eye(3)
     return StandardizedEncounter(
         u_hat=float(uv[0]),
         v_hat=float(uv[1]),
         s1=float(math.sqrt(eigvals[0])),
         s2=float(math.sqrt(eigvals[1])),
-        rot_m=rot_m,
-        rot_es=eigvecs,
         r_combined=float(r_combined),
     )
 
 
-def standardized_encounter(js: JointState, u_axis=None) -> StandardizedEncounter:
+def standardized_encounter(js: JointState) -> StandardizedEncounter:
     """Full reduction from joint state to standardized encounter plane."""
-    rs = relative_covariance(js)
-    rot = encounter_frame(rs, u_axis=u_axis)
-    mean2, cov2 = _project(rs, rot)
-    return standardize(mean2, cov2, js.r_combined, rot_m=rot)
+    return standardize(*encounter_projection(relative_covariance(js)), js.r_combined)

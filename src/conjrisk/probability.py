@@ -486,6 +486,8 @@ def dilution_curve(
     to ``1e-6`` relative in ``s_over_r``. At zero displacement the curve is
     monotone decreasing and the peak is reported at ``s_over_r_min``.
     ``n_points`` must lie in ``[16, MAX_CURVE_POINTS]``.
+    Raises ``NumericalError`` if ``(d_over_r / s_over_r)^2`` or
+    ``1 / s_over_r^2`` overflows at ``s_over_r_min``.
     """
     if not (0.0 < s_over_r_min < s_over_r_max < math.inf):
         raise InputValidationError(
@@ -499,7 +501,13 @@ def dilution_curve(
     if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
         raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
     s_grid = np.geomspace(s_over_r_min, s_over_r_max, int(n_points))
-    pc_grid = ncx2_cdf(2, (d_over_r / s_grid) ** 2, 1.0 / s_grid**2)
+    with np.errstate(over="ignore", divide="ignore"):
+        lam = (d_over_r / s_grid) ** 2
+        x = 1.0 / s_grid**2  # 0 where s^2 overflows, the limit 1/s^2 tends to
+    if not math.isfinite(lam[0] + x[0]):  # both fall as s_over_r grows
+        ratio = "1 / s_over_r^2" if math.isinf(x[0]) else "(d_over_r / s_over_r)^2"
+        raise NumericalError(f"{ratio} overflows at s_over_r = {s_over_r_min!r}")
+    pc_grid = ncx2_cdf(2, lam, x)
     grid = tuple((float(s), float(p)) for s, p in zip(s_grid, pc_grid))
     imax = int(np.argmax(pc_grid))
     if imax == 0:

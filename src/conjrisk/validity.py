@@ -151,7 +151,7 @@ class AdditiveGaussianRule(BeliefRule):
         diag = np.diag(cov)
         self._isotropic_var = (
             float(diag[0])
-            if np.all(np.abs(offdiag) < 1e-15) and np.ptp(diag) < 1e-15 * diag[0]
+            if np.all(np.abs(offdiag) < 1e-15) and np.ptp(diag) <= 1e-15 * diag[0]
             else None
         )
 
@@ -176,7 +176,11 @@ class AdditiveGaussianRule(BeliefRule):
                 )
             sigma = math.sqrt(self._isotropic_var)
             shift = float(np.linalg.norm(prop.center - x)) / sigma
-            return ncx2_cdf(self.dim, shift * shift, (prop.radius / sigma) ** 2)
+            try:
+                reach = (prop.radius / sigma) ** 2
+            except OverflowError:  # radius over 1e154 sigma: a half-space's mass
+                return float(special.ndtr(prop.radius / sigma - shift))
+            return ncx2_cdf(self.dim, shift * shift, reach)
         raise UnsupportedPropositionError(
             f"Gaussian mass not implemented for {type(prop).__name__}"
         )

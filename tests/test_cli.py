@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,13 @@ def _error_classes(cls=ConjunctionAnalysisError):
     yield cls
     for sub in cls.__subclasses__():
         yield from _error_classes(sub)
+
+
+def _run_warning_free(argv) -> int:
+    """``run_command`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_command(argv)
 
 
 def _head_on_doc(var_x=50.0, var_y=50.0):
@@ -177,6 +185,19 @@ class TestDetectionCurveCommand:
         assert captured.out == ""
         assert "terms" in captured.err
 
+    @pytest.mark.parametrize("s_over_r, d_true", [("1e-300", "1"), ("3", "1e300")])
+    def test_overflowing_noncentrality_exits_three(self, s_over_r, d_true, capsys):
+        status = _run_warning_free(
+            ["detection-curve", "--s-over-r", s_over_r, "--d-true", d_true]
+        )
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: (d_true_over_r / s_over_r)^2 overflows for "
+            f"d_true_over_r = {float(d_true)!r}, s_over_r = {float(s_over_r)!r}\n"
+        )
+
     def test_monte_carlo_requires_seed(self, capsys):
         status = run_command(
             [
@@ -252,6 +273,33 @@ class TestDilutionCurveCommand:
         assert captured.out == ""
         assert "terms" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d-over-r", "1e300"], "(d_over_r / s_over_r)^2 overflows at s_over_r = 0.5"),
+            (["--d-over-r", "1e-200", "--s-min", "1e-300", "--s-max", "1"],
+             "1 / s_over_r^2 overflows at s_over_r = 1e-300"),
+        ],
+    )
+    def test_overflowing_ratio_exits_three(self, flags, message, capsys):
+        status = _run_warning_free(["dilution-curve", *flags])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
+
+    def test_uncertainty_whose_square_overflows_gives_zeros(self, capsys):
+        status = _run_warning_free(
+            ["dilution-curve", "--d-over-r", "1", "--s-min", "1e200",
+             "--s-max", "1e300", "--n-points", "16"]
+        )
+        assert status == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "s_over_r,pc"
+        assert len(lines) == 17 and all(line.endswith(",0") for line in lines[1:])
+
 
 class TestValidityCommand:
     def test_ksigma_passes(self, capsys):
@@ -302,6 +350,22 @@ class TestValidityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "covariance" in captured.err
+
+    def test_additive_at_subnormal_variance_matches_ksigma(self, capsys):
+        # sigma**2 = 1e-320 is subnormal and (halfwidth / sigma)**2 overflows
+        outputs = {}
+        for rule in ("additive", "ksigma"):
+            status = _run_warning_free(
+                ["validity", "--rule", rule, "--sigma", "1e-160", "--halfwidth", "0.1",
+                 "--n-trials", "1000", "--seed", "1"]
+            )
+            assert status == 0
+            outputs[rule] = capsys.readouterr()
+        assert outputs["additive"].err == ""
+        assert outputs["additive"].out.splitlines()[1:] == [
+            "0.01,0,0,pass", "0.05,0,0,pass", "0.1,0,0,pass"
+        ]
+        assert outputs["additive"] == outputs["ksigma"]
 
 
 class TestFalseConfidenceCommand:

@@ -12,13 +12,10 @@ import conjrisk.detection as detection_module
 from conjrisk import (
     InputValidationError,
     NumericalError,
-    StandardizedEncounter,
-    ThresholdPolicy,
     critical_displacement,
     detection_curve,
     detection_rate,
     dilution_boundary,
-    equivalent_circular_s_over_r,
     false_confidence_demo,
     max_pc_head_on,
     ncx2_cdf,
@@ -343,17 +340,10 @@ class TestDetectionCurve:
         assert all(0.0 <= f <= 1.0 for f in failures)
 
     def test_default_grid_contains_policy_thresholds(self):
-        policy = ThresholdPolicy()
         curve = detection_curve(10.0, 0.0)
         thresholds = {t for t, _ in curve.points}
-        assert policy.lower in thresholds
-        assert policy.upper in thresholds
-
-    def test_policy_validation(self):
-        assert ThresholdPolicy().lower == 1e-7
-        assert ThresholdPolicy().upper == 4.4e-4
-        with pytest.raises(InputValidationError):
-            ThresholdPolicy(lower=0.5, upper=0.1)
+        assert 1e-7 in thresholds
+        assert 4.4e-4 in thresholds
 
     def test_monte_carlo_curve_reproducible(self):
         kwargs = dict(thresholds=[1e-5, 1e-3], method="monte-carlo",
@@ -383,15 +373,6 @@ class TestDilutionBoundary:
         for t in (1e-6, 1e-4, 1e-2):
             s = dilution_boundary(t)
             assert max_pc_head_on(s) == pytest.approx(t, rel=1e-12)
-
-
-class TestEquivalentCircular:
-    def test_geometric_mean(self):
-        enc = StandardizedEncounter(
-            u_hat=0.0, v_hat=0.0, s1=9.0, s2=4.0,
-            rot_m=np.eye(3), rot_es=np.eye(2), r_combined=2.0,
-        )
-        assert equivalent_circular_s_over_r(enc) == pytest.approx(3.0)
 
 
 def _resimulated_rate(sigma, halfwidth, alpha, n, seed):

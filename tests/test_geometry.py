@@ -241,36 +241,6 @@ class TestPipelineInvariants:
             assert enc_rot.s1 == pytest.approx(enc.s1, rel=1e-10)
             assert enc_rot.s2 == pytest.approx(enc.s2, rel=1e-10)
 
-    def test_u_axis_convention_independence(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            js = make_joint_state(rng)
-            rs = relative_covariance(js)
-            unit = rs.delta_v_hat / rs.speed
-            # two alternative perpendicular axes
-            seedvec = rng.standard_normal(3)
-            axis_a = np.cross(unit, seedvec)
-            axis_a /= np.linalg.norm(axis_a)
-            axis_b = np.cross(unit, axis_a)
-            axis_b /= np.linalg.norm(axis_b)
-            encs = [
-                standardized_encounter(js),
-                standardized_encounter(js, u_axis=axis_a),
-                standardized_encounter(js, u_axis=axis_b),
-            ]
-            ref = encs[0]
-            for enc in encs[1:]:
-                assert enc.d / enc.s1 == pytest.approx(ref.d / ref.s1, rel=1e-10)
-                assert enc.d / enc.s2 == pytest.approx(ref.d / ref.s2, rel=1e-10)
-                assert enc.s1 / enc.s2 == pytest.approx(ref.s1 / ref.s2, rel=1e-10)
-
-    def test_u_axis_must_be_perpendicular(self):
-        rng = np.random.default_rng(10)
-        js = make_joint_state(rng)
-        rs = relative_covariance(js)
-        with pytest.raises(InputValidationError, match="perpendicular"):
-            encounter_projection(rs, u_axis=rs.delta_v_hat)
-
     def test_frame_is_orthonormal_right_handed(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

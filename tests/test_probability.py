@@ -31,10 +31,7 @@ FIG2_ORACLE = {
 
 
 def _encounter(u, v, s1, s2, r=1.0):
-    return StandardizedEncounter(
-        u_hat=u, v_hat=v, s1=s1, s2=s2,
-        rot_m=np.eye(3), rot_es=np.eye(2), r_combined=r,
-    )
+    return StandardizedEncounter(u_hat=u, v_hat=v, s1=s1, s2=s2, r_combined=r)
 
 
 def _random_encounter(rng):

@@ -169,6 +169,14 @@ class TestAdditiveGaussianRule:
             rule.belief(x, prop, 0.1), rel=1e-12
         )
 
+    @pytest.mark.parametrize("center, mass", [(0.5, 1.0), (3e5, 0.0)])
+    def test_ball_whose_radius_ratio_squared_overflows(self, center, mass):
+        # radius / sigma = 1e155: the ball holds all the mass about a point
+        # inside it and none about a point beyond it
+        rule = AdditiveGaussianRule([[1e-300]])
+        prop = Ball(center=[center], radius=1e5)
+        assert rule.belief(np.array([0.0]), prop, 0.1) == mass
+
     def test_anisotropic_ball_unsupported(self):
         rule = AdditiveGaussianRule(np.diag([1.0, 9.0]))
         with pytest.raises(UnsupportedPropositionError):

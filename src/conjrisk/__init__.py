@@ -39,7 +39,6 @@ from .errors import (
 from .fileio import (
     Config,
     ConjunctionFile,
-    ObjectRecord,
     load_config,
     parse_config,
     parse_conjunction,

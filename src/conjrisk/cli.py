@@ -54,23 +54,20 @@ def _resolve_seed(args, config: Config) -> int:
 
 
 def _read_conjunction(args):
-    path = Path(args.input)
-    fmt = args.input_format
-    if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            fmt = "json"
-        elif suffix == ".kvn":
-            fmt = "kvn"
-        else:
-            raise InputValidationError(
-                f"cannot infer format from suffix {suffix!r}; "
-                "pass --input-format json|kvn"
-            )
-    cf = parse_conjunction(path.read_bytes(), fmt)
+    cf = parse_conjunction(Path(args.input).read_bytes())
     for warning in cf.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return cf
+
+
+def _floats(flag: str, spec: str) -> list[float]:
+    """The comma-separated floats given to ``flag``."""
+    try:
+        return [float(part) for part in spec.split(",") if part.strip()]
+    except ValueError:
+        raise InputValidationError(
+            f"{flag} must be comma-separated floats, got {spec!r}"
+        ) from None
 
 
 def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
@@ -111,21 +108,6 @@ def _cmd_dilution_curve(args, config: Config) -> int:
     return 0
 
 
-def _parse_threshold_grid(spec: str) -> np.ndarray | None:
-    if spec == "default":
-        return None
-    try:
-        values = [float(part) for part in spec.split(",") if part.strip()]
-    except ValueError:
-        raise InputValidationError(
-            f"--threshold-grid must be 'default' or comma-separated floats, "
-            f"got {spec!r}"
-        ) from None
-    if not values:
-        raise InputValidationError("--threshold-grid is empty")
-    return np.asarray(values)
-
-
 def _cmd_detection_curve(args, config: Config) -> int:
     seed = None
     n_trials = args.n_trials if args.n_trials is not None else config.mc_trials
@@ -134,7 +116,10 @@ def _cmd_detection_curve(args, config: Config) -> int:
     curve = detection_curve(
         args.s_over_r,
         args.d_true,
-        thresholds=_parse_threshold_grid(args.threshold_grid),
+        thresholds=(
+            None if args.threshold_grid == "default"
+            else _floats("--threshold-grid", args.threshold_grid)
+        ),
         method=args.method,
         n_trials=n_trials,
         seed=seed,
@@ -175,12 +160,6 @@ def _cmd_screen(args, config: Config) -> int:
 
 def _cmd_validity(args, config: Config) -> int:
     seed = _resolve_seed(args, config)
-    try:
-        alphas = [float(a) for a in args.alpha_grid.split(",") if a.strip()]
-    except ValueError:
-        raise InputValidationError(
-            f"--alpha-grid must be comma-separated floats, got {args.alpha_grid!r}"
-        ) from None
     sigma = args.sigma
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InputValidationError(f"sigma must be positive, got {sigma}")
@@ -194,7 +173,7 @@ def _cmd_validity(args, config: Config) -> int:
         sampling_model=gaussian_sampling_model([0.0], cov),
         theta_true=[0.0],
         proposition_family=[Complement(Ball(center=[0.0], radius=args.halfwidth))],
-        alpha_grid=alphas,
+        alpha_grid=_floats("--alpha-grid", args.alpha_grid),
         n_trials=args.n_trials,
         seed=seed,
     )
@@ -230,12 +209,8 @@ def _cmd_false_confidence(args, config: Config) -> int:
 
 def _add_io_flags(sub: argparse.ArgumentParser, with_input: bool = False) -> None:
     if with_input:
-        sub.add_argument("--input", required=True, help="conjunction file path")
         sub.add_argument(
-            "--input-format",
-            choices=("auto", "json", "kvn"),
-            default="auto",
-            help="input format (default: infer from the file suffix)",
+            "--input", required=True, help="conjunction file path (JSON or KVN)"
         )
     sub.add_argument("--output", default=None, help="write results to this path")
     sub.add_argument(
@@ -345,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: constructing the tree takes as long as a whole ``boundary`` run.
+_PARSER = build_parser()
+
+
 def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

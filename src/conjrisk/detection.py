@@ -110,6 +110,8 @@ def critical_displacement(threshold: float, s_over_r: float) -> float | None:
         raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
+    if math.isinf(1.0 / s_over_r / s_over_r):
+        raise NumericalError(f"1 / s_over_r^2 overflows at s_over_r = {s_over_r!r}")
     peak = max_pc_head_on(s_over_r)
     if threshold > peak:
         return None

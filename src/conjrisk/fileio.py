@@ -1,19 +1,21 @@
 """Conjunction file ingestion, config parsing, and deterministic output.
 
-Both input formats parse to one record: the two object states and radii
-plus the assembled 12x12 covariance of the joint state vector (object 1
-position and velocity, then object 2's). The JSON format carries either
-that covariance row-major (``cov12_row_major``) or per-object 6x6 blocks
-(``object1_cov6``, ``object2_cov6``) with an optional 6x6 ``cross6``
-block, whose transpose fills the lower-left corner. The KVN format is a
-deliberately minimal, line-oriented ``KEY = VALUE [unit]`` subset inspired
-by conjunction data messages: per-object state, radius, and lower-triangle
-6x6 covariance keys, where the conventional R/T/N axis labels are read as
-the fixed x/y/z axes of this package (no frame transformation is applied,
-and no standard conformance is claimed). A missing cross covariance, always
-the case for KVN files, defaults to zero with a recorded warning. JSON
-``metadata`` (strings to strings) and KVN ``COMMENT`` lines are accepted
-and ignored.
+The content selects the input format: JSON when its first non-whitespace
+character is ``{`` or ``[``, KVN otherwise. Both formats parse to one
+record: the joint state 12-vector (object 1 position and velocity, then
+object 2's), the two hard-body radii and the 12x12 covariance of that
+vector. The JSON format carries either that covariance row-major
+(``cov12_row_major``) or per-object 6x6 blocks (``object1_cov6``,
+``object2_cov6``) with an optional 6x6 ``cross6`` block, whose transpose
+fills the lower-left corner. The KVN format is a deliberately minimal,
+line-oriented ``KEY = VALUE [unit]`` subset inspired by conjunction data
+messages: per-object state, radius, and lower-triangle 6x6 covariance keys,
+where the conventional R/T/N axis labels are read as the fixed x/y/z axes
+of this package (no frame transformation is applied, and no standard
+conformance is claimed). A missing cross covariance, always the case for
+KVN files, defaults to zero with a recorded warning. JSON ``metadata``
+(strings to strings) and KVN ``COMMENT`` lines are accepted and ignored.
+Either parser rejects a radius that is not finite and positive.
 
 All output is byte-deterministic: UTF-8, LF line endings, ``.`` decimal
 separator, and fixed significant-digit formatting.
@@ -69,69 +71,29 @@ def _expected_unit(kind: str, i: int, j: int) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectRecord:
-    """One object's state and hard-body radius."""
-
-    position_m: np.ndarray
-    velocity_mps: np.ndarray
-    radius_m: float
-
-    def __post_init__(self):
-        pos = np.asarray(self.position_m, dtype=float)
-        vel = np.asarray(self.velocity_mps, dtype=float)
-        if pos.shape != (3,) or vel.shape != (3,):
-            raise InputValidationError(
-                "object position and velocity must be 3-vectors"
-            )
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise InputValidationError("object state contains non-finite entries")
-        if not (math.isfinite(self.radius_m) and self.radius_m > 0.0):
-            raise InputValidationError(
-                f"radius_m must be positive, got {self.radius_m}"
-            )
-        for name, arr in (("position_m", pos), ("velocity_mps", vel)):
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "radius_m", float(self.radius_m))
-
-
-@dataclass(frozen=True, eq=False)
 class ConjunctionFile:
-    """Parsed conjunction file: two object records and the 12x12 covariance
-    ``cov12`` of the joint state vector. ``warnings`` records parse-time
-    defaults such as a missing cross covariance.
+    """Parsed conjunction file: the joint state 12-vector ``theta_hat``
+    (object 1 position and velocity, then object 2's), its 12x12
+    covariance ``cov12`` and the hard-body radii ``r1`` and ``r2``.
+    ``warnings`` records parse-time defaults such as a missing cross
+    covariance.
     """
 
-    object1: ObjectRecord
-    object2: ObjectRecord
+    theta_hat: np.ndarray
     cov12: np.ndarray
+    r1: float
+    r2: float
     warnings: tuple[str, ...] = ()
 
     def to_joint_state(self) -> JointState:
-        theta = np.concatenate(
-            [
-                self.object1.position_m,
-                self.object1.velocity_mps,
-                self.object2.position_m,
-                self.object2.velocity_mps,
-            ]
-        )
         return JointState(
-            theta_hat=theta,
-            c_theta=self.cov12,
-            r1=self.object1.radius_m,
-            r2=self.object2.radius_m,
+            theta_hat=self.theta_hat, c_theta=self.cov12, r1=self.r1, r2=self.r2
         )
 
 
-def parse_conjunction(data: bytes | str, fmt: str) -> ConjunctionFile:
-    """Parse conjunction file content.
-
-    Args:
-        data: raw file content (UTF-8 bytes or text).
-        fmt: ``"json"`` or ``"kvn"``.
-    """
+def parse_conjunction(data: bytes | str) -> ConjunctionFile:
+    """Parse conjunction file content (UTF-8 bytes or text): JSON if its
+    first non-whitespace character is ``{`` or ``[``, KVN otherwise."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -139,11 +101,9 @@ def parse_conjunction(data: bytes | str, fmt: str) -> ConjunctionFile:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     else:
         text = data
-    if fmt == "json":
+    if text.lstrip()[:1] in ("{", "["):
         return _parse_json(text)
-    if fmt == "kvn":
-        return _parse_kvn(text)
-    raise InputValidationError(f"format must be 'json' or 'kvn', got {fmt!r}")
+    return _parse_kvn(text)
 
 
 # -- JSON ------------------------------------------------------------------
@@ -172,7 +132,8 @@ def _json_vector(obj: dict, key: str, length: int, path: str) -> np.ndarray:
     return arr
 
 
-def _json_object(obj: dict, key: str) -> ObjectRecord:
+def _json_object(obj: dict, key: str) -> tuple[np.ndarray, float]:
+    """One object's state 6-vector and radius."""
     if key not in obj:
         raise ParseError(f"missing required field {key}")
     rec = obj[key]
@@ -187,10 +148,11 @@ def _json_object(obj: dict, key: str) -> ObjectRecord:
     position = _json_vector(rec, "position_m", 3, key)
     velocity = _json_vector(rec, "velocity_mps", 3, key)
     radius = float(_json_floats(radius, f"{key}.radius_m"))
-    try:
-        return ObjectRecord(position_m=position, velocity_mps=velocity, radius_m=radius)
-    except InputValidationError as exc:
-        raise ParseError(f"field {key}: {exc}") from None
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ParseError(
+            f"field {key}.radius_m must be positive and finite, got {radius}"
+        )
+    return np.concatenate([position, velocity]), radius
 
 
 def _parse_json(text: str) -> ConjunctionFile:
@@ -203,8 +165,8 @@ def _parse_json(text: str) -> ConjunctionFile:
     known = {"object1", "object2", "covariance", "metadata"}
     for extra in sorted(set(root) - known):
         raise ParseError(f"unknown field {extra}")
-    obj1 = _json_object(root, "object1")
-    obj2 = _json_object(root, "object2")
+    state1, r1 = _json_object(root, "object1")
+    state2, r2 = _json_object(root, "object2")
     if "covariance" not in root or not isinstance(root["covariance"], dict):
         raise ParseError("missing required field covariance (object)")
     cov = root["covariance"]
@@ -236,7 +198,10 @@ def _parse_json(text: str) -> ConjunctionFile:
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise ParseError("field metadata must map strings to strings")
-    return ConjunctionFile(object1=obj1, object2=obj2, cov12=cov12, warnings=warnings)
+    return ConjunctionFile(
+        theta_hat=np.concatenate([state1, state2]), cov12=cov12, r1=r1, r2=r2,
+        warnings=warnings,
+    )
 
 
 # -- KVN -------------------------------------------------------------------
@@ -270,6 +235,10 @@ def _parse_kvn(text: str) -> ConjunctionFile:
             ) from None
         if not math.isfinite(value):
             raise ParseError(f"value for {key} is not finite: {value}", line=lineno)
+        if _KVN_KEYS[key][0] == "radius" and value <= 0.0:
+            raise ParseError(
+                f"value for {key} must be positive, got {value}", line=lineno
+            )
         unit = match.group("unit")
         expected = _expected_unit(*_KVN_KEYS[key])
         if unit is not None and unit.strip() != expected:
@@ -288,24 +257,17 @@ def _parse_kvn(text: str) -> ConjunctionFile:
             f"{', '.join(missing[:6])}{', ...' if len(missing) > 6 else ''})"
         )
 
-    def record(obj: str) -> ObjectRecord:
-        vec = np.array([values[f"{obj}_{s}"] for s in _STATE_SUFFIXES])
-        return ObjectRecord(
-            position_m=vec[:3], velocity_mps=vec[3:], radius_m=values[f"{obj}_RADIUS"]
-        )
-
+    objects = ("OBJECT1", "OBJECT2")
+    theta = np.array([values[f"{obj}_{s}"] for obj in objects for s in _STATE_SUFFIXES])
     cov12 = np.zeros((12, 12))
-    for offset, obj in ((0, "OBJECT1"), (6, "OBJECT2")):
+    for offset, obj in zip((0, 6), objects):
         for i in range(6):
             for j in range(i + 1):
                 v = values[f"{obj}_C{_AXIS_LABELS[i]}_{_AXIS_LABELS[j]}"]
                 cov12[offset + i, offset + j] = cov12[offset + j, offset + i] = v
-    try:
-        obj1, obj2 = record("OBJECT1"), record("OBJECT2")
-    except InputValidationError as exc:
-        raise ParseError(str(exc)) from None
     return ConjunctionFile(
-        object1=obj1, object2=obj2, cov12=cov12, warnings=(_NO_CROSS,)
+        theta_hat=theta, cov12=cov12, r1=values["OBJECT1_RADIUS"],
+        r2=values["OBJECT2_RADIUS"], warnings=(_NO_CROSS,),
     )
 
 

@@ -183,7 +183,10 @@ def _log_poisson(x: np.ndarray, mean) -> np.ndarray:
     large parts: 5e-12 relative in circular Pc at s/r 0.01.)
     """
     d = x - mean
-    bd0 = xlog1py(x, d / mean) - d
+    # d / mean overflows only where mean < x / 1.8e308; bd0 = inf then
+    # flushes the weight to 0, for x >= 1 a value below the smallest normal
+    with np.errstate(over="ignore"):
+        bd0 = xlog1py(x, d / mean) - d
     v = d / (x + mean)
     near = (np.abs(v) < 0.5) & (np.abs(d) > 32.0)
     if np.count_nonzero(near):
@@ -305,7 +308,8 @@ def _ncx2_terms(a: float, mu: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, in
     deviations of a Poisson law at that point, plus 8 terms, to either
     side.
     """
-    centre = np.minimum(mu, np.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
+    with np.errstate(over="ignore"):  # mu y beyond the float range: centre mu
+        centre = np.minimum(mu, np.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
     half = np.ceil(8.0 * np.sqrt(centre + 1.0) + 8.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _ncx2_series(a, mu, y, centre, half)
@@ -432,7 +436,10 @@ def max_pc_head_on(s_over_r: float) -> float:
     """
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
-    return -math.expm1(-1.0 / (2.0 * s_over_r * s_over_r))
+    s2 = s_over_r * s_over_r
+    if s2 == 0.0:  # s^2 underflows below s = 1.6e-162; 1 / (2 s^2) is infinite
+        return 1.0
+    return -math.expm1(-1.0 / (2.0 * s2))
 
 
 @dataclass(frozen=True, eq=False)

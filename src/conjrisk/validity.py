@@ -147,13 +147,11 @@ class AdditiveGaussianRule(BeliefRule):
         cov = _definite_covariance(cov)
         self.cov = cov
         self.dim = cov.shape[0]
-        offdiag = cov - np.diag(np.diag(cov))
         diag = np.diag(cov)
-        self._isotropic_var = (
-            float(diag[0])
-            if np.all(np.abs(offdiag) < 1e-15) and np.ptp(diag) <= 1e-15 * diag[0]
-            else None
-        )
+        # relative to the variance, so that c * cov gets the verdict of cov
+        tol = 1e-15 * diag.max()
+        isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
+        self._isotropic_var = float(diag[0]) if isotropic else None
 
     def belief(self, x, proposition, alpha):
         del alpha  # additive rules are not level-indexed

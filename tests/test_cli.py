@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conjrisk import cli
 from conjrisk.cli import run_command
 from conjrisk.errors import ConjunctionAnalysisError, NumericalError
 
@@ -124,6 +127,22 @@ class TestPcCommand:
         assert json.loads(captured.out)["overlap"] is True
         assert captured.err == KVN_WARNING
 
+    def test_format_read_from_content(self, tmp_path, capsys):
+        texts = {"json": json.dumps(_head_on_doc()), "kvn": _head_on_kvn()}
+        for kind, text in texts.items():
+            outputs = set()
+            for name in (f"twin.{kind}", "conjunction.txt", "conjunction"):
+                path = tmp_path / name
+                path.write_text(text, encoding="utf-8")
+                assert run_command(["pc", "--input", str(path)]) == 0
+                outputs.add(capsys.readouterr().out)
+            assert len(outputs) == 1
+        # KVN text under a .json suffix is still KVN
+        path = tmp_path / "mislabelled.json"
+        path.write_text(texts["kvn"], encoding="utf-8")
+        assert run_command(["pc", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == KVN_WARNING
+
     def test_explicit_quadrature_over_limit_exits_two(self, capsys):
         full12 = Path(__file__).parent / "golden" / "inputs" / "full12.json"
         status = run_command(["pc", "--input", str(full12), "--n-quad", "100000000000"])
@@ -197,6 +216,25 @@ class TestDetectionCurveCommand:
             "numerical failure: (d_true_over_r / s_over_r)^2 overflows for "
             f"d_true_over_r = {float(d_true)!r}, s_over_r = {float(s_over_r)!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "s_over_r, message",
+        [
+            ("1e-300", "1 / s_over_r^2 overflows at s_over_r = 1e-300"),
+            ("1e-160", "1 / s_over_r^2 overflows at s_over_r = 1e-160"),
+            ("1e-100", "ncx2 series needs more than 1048576 terms "
+                       "(noncentrality/2 up to 5e+199)"),
+        ],
+        ids=["1e-300", "1e-160", "1e-100"],
+    )
+    def test_tiny_ratio_head_on_exits_three(self, s_over_r, message, capsys):
+        status = _run_warning_free(
+            ["detection-curve", "--s-over-r", s_over_r, "--d-true", "0"]
+        )
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
 
     def test_monte_carlo_requires_seed(self, capsys):
         status = run_command(
@@ -299,6 +337,36 @@ class TestDilutionCurveCommand:
         lines = captured.out.splitlines()
         assert lines[0] == "s_over_r,pc"
         assert len(lines) == 17 and all(line.endswith(",0") for line in lines[1:])
+
+
+    def test_poisson_mean_near_smallest_normal_float(self, capsys):
+        # at s/r = 1e154 the Poisson mean (d/s)^2 / 2 is 5e-309
+        status = _run_warning_free(
+            ["dilution-curve", "--d-over-r", "1", "--s-min", "1e140",
+             "--s-max", "1e154", "--n-points", "16"]
+        )
+        assert status == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "s_over_r,pc",
+            "1e+140,5e-281",
+            "8.57695899e+140,6.79678195e-283",
+            "7.35642254e+141,9.23924899e-285",
+            "6.30957344e+142,1.25594322e-286",
+            "5.41169527e+143,1.70727444e-288",
+            "4.64158883e+144,2.32079442e-290",
+            "3.98107171e+145,3.15478672e-292",
+            "3.41454887e+146,4.28847949e-294",
+            "2.92864456e+147,5.82957201e-296",
+            "2.51188643e+148,7.92446596e-298",
+            "2.15443469e+149,1.07721735e-299",
+            "1.8478498e+150,1.46432228e-301",
+            "1.58489319e+151,1.99053585e-303",
+            "1.35935639e+152,2.70584763e-305",
+            "1.1659144e+153,3.67821127e-307",
+            "1e+154,0",
+        ]
 
 
 class TestValidityCommand:
@@ -440,35 +508,32 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid JSON: ")
 
-    def test_unknown_suffix_needs_explicit_format(self, tmp_path, capsys):
-        path = tmp_path / "data.txt"
-        path.write_text("{}", encoding="utf-8")
-        assert run_command(["pc", "--input", str(path)]) == 2
+    def test_input_format_flag_is_unknown(self, head_on_file, capsys):
+        status = run_command(
+            ["pc", "--input", str(head_on_file), "--input-format", "json"]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --input-format json" in captured.err
 
     def test_numerical_failure_maps_to_three(self, monkeypatch, capsys):
-        import conjrisk.cli as cli
-
-        def boom(args, config):
+        def boom(threshold):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_cmd_boundary", boom)
-        parser_cmds = ["boundary", "--threshold", "0.1"]
-        # rebuild the parser binding to the patched handler
-        status = cli.run_command(parser_cmds)
-        assert status == 3
+        monkeypatch.setattr(cli, "dilution_boundary", boom)
+        assert run_command(["boundary", "--threshold", "0.1"]) == 3
 
     @pytest.mark.parametrize(
         "error", sorted(set(_error_classes()), key=lambda cls: cls.__name__),
         ids=lambda cls: cls.__name__,
     )
     def test_every_package_error_maps_to_exit_code(self, error, monkeypatch, capsys):
-        import conjrisk.cli as cli
-
-        def boom(args, config):
+        def boom(threshold):
             raise error("synthetic failure")
 
-        monkeypatch.setattr(cli, "_cmd_boundary", boom)
-        status = cli.run_command(["boundary", "--threshold", "0.1"])
+        monkeypatch.setattr(cli, "dilution_boundary", boom)
+        status = run_command(["boundary", "--threshold", "0.1"])
         numerical = issubclass(error, NumericalError)
         assert status == (3 if numerical else 2)
         prefix = "numerical failure" if numerical else "error"
@@ -478,6 +543,43 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
         assert run_command(["--config", str(cfg), "boundary", "--threshold", "0.1"]) == 2
+
+
+def test_run_command_builds_no_parser(head_on_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["boundary", "--threshold", "0.1"],
+        ["pc", "--input", str(head_on_file)],
+        ["screen", "--input", str(head_on_file)],
+        ["frobnicate"],
+    ):
+        run_command(argv)
+    assert built == []
+
+
+def test_readme_names_every_flag_and_no_other():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    parsers = [cli._PARSER] + [
+        sub
+        for action in cli._PARSER._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+    flags = {
+        option
+        for parser in parsers
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) == flags - {"--help"}
 
 
 def test_screen_and_validity_leave_scipy_optimize_unimported():

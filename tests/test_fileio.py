@@ -101,16 +101,17 @@ def _kvn_sample(cov1=None, cov2=None):
 class TestJsonFormat:
     def test_round_trip_cov12(self):
         # metadata is validated and then ignored
-        cf = parse_conjunction(json.dumps(_json_doc_cov12()), "json")
+        cf = parse_conjunction(json.dumps(_json_doc_cov12()))
         assert_allclose(cf.cov12, np.eye(12), rtol=0, atol=0)
-        assert cf.object2.position_m[0] == 100.0
-        assert cf.object2.velocity_mps[1] == -7500.0
+        assert cf.theta_hat[6] == 100.0
+        assert cf.theta_hat[10] == -7500.0
+        assert (cf.r1, cf.r2) == (0.5, 0.5)
         assert cf.warnings == ()
 
     def test_round_trip_split_with_cross(self):
         cross = 0.1 * np.eye(6)
         cross[0, 1] = 0.02
-        cf = parse_conjunction(json.dumps(_json_doc_split(cross=cross)), "json")
+        cf = parse_conjunction(json.dumps(_json_doc_split(cross=cross)))
         block = np.diag([50.0] * 3 + [1e-4] * 3)
         assert_allclose(cf.cov12[0:6, 0:6], block, rtol=0, atol=0)
         assert_allclose(cf.cov12[6:12, 6:12], block, rtol=0, atol=0)
@@ -119,7 +120,7 @@ class TestJsonFormat:
         assert cf.warnings == ()
 
     def test_missing_cross_warns(self):
-        cf = parse_conjunction(json.dumps(_json_doc_split()), "json")
+        cf = parse_conjunction(json.dumps(_json_doc_split()))
         assert any("cross" in w for w in cf.warnings)
         assert_allclose(cf.cov12[0:6, 6:12], np.zeros((6, 6)))
 
@@ -127,51 +128,56 @@ class TestJsonFormat:
         doc = _json_doc_cov12()
         doc["covariance"]["cross6"] = list(np.zeros(36))
         with pytest.raises(ParseError, match="exactly one"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_metadata_must_map_strings_to_strings(self):
         doc = _json_doc_cov12()
         doc["metadata"] = {"note": 1}
         with pytest.raises(ParseError, match="metadata"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_missing_field_named(self):
         doc = _json_doc_cov12()
         del doc["object2"]["radius_m"]
         with pytest.raises(ParseError, match="object2.radius_m"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_both_covariance_representations_rejected(self):
         doc = _json_doc_cov12()
         doc["covariance"]["object1_cov6"] = list(np.eye(6).ravel())
         with pytest.raises(ParseError, match="exactly one"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_wrong_length_rejected(self):
         doc = _json_doc_cov12()
         doc["covariance"]["cov12_row_major"] = [1.0] * 143
         with pytest.raises(ParseError, match="144"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_unknown_field_rejected(self):
         doc = _json_doc_cov12()
         doc["surprise"] = 1
         with pytest.raises(ParseError, match="surprise"):
-            parse_conjunction(json.dumps(doc), "json")
+            parse_conjunction(json.dumps(doc))
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_conjunction(b"{not json", "json")
+            parse_conjunction(b"{not json")
 
     def test_non_utf8_rejected(self):
         with pytest.raises(ParseError, match="UTF-8"):
-            parse_conjunction(b"\xff\xfe\x00", "json")
+            parse_conjunction(b"\xff\xfe\x00")
 
     def test_negative_radius_rejected(self):
-        doc = _json_doc_cov12()
-        doc["object1"]["radius_m"] = -1.0
-        with pytest.raises(ParseError, match="radius"):
-            parse_conjunction(json.dumps(doc), "json")
+        # zero, NaN and overflowing radii too, and in either format
+        doc = json.dumps(_json_doc_cov12())
+        for radius in ("-1.0", "0", "NaN", "1e999"):
+            text = doc.replace('"radius_m": 0.5', f'"radius_m": {radius}', 1)
+            with pytest.raises(ParseError, match="field object1.radius_m must be positive"):
+                parse_conjunction(text)
+        kvn = _kvn_sample().replace("OBJECT2_RADIUS = 0.5", "OBJECT2_RADIUS = 0")
+        with pytest.raises(ParseError, match="value for OBJECT2_RADIUS must be positive"):
+            parse_conjunction(kvn)
 
 
 class TestKvnFormat:
@@ -179,12 +185,12 @@ class TestKvnFormat:
         # the COMMENT line is accepted and ignored
         cov2 = np.diag([60.0, 70.0, 80.0, 2e-4, 3e-4, 4e-4])
         cov2[1, 0] = cov2[0, 1] = 5.0
-        cf = parse_conjunction(_kvn_sample(cov2=cov2), "kvn")
+        cf = parse_conjunction(_kvn_sample(cov2=cov2))
         expected = np.zeros((12, 12))
         expected[0:6, 0:6] = np.diag([50.0] * 3 + [1e-4] * 3)
         expected[6:12, 6:12] = cov2
         assert_allclose(cf.cov12, expected, rtol=0, atol=0)
-        assert cf.object2.velocity_mps[1] == -7500.0
+        assert cf.theta_hat[10] == -7500.0
         assert cf.warnings == ("cross-covariance missing, defaulting to zero",)
 
     def test_lower_triangle_assembly(self):
@@ -199,7 +205,7 @@ class TestKvnFormat:
                 [0.03, 0.06, 0.09, 0.0002, 0.0003, 0.003],
             ]
         )
-        cf = parse_conjunction(_kvn_sample(cov1=cov), "kvn")
+        cf = parse_conjunction(_kvn_sample(cov1=cov))
         assert_allclose(cf.cov12[0:6, 0:6], cov, rtol=0, atol=0)
 
     def test_missing_key_named(self):
@@ -207,33 +213,33 @@ class TestKvnFormat:
             line for line in _kvn_sample().splitlines() if "OBJECT2_Z " not in line
         )
         with pytest.raises(ParseError, match="OBJECT2_Z"):
-            parse_conjunction(text, "kvn")
+            parse_conjunction(text)
 
     def test_duplicate_key_line_number(self):
         text = _kvn_sample() + "OBJECT1_X = 5.0 [m]\n"
         lineno = len(_kvn_sample().splitlines()) + 1
         with pytest.raises(ParseError, match=f"line {lineno}.*duplicate key OBJECT1_X"):
-            parse_conjunction(text, "kvn")
+            parse_conjunction(text)
 
     def test_unit_mismatch(self):
         text = _kvn_sample().replace("OBJECT1_X = 0.0 [m]", "OBJECT1_X = 0.0 [m/s]")
         with pytest.raises(ParseError, match="unit mismatch for OBJECT1_X"):
-            parse_conjunction(text, "kvn")
+            parse_conjunction(text)
 
     def test_unknown_key(self):
         text = _kvn_sample() + "OBJECT1_WEIRD = 1.0 [m]\n"
         with pytest.raises(ParseError, match="unknown key OBJECT1_WEIRD"):
-            parse_conjunction(text, "kvn")
+            parse_conjunction(text)
 
     def test_malformed_line(self):
         text = "OBJECT1_X 0.0\n" + _kvn_sample()
         with pytest.raises(ParseError, match="line 1"):
-            parse_conjunction(text, "kvn")
+            parse_conjunction(text)
 
     def test_bare_value_without_unit_accepted(self):
         text = _kvn_sample().replace("OBJECT1_X = 0.0 [m]", "OBJECT1_X = 0.0")
-        cf = parse_conjunction(text, "kvn")
-        assert cf.object1.position_m[0] == 0.0
+        cf = parse_conjunction(text)
+        assert cf.theta_hat[0] == 0.0
 
     @pytest.mark.parametrize(
         "old, new",
@@ -249,16 +255,22 @@ class TestKvnFormat:
         lineno = text[: text.index(old)].count("\n") + 1
         message = f"line {lineno}: value for {old.split()[0]} is not finite"
         with pytest.raises(ParseError, match=message):
-            parse_conjunction(text.replace(old, new), "kvn")
+            parse_conjunction(text.replace(old, new))
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(InputValidationError, match="format"):
-            parse_conjunction("{}", "xml")
+    def test_format_read_from_content(self):
+        # JSON exactly when the first non-whitespace character is { or [
+        assert parse_conjunction(" \n" + json.dumps(_json_doc_cov12())).warnings == ()
+        with pytest.raises(ParseError, match="top-level JSON value must be an object"):
+            parse_conjunction("\t[]")
+        with pytest.raises(ParseError, match="line 1: malformed record"):
+            parse_conjunction("<conjunction/>")
+        with pytest.raises(ParseError, match="missing required key OBJECT1_X "):
+            parse_conjunction(b"")
 
 
 class TestCovarianceEquivalence:
     def test_cov12_and_split_give_identical_pc(self):
-        split = parse_conjunction(json.dumps(_json_doc_split()), "json")
+        split = parse_conjunction(json.dumps(_json_doc_split()))
         full_doc = {
             "object1": _object_dict(),
             "object2": _object_dict(px=100.0, vy=-7500.0),
@@ -266,7 +278,7 @@ class TestCovarianceEquivalence:
                 "cov12_row_major": list(split.cov12.ravel())
             },
         }
-        full = parse_conjunction(json.dumps(full_doc), "json")
+        full = parse_conjunction(json.dumps(full_doc))
         pc_split = pc_contour(standardized_encounter(split.to_joint_state())).pc
         pc_full = pc_contour(standardized_encounter(full.to_joint_state())).pc
         assert pc_full == pytest.approx(pc_split, rel=1e-12)

@@ -63,6 +63,8 @@ class TestClosedForms:
     def test_max_head_on_limits(self):
         assert max_pc_head_on(1.0) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
         assert max_pc_head_on(1e8) < 1e-15
+        # 2 s^2 underflows to 0 and to a subnormal
+        assert max_pc_head_on(1e-300) == max_pc_head_on(1e-160) == 1.0
         values = [max_pc_head_on(s) for s in np.geomspace(0.1, 1000.0, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
 

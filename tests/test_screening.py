@@ -103,7 +103,7 @@ class TestScreenConjunction:
     def test_distance_within_one_ulp(self):
         # input of the screen_full12 golden: within one ulp of the 40-digit
         # distance between the K-sigma position ellipsoids
-        conj = parse_conjunction(FULL12.read_text(encoding="utf-8"), "json")
+        conj = parse_conjunction(FULL12.read_text(encoding="utf-8"))
         js = conj.to_joint_state()
         k = 5.0
         got = screen_conjunction(js, k).min_distance

@@ -182,6 +182,19 @@ class TestAdditiveGaussianRule:
         with pytest.raises(UnsupportedPropositionError):
             rule.belief(np.zeros(2), Ball(center=[0.0, 0.0], radius=1.0), 0.1)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_isotropy_verdict_independent_of_scale(self, scale):
+        # an off-diagonal of 1e-16 of the variance is isotropic, one of half
+        # the variance is correlated, however small or large the variance
+        ball = Ball(center=[0.0, 0.0], radius=math.sqrt(scale))
+        near = AdditiveGaussianRule(scale * np.array([[1.0, 1e-16], [1e-16, 1.0]]))
+        assert near.belief(np.zeros(2), ball, 0.1) == pytest.approx(
+            -math.expm1(-0.5), rel=1e-12
+        )
+        correlated = AdditiveGaussianRule(scale * np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(UnsupportedPropositionError):
+            correlated.belief(np.zeros(2), ball, 0.1)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -23,7 +23,6 @@ from .detection import (
 from .ellipsoids import (
     Ellipsoid,
     build_ellipsoid,
-    ellipsoid_contains,
     ellipsoids_intersect,
     min_distance,
     project_point,

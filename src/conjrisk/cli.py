@@ -141,9 +141,15 @@ def _cmd_boundary(args, config: Config) -> int:
     boundary = dilution_boundary(args.threshold)
     prec = config.output_precision
     doc = {"threshold": args.threshold, "s_over_r_boundary": boundary}
-    print(format_cell(boundary, prec))
     if radius is not None:
         doc["uncertainty_m"] = boundary * radius
+        if math.isinf(doc["uncertainty_m"]):
+            raise NumericalError(
+                f"the uncertainty in meters (s/r boundary {boundary!r} times "
+                f"combined radius {radius!r}) overflows"
+            )
+    print(format_cell(boundary, prec))
+    if radius is not None:
         print(format_cell(doc["uncertainty_m"], prec))
     _emit(args, config, doc, [doc])
     return 0

@@ -292,9 +292,9 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
 
 def _interval_belief(x: np.ndarray, halfwidth: float, sigma: float) -> np.ndarray:
     """Normal(x, sigma^2) mass of the interval (-halfwidth, halfwidth)."""
-    return special.ndtr((halfwidth - x) / sigma) - special.ndtr(
-        (-halfwidth - x) / sigma
-    )
+    with np.errstate(over="ignore"):  # ndtr(+-inf) is the exact limit
+        upper, lower = (halfwidth - x) / sigma, (-halfwidth - x) / sigma
+    return special.ndtr(upper) - special.ndtr(lower)
 
 
 def false_confidence_demo(

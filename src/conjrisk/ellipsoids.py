@@ -52,16 +52,16 @@ class Ellipsoid:
                 f"axes {axes.shape}, semi_lengths {semi.shape}"
             )
         if not (
-            np.all(np.isfinite(center))
-            and np.all(np.isfinite(axes))
-            and np.all(np.isfinite(semi))
+            np.isfinite(center).all()
+            and np.isfinite(axes).all()
+            and np.isfinite(semi).all()
         ):
             raise InputValidationError("ellipsoid fields contain non-finite entries")
-        if np.any(semi <= 0.0):
+        if (semi <= 0.0).any():
             raise InputValidationError(
                 f"semi_lengths must be positive, got {semi.tolist()}"
             )
-        resid = np.max(np.abs(axes.T @ axes - np.eye(n)))
+        resid = np.abs(axes.T @ axes - np.eye(n)).max()
         if resid > _ORTHONORMAL_ATOL:
             raise InputValidationError(
                 f"axes are not orthonormal: max|A^T A - I| = {resid:.3e}"
@@ -183,58 +183,67 @@ def _secular_root(c, d) -> float:
 def _range_frame(prop: Ellipsoid, region: Ellipsoid):
     """``(w, sigma, scale)``: over ``region``, ``prop``'s standardized squared
     radius is ``scale**2 * ||w + sigma * y||**2`` for ``||y|| <= 1``, from
-    one SVD; ``sigma`` is descending and ``max(sigma, ||w||) = 1``.
+    one SVD; ``sigma`` is descending and ``max(sigma, ||w||) = 1``. Raises
+    ``NumericalError`` if a standardized offset or axis ratio overflows.
     """
     if prop.dim != region.dim:
         raise InputValidationError(
             f"dimension mismatch: {prop.dim} vs {region.dim}"
         )
-    inv_ap = 1.0 / prop.semi_lengths
-    b = inv_ap * (prop.axes.T @ (region.center - prop.center))
-    mat = (inv_ap[:, None] * prop.axes.T) @ (region.axes * region.semi_lengths)
+    with np.errstate(over="ignore"):
+        inv_ap = 1.0 / prop.semi_lengths
+        b = inv_ap * (prop.axes.T @ (region.center - prop.center))
+        mat = (inv_ap[:, None] * prop.axes.T) @ (region.axes * region.semi_lengths)
+    if not (np.isfinite(b).all() and np.isfinite(mat).all()):
+        raise NumericalError("standardized ellipsoid offset or axis ratio overflows")
     u_mat, sigma, _ = np.linalg.svd(mat)
     w = u_mat.T @ b
-    scale = max(float(sigma[0]), float(np.linalg.norm(w)))
+    scale = max(float(sigma[0]), math.hypot(*w.tolist()))
     return w / scale, sigma / scale, scale
 
 
-def _ball_min(w: np.ndarray, sigma: np.ndarray) -> float:
-    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``."""
+def _ball_min(w: np.ndarray, sigma: np.ndarray, solve: bool = True) -> float:
+    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``;
+    without ``solve``, ``inf`` stands for a minimum that needs the secular
+    equation, which is always positive."""
     active = sigma > _DEGENERATE_SIGMA
-    base = float(np.sum(w[~active] ** 2))
+    base = float((w[~active] ** 2).sum())
     w, sigma = w[active], sigma[active]
-    if np.sum((w / sigma) ** 2) <= 1.0:
+    if ((w / sigma) ** 2).sum() <= 1.0:
         return base
+    if not solve:
+        return math.inf
     mu = _secular_root(sigma * w, sigma * sigma)
     resid = w * mu / (sigma * sigma + mu)
     return base + float(resid @ resid)
 
 
-def _sphere_max(w: np.ndarray, sigma: np.ndarray) -> float:
-    """Maximum of ``||w + sigma * y||**2`` over the unit ball, on its sphere.
+def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float) -> float:
+    """Maximum (``sign = 1``) or minimum (``sign = -1``) of
+    ``||w + sigma * y||**2`` over the unit sphere ``||y|| = 1``.
 
-    Handles the degenerate ("hard") case where the offset has no component
-    along the largest singular direction.
+    The pole ``end`` is the largest or smallest ``sigma**2``, and the
+    multiplier ``end + sign * t`` solves the secular equation with
+    ``gap = |sigma**2 - end|``; the multiplier minus ``sigma**2`` is taken
+    as ``sign * (gap + t)``, because ``end + t`` rounds away the digits of
+    a small ``t``. Handles the "hard" case: no offset along the pole.
     """
     sig2 = sigma * sigma
-    sw = sigma * w
-    sig_max2 = float(sig2[0])
-    if sig_max2 == 0.0:
+    if sig2[0] == 0.0:
         return float(w @ w)
-    top = sig2 >= sig_max2 * (1.0 - 1e-12)
-    gap = sig_max2 - sig2
-    if np.all(np.abs(sw[top]) <= 1e-14):
-        # offset has no component on the largest axis: the secular sum stays
-        # finite at the pole; if it fits inside the sphere budget there, the
-        # remaining length goes into the largest axis itself (hard case)
-        leak = float(np.sum((sw[~top] / gap[~top]) ** 2))
+    end = float(sig2[0] if sign > 0 else sig2[-1])
+    gap = sign * (end - sig2)
+    pole = gap <= 1e-12 * sig2[0]
+    sw = sigma * w
+    if np.all(np.abs(w[pole]) <= 1e-14):
+        # the secular sum stays finite at the pole; if it fits inside the
+        # sphere budget there, the remaining length goes into the pole axis
+        leak = float(np.sum((sw[~pole] / gap[~pole]) ** 2))
         if leak <= 1.0:
-            rest = w[~top] * sig_max2 / gap[~top]
-            return sig_max2 * (1.0 - leak) + float(rest @ rest)
-    # the multiplier is nu = sig_max2 + t; nu - sig2 is taken as gap + t,
-    # because sig_max2 + t rounds away the digits of a small t
+            rest = w[~pole] * end / gap[~pole]
+            return end * (1.0 - leak) + float(rest @ rest)
     t = _secular_root(sw, gap)
-    stretched = w * (sig_max2 + t) / (gap + t)
+    stretched = w * (end + sign * t) / (gap + t)
     return float(stretched @ stretched)
 
 
@@ -243,23 +252,17 @@ def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float
 
     The pair ``(gmin, gmax)`` decides overlap and containment exactly:
     ``region`` meets ``prop`` iff ``gmin <= 1`` and lies inside ``prop`` iff
-    ``gmax <= 1``; ``ellipsoids_intersect`` and ``ellipsoid_contains`` each
-    compute only the bound they read.
+    ``gmax <= 1``.
     """
     w, sigma, scale = _range_frame(prop, region)
-    return scale * scale * _ball_min(w, sigma), scale * scale * _sphere_max(w, sigma)
+    gmax = scale * scale * _sphere_extreme(w, sigma, 1.0)
+    return scale * scale * _ball_min(w, sigma), gmax
 
 
 def ellipsoids_intersect(e1: Ellipsoid, e2: Ellipsoid) -> bool:
     """Exact solid-intersection test."""
     w, sigma, scale = _range_frame(e1, e2)
     return scale * scale * _ball_min(w, sigma) <= 1.0 + _CONTACT_RTOL
-
-
-def ellipsoid_contains(outer: Ellipsoid, inner: Ellipsoid) -> bool:
-    """Exact solid-containment test (``inner`` inside ``outer``)."""
-    w, sigma, scale = _range_frame(outer, inner)
-    return scale * scale * _sphere_max(w, sigma) <= 1.0 + _CONTACT_RTOL
 
 
 def project_point(ell: Ellipsoid, point) -> np.ndarray:

@@ -415,7 +415,8 @@ def pc_circular_batch(d_over_r, s_over_r: float) -> np.ndarray:
     """Circular-encounter collision probability over displacement ratios.
 
     ``ncx2_cdf(2, (d/s)^2, 1/s^2)`` with ``s = s_over_r`` for every ``d`` of
-    the array (a 0-d array for a scalar).
+    the array (a 0-d array for a scalar). Raises ``NumericalError`` if
+    ``1 / s_over_r^2`` or ``(d_over_r / s_over_r)^2`` overflows.
     """
     d = np.asarray(d_over_r, dtype=float)
     if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0.0)):
@@ -423,7 +424,13 @@ def pc_circular_batch(d_over_r, s_over_r: float) -> np.ndarray:
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
     s = float(s_over_r)
-    return np.asarray(ncx2_cdf(2, (d / s) ** 2, 1.0 / (s * s)))
+    # Python float division gives inf past the float range, not a warning
+    x = 1.0 / (s * s) if s * s > 0.0 else math.inf
+    ratio = float(d.max(initial=0.0)) / s
+    if math.isinf(x) or math.isinf(ratio * ratio):
+        name = "1 / s_over_r^2" if math.isinf(x) else "(d_over_r / s_over_r)^2"
+        raise NumericalError(f"{name} overflows at s_over_r = {s!r}")
+    return np.asarray(ncx2_cdf(2, (d / s) ** 2, x))
 
 
 def max_pc_head_on(s_over_r: float) -> float:

@@ -3,9 +3,10 @@
 Propositions about the inferred parameter are represented as a closed
 algebra of sets: the full space, balls, ellipsoids, half-spaces and
 complements. The algebra is deliberately restricted so that point
-membership, containment of an ellipsoidal confidence region and
-intersection with one are each decided exactly, in closed form or by the
-ellipsoid kernels.
+membership is exact, and so are the ``depth`` and ``reach`` of a set
+about an ellipsoidal region, the largest scale of the region inside the
+set and the smallest that meets it, in closed form or by the ellipsoid
+kernels. They decide containment (``depth >= 1``) and intersection.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from .ellipsoids import (
     _CONTACT_RTOL,
     Ellipsoid,
-    ellipsoid_contains,
-    ellipsoids_intersect,
+    _ball_min,
+    _range_frame,
+    _sphere_extreme,
 )
 from .errors import InputValidationError, UnsupportedPropositionError
 
@@ -114,45 +116,46 @@ def contains_point(prop: Proposition, point) -> bool:
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 
 
-def _halfspace_support(hs: HalfSpace, region: Ellipsoid) -> tuple[float, float]:
-    """Range of ``normal . x`` over the region."""
-    mid = float(hs.normal @ region.center)
-    reach = float(
-        np.linalg.norm(region.semi_lengths * (region.axes.T @ hs.normal))
-    )
-    return mid - reach, mid + reach
+def depth(prop: Proposition, region: Ellipsoid) -> float:
+    """Largest ``k`` such that ``region`` scaled by ``k`` about its center lies
+    inside the proposition set: the region-standardized distance from the
+    center to the set's complement (0 for a center outside the set)."""
+    inside = True
+    while isinstance(prop, Complement):  # a complement swaps depth and reach
+        prop, inside = prop.inner, not inside
+    if isinstance(prop, FullSpace):
+        return math.inf if inside else 0.0
+    if isinstance(prop, (Ball, EllipsoidSet)):
+        w, sigma, scale = _range_frame(region, prop.ellipsoid)
+        if not inside:
+            return scale * math.sqrt(_ball_min(w, sigma))
+        if _ball_min(w, sigma, solve=False) > 0.0:  # the center lies outside
+            return 0.0
+        return scale * math.sqrt(_sphere_extreme(w, sigma, -1.0))
+    if isinstance(prop, HalfSpace):
+        # ``normal . x`` spans ``mid +- k * rho`` over the region scaled by
+        # ``k``; the contact slack grows with the magnitudes involved
+        mid = float(prop.normal @ region.center)
+        rho = math.hypot(*(region.semi_lengths * (region.axes.T @ prop.normal)))
+        span = abs(prop.offset) + math.hypot(*prop.normal) * (
+            math.hypot(*region.center) + region.bounding_radius
+        )
+        margin = (prop.offset + _CONTACT_RTOL * max(span, 1.0) - mid) / rho
+        return max(margin if inside else -margin, 0.0)
+    raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 
 
-def _halfspace_tol(hs: HalfSpace, region: Ellipsoid) -> float:
-    span = abs(hs.offset) + float(np.linalg.norm(hs.normal)) * (
-        float(np.linalg.norm(region.center)) + region.bounding_radius
-    )
-    return _CONTACT_RTOL * max(span, 1.0)
+def reach(prop: Proposition, region: Ellipsoid) -> float:
+    """Smallest ``k`` such that ``region`` scaled by ``k`` about its center
+    meets the proposition set: the depth of its complement."""
+    return depth(Complement(prop), region)
 
 
 def contains_region(prop: Proposition, region: Ellipsoid) -> bool:
     """Whether the proposition set contains the whole ellipsoidal region."""
-    if isinstance(prop, FullSpace):
-        return True
-    if isinstance(prop, (Ball, EllipsoidSet)):
-        return ellipsoid_contains(prop.ellipsoid, region)
-    if isinstance(prop, HalfSpace):
-        _, hi = _halfspace_support(prop, region)
-        return hi <= prop.offset + _halfspace_tol(prop, region)
-    if isinstance(prop, Complement):
-        return not intersects_region(prop.inner, region)
-    raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
+    return depth(prop, region) >= 1.0 - _CONTACT_RTOL
 
 
 def intersects_region(prop: Proposition, region: Ellipsoid) -> bool:
     """Whether the proposition set meets the ellipsoidal region."""
-    if isinstance(prop, FullSpace):
-        return True
-    if isinstance(prop, (Ball, EllipsoidSet)):
-        return ellipsoids_intersect(prop.ellipsoid, region)
-    if isinstance(prop, HalfSpace):
-        lo, _ = _halfspace_support(prop, region)
-        return lo <= prop.offset + _halfspace_tol(prop, region)
-    if isinstance(prop, Complement):
-        return not contains_region(prop.inner, region)
-    raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
+    return reach(prop, region) <= 1.0 + _CONTACT_RTOL

@@ -1,17 +1,18 @@
 """Belief assignment by confidence regions and empirical validity testing.
 
-A confidence region assigns belief ``1 - alpha`` to every proposition that
-contains it and zero to every other; plausibility is one for propositions
-meeting the region and ``alpha`` otherwise. That rule is consonant and, by
-the coverage property, the rate at which any false proposition receives
-belief ``>= 1 - alpha`` never exceeds ``alpha``.
+A belief rule gives one number per data realization and proposition. The
+Martin-Liu validity criterion asks that, for every false proposition and
+every level ``alpha`` at once, belief reach ``1 - alpha`` with probability
+at most ``alpha``. The K-sigma rule's belief, the coverage of the largest
+confidence ellipsoid inside the proposition, is consonant and, by the
+coverage property, valid.
 
 The harness in this module tests that criterion empirically for arbitrary
-belief rules: simulate data at a known truth, evaluate the rule on a family
-of false propositions over a grid of levels, and compare the observed
-high-belief rates against the levels. Additive rules (posterior mass)
-fail the test spectacularly for suitably small excluded neighborhoods;
-confidence-region rules pass.
+belief rules: simulate data at a known truth, evaluate the rule once per
+realization on a family of false propositions, and compare the observed
+rates of belief ``>= 1 - alpha`` against every level of a grid. Additive
+rules (posterior mass) fail the test spectacularly for suitably small
+excluded neighborhoods; confidence-region rules pass.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .propositions import (
     Proposition,
     contains_point,
     contains_region,
+    depth,
     intersects_region,
 )
 
@@ -65,35 +67,40 @@ def region_belief(
 
 
 class BeliefRule(ABC):
-    """A data-conditional belief assignment, indexed by the level ``alpha``.
+    """A data-conditional belief assignment: one number per realization and
+    proposition, tested against every level at once.
 
     ``plausibility`` is derived from belief of the complement, so the
     complementarity identity holds for every rule by construction.
     """
 
     @abstractmethod
-    def belief(self, x: np.ndarray, proposition: Proposition, alpha: float) -> float:
+    def belief(self, x: np.ndarray, proposition: Proposition) -> float:
         """Belief in the proposition given data realization ``x``."""
 
-    def plausibility(
-        self, x: np.ndarray, proposition: Proposition, alpha: float
-    ) -> float:
-        return 1.0 - self.belief(x, Complement(proposition), alpha)
+    def plausibility(self, x: np.ndarray, proposition: Proposition) -> float:
+        return 1.0 - self.belief(x, Complement(proposition))
 
 
 class ConfidenceRegionRule(BeliefRule):
-    """Belief rule induced by a data-conditional confidence region.
+    """Belief rule of the nested K-sigma ellipsoids of a Gaussian estimator.
 
-    Belief is the first value of ``region_belief``, decided by containment
-    alone; the region builder checks the level ``alpha``.
+    Belief is the coverage ``P(d/2, k**2 / 2)`` of the largest ellipsoid
+    about the estimate inside the proposition, ``k`` its ``depth`` about
+    the unit ellipsoid: it reaches ``1 - alpha`` exactly when the
+    level-``alpha`` region lies inside. The covariance is validated and
+    decomposed once, here; each trial only moves the unit ellipsoid.
     """
 
-    def __init__(self, region_builder: Callable[[np.ndarray, float], Ellipsoid]):
-        self._build = region_builder
+    def __init__(self, cov):
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        self._unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
 
-    def belief(self, x, proposition, alpha):
-        region = self._build(np.asarray(x, dtype=float), alpha)
-        return 1.0 - alpha if contains_region(proposition, region) else 0.0
+    def belief(self, x, proposition):
+        unit = self._unit
+        region = Ellipsoid(np.asarray(x, dtype=float), unit.axes, unit.semi_lengths)
+        k = depth(proposition, region)
+        return float(special.gammainc(unit.dim / 2.0, 0.5 * k * k))
 
 
 def ksigma_for_level(alpha: float, dim: int) -> float:
@@ -104,21 +111,8 @@ def ksigma_for_level(alpha: float, dim: int) -> float:
 
 
 def gaussian_region_rule(cov) -> ConfidenceRegionRule:
-    """Confidence-region rule for a Gaussian estimator with known covariance.
-
-    At level ``alpha`` the region is the K-sigma ellipsoid centered at the
-    realized estimate, with K chosen so the pivot sphere has chi-squared
-    mass ``1 - alpha``. The covariance is validated and decomposed once,
-    here; each trial only moves and scales that unit ellipsoid.
-    """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
-
-    def build(x: np.ndarray, alpha: float) -> Ellipsoid:
-        k = ksigma_for_level(alpha, unit.dim)
-        return Ellipsoid(x, unit.axes, k * unit.semi_lengths)
-
-    return ConfidenceRegionRule(build)
+    """Confidence-region rule for a Gaussian estimator with known covariance."""
+    return ConfidenceRegionRule(cov)
 
 
 def _definite_covariance(cov) -> np.ndarray:
@@ -153,8 +147,7 @@ class AdditiveGaussianRule(BeliefRule):
         isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
         self._isotropic_var = float(diag[0]) if isotropic else None
 
-    def belief(self, x, proposition, alpha):
-        del alpha  # additive rules are not level-indexed
+    def belief(self, x, proposition):
         return self._mass(np.atleast_1d(np.asarray(x, dtype=float)), proposition)
 
     def _mass(self, x: np.ndarray, prop: Proposition) -> float:
@@ -235,9 +228,9 @@ def validity_check(
     """Empirically test a belief rule against the validity criterion.
 
     Simulates data realizations at the true parameter, evaluates the rule's
-    belief in each (false) proposition, and records how often belief reaches
-    ``1 - alpha`` for each level in the grid. A valid rule keeps every such
-    rate at or below its level.
+    belief in each (false) proposition once, and records how often belief
+    reaches ``1 - alpha`` for each level in the grid. A valid rule keeps
+    every such rate at or below its level.
 
     Args:
         rule: belief rule under test.
@@ -274,17 +267,15 @@ def validity_check(
             )
 
     hits = np.zeros((len(alphas), len(props)), dtype=np.int64)
+    floors = 1.0 - np.array(alphas)[:, None, None]
     for gen, count in rngmod.blocks(seed, n_trials):
         xs = np.asarray(sampling_model(gen, count), dtype=float)
         if xs.shape[0] != count:
             raise InputValidationError(
                 "sampling_model returned wrong number of realizations"
             )
-        for x in xs:
-            for ia, alpha in enumerate(alphas):
-                for ip, prop in enumerate(props):
-                    if rule.belief(x, prop, alpha) >= 1.0 - alpha:
-                        hits[ia, ip] += 1
+        beliefs = np.array([[rule.belief(x, prop) for prop in props] for x in xs])
+        hits += np.count_nonzero(beliefs >= floors, axis=1)
 
     rate_matrix = hits / n_trials
     worst_per_alpha = rate_matrix.max(axis=1)

@@ -293,6 +293,17 @@ class TestBoundaryCommand:
         assert captured.err.startswith("error: --combined-radius")
 
 
+    def test_uncertainty_overflow_exits_three_before_output(self, capsys):
+        status = _run_warning_free(
+            ["boundary", "--threshold", "1e-20", "--combined-radius", "1e300"]
+        )
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("numerical failure: the uncertainty in meters")
+
+
 class TestDilutionCurveCommand:
     def test_point_cap_exits_two(self, capsys):
         status = run_command(
@@ -436,6 +447,32 @@ class TestValidityCommand:
         assert outputs["additive"] == outputs["ksigma"]
 
 
+    @pytest.mark.parametrize(
+        "scale_flags",
+        [
+            ["--halfwidth", "1e-154"],
+            ["--halfwidth", "1e-300"],
+            ["--sigma", "1e-150", "--halfwidth", "1e-160"],
+            ["--sigma", "1e100", "--halfwidth", "1e-100"],
+        ],
+    )
+    def test_ksigma_verdict_independent_of_length_unit(self, scale_flags, capsys):
+        # a halfwidth far below sigma excludes nothing the rule can see: each
+        # run gives the hit counts of halfwidth / sigma = 1e-100
+        common = ["validity", "--seed", "1", "--n-trials", "1000"]
+        assert _run_warning_free(common + ["--halfwidth", "1e-100"]) == 0
+        reference = capsys.readouterr()
+        assert reference.out.splitlines()[1:] == [
+            "0.01,0.009,0.00298646949,pass",
+            "0.05,0.051,0.00695693898,pass",
+            "0.1,0.105,0.00969407035,pass",
+        ]
+        assert _run_warning_free(common + scale_flags) == 0
+        captured = capsys.readouterr()
+        assert captured.out == reference.out
+        assert captured.err == ""
+
+
 class TestFalseConfidenceCommand:
     def test_default_halfwidth_rate_one(self, capsys):
         status = run_command(
@@ -452,6 +489,16 @@ class TestFalseConfidenceCommand:
         )
         assert status == 0
         assert capsys.readouterr().out.startswith("empirical_rate=0 p_target=0 ")
+
+    def test_standardized_bounds_that_overflow_stay_silent(self, capsys):
+        status = _run_warning_free(
+            ["false-confidence", "--halfwidth", "1e160", "--sigma", "1e-300",
+             "--seed", "1", "--n-trials", "1000"]
+        )
+        assert status == 0
+        captured = capsys.readouterr()
+        assert captured.out == "empirical_rate=0 p_target=0 halfwidth=1e+160\n"
+        assert captured.err == ""
 
     def test_seed_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

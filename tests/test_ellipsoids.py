@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 
 from conjrisk import (
     Ellipsoid,
+    EllipsoidSet,
     InputValidationError,
     NumericalError,
     build_ellipsoid,
-    ellipsoid_contains,
+    contains_region,
     ellipsoids_intersect,
     min_distance,
     project_point,
@@ -144,6 +145,44 @@ def _mp_sphere_max(w, sigma):
         )
 
 
+def _mp_sphere_min(w, sigma):
+    """Minimum of ``||w + sigma * y||**2`` over the unit sphere at 40
+    digits, for descending ``sigma`` outside the hard case: the multiplier
+    is ``sigma_min**2 - t`` with ``gap = sigma**2 - sigma_min**2``."""
+    sig2 = sigma * sigma
+    gap = sig2 - sig2[-1]
+    with mpmath.workdps(40):
+        t = mp_secular_root(sigma * w, gap)
+        multiplier = mpmath.mpf(float(sig2[-1])) - t
+        return mpmath.fsum(
+            (mpmath.mpf(wi) * multiplier / (mpmath.mpf(gi) + t)) ** 2
+            for wi, gi in zip(w, gap)
+        )
+
+
+class TestSphereMinimum:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            sigma = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1]
+            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 0.5)
+            scale = max(sigma[0], float(np.linalg.norm(w)))
+            w, sigma = w / scale, sigma / scale
+            reference = _mp_sphere_min(w, sigma)
+            got = ellipsoids._sphere_extreme(w, sigma, -1.0)
+            assert abs(got - reference) <= 1e-13 * reference
+
+    def test_hard_case_against_dense_sphere(self):
+        # no offset along the smallest axis, and a secular sum below 1 there:
+        # the leftover length goes into that axis
+        w = np.array([0.2, 0.1, 0.0])
+        sigma = np.array([1.0, 0.8, 0.5])
+        values = np.sum((w + sigma * fibonacci_sphere(10**5)) ** 2, axis=1)
+        got = ellipsoids._sphere_extreme(w, sigma, -1.0)
+        assert values.min() - 1e-4 <= got <= values.min()
+
+
 class TestSecularRoot:
     @staticmethod
     def _check(c, d, rtol=1e-14):
@@ -185,7 +224,7 @@ class TestSecularRoot:
         gap = 1.0 - sigma * sigma
         w[1:] *= np.sqrt((1.0 + excess) / np.sum((sigma[1:] * w[1:] / gap[1:]) ** 2))
         t, reference = _mp_sphere_max(w, sigma)
-        got = ellipsoids._sphere_max(w, sigma)
+        got = ellipsoids._sphere_extreme(w, sigma, 1.0)
         assert abs(got - reference) <= 1e-14 * reference
         root = ellipsoids._secular_root(sigma * w, gap)
         assert abs(root - t) <= 64 * np.finfo(float).eps / excess * t
@@ -245,6 +284,16 @@ class TestStandardizedRange:
         _, reference = _mp_sphere_max(w, sigma)
         assert abs(gmax - reference) <= 1e-14 * reference
 
+    def test_tiny_far_region(self):
+        # a pole term sigma * w below 1e-14 is not a hard case when w itself
+        # is large: the tiny region far away is not inside the unit segment
+        prop = _sphere([0.0], 1.0, dim=1)
+        region = Ellipsoid(center=[5.0], axes=np.eye(1), semi_lengths=[1e-20])
+        gmin, gmax = standardized_range(prop, region)
+        assert gmin == pytest.approx(25.0, rel=1e-12)
+        assert gmax == pytest.approx(25.0, rel=1e-12)
+        assert not contains_region(EllipsoidSet(prop), region)
+
     def test_range_matches_sampling(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
@@ -285,8 +334,8 @@ class TestIntersectionAndContainment:
     def test_containment(self):
         outer = _sphere([0, 0, 0], 5.0)
         inner = _sphere([1.0, 1.0, 0.0], 1.0)
-        assert ellipsoid_contains(outer, inner)
-        assert not ellipsoid_contains(inner, outer)
+        assert contains_region(EllipsoidSet(outer), inner)
+        assert not contains_region(EllipsoidSet(inner), outer)
 
     def test_crossing_needles_detected(self):
         # intersection far from both centers; centerline checks miss it

@@ -1,6 +1,8 @@
 """Collision probability: closed forms, Monte Carlo oracle, quadrature."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conjrisk import (
     StandardizedEncounter,
     dilution_curve,
     max_pc_head_on,
+    ncx2_cdf,
     pc_circular,
     pc_contour,
 )
@@ -109,6 +112,29 @@ class TestCircularSeries:
             batch = pc_circular_batch(d, s)
             for d_i, p_i in zip(d, batch):
                 assert p_i == pytest.approx(pc_circular(float(d_i), s), rel=1e-13, abs=1e-300)
+
+
+    @pytest.mark.parametrize(
+        "d, s, ratio",
+        [
+            (0.0, 1e-300, "1 / s_over_r^2"),
+            (0.0, 1e-160, "1 / s_over_r^2"),
+            (1e200, 1e-200, "1 / s_over_r^2"),
+            (1e200, 1e-100, "(d_over_r / s_over_r)^2"),
+        ],
+    )
+    def test_overflowing_ratio_is_numerical_error(self, d, s, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(ratio)):
+                pc_circular(d, s)
+
+    def test_finite_ratios_keep_their_bits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, s in ((0.0, 1e-150), (2.0, 0.7), (1e-300, 1.0), (1e150, 1e150)):
+                reference = ncx2_cdf(2, (d / s) ** 2, 1.0 / (s * s))
+                assert pc_circular(d, s) == float(reference)
 
 
 class TestMonteCarloOracle:

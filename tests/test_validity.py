@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -12,6 +12,8 @@ from conjrisk import (
     AdditiveGaussianRule,
     Ball,
     Complement,
+    Ellipsoid,
+    EllipsoidSet,
     FullSpace,
     HalfSpace,
     InputValidationError,
@@ -25,6 +27,8 @@ from conjrisk import (
     validity_check,
 )
 from conjrisk import ellipsoids
+from conjrisk.ellipsoids import standardized_range
+from conjrisk.propositions import depth, reach
 
 
 def _region(center, radius):
@@ -84,7 +88,7 @@ class TestConfidenceRegionRule:
         monkeypatch.setattr(ellipsoids, "_secular_root", counted)
         rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
         prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
-        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop, 0.05) == pytest.approx(0.95)
+        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop) >= 1.0 - 0.05
         assert len(solves) == 1
 
     def test_belief_builds_only_the_trial_region(self, monkeypatch):
@@ -100,7 +104,7 @@ class TestConfidenceRegionRule:
         rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
         prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
         monkeypatch.setattr(ellipsoids.Ellipsoid, "__post_init__", counted)
-        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop, 0.05) == pytest.approx(0.95)
+        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop) >= 1.0 - 0.05
         assert len(built) == 1
 
     def test_plausibility_matches_region_belief(self):
@@ -114,8 +118,25 @@ class TestConfidenceRegionRule:
             region = build_ellipsoid(x, cov, ksigma_for_level(alpha, 3))
             for candidate in (prop, Complement(prop)):
                 bel, pls = region_belief(region, alpha, candidate)
-                assert rule.belief(x, candidate, alpha) == bel
-                assert rule.plausibility(x, candidate, alpha) == pytest.approx(pls)
+                assert (rule.belief(x, candidate) >= 1.0 - alpha) == (bel > 0.0)
+                assert (rule.plausibility(x, candidate) >= alpha) == (pls == 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_depth_at_ellipsoid_center_is_smallest_axis_ratio(self, dim):
+        # hard case of the sphere minimum: no offset along any axis
+        rng = np.random.default_rng(42 + dim)
+        axes = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        center = rng.standard_normal(dim)
+        semi = np.array([3.0, 2.0, 0.5])[:dim]
+        prop = EllipsoidSet(Ellipsoid(center, axes, semi))
+        ratios = np.array([1.5, 0.5, 0.25])[:dim]
+        region = Ellipsoid(center, axes, semi / ratios)
+        assert depth(prop, region) == pytest.approx(ratios.min(), rel=1e-12)
+        assert depth(prop, Ellipsoid(center, np.eye(dim), np.full(dim, 2.0))) == (
+            pytest.approx(semi.min() / 2.0, rel=1e-12)
+        )
+        assert reach(prop, region) == 0.0
+        assert reach(Complement(prop), region) == depth(prop, region)
 
     def test_invalid_covariance_rejected_once_up_front(self):
         with pytest.raises(InputValidationError, match="degenerate"):
@@ -142,7 +163,7 @@ class TestAdditiveGaussianRule:
         rule = AdditiveGaussianRule(np.diag([4.0, 1.0]))
         prop = HalfSpace(normal=[1.0, 0.0], offset=1.0)
         x = np.array([0.0, 0.0])
-        assert rule.belief(x, prop, 0.05) == pytest.approx(
+        assert rule.belief(x, prop) == pytest.approx(
             float(special.ndtr(0.5)), rel=1e-12
         )
 
@@ -155,8 +176,8 @@ class TestAdditiveGaussianRule:
             special.ndtr((h - 0.4) / sigma) - special.ndtr((-h - 0.4) / sigma)
         )
         prop = Ball(center=[0.0], radius=h)
-        assert rule.belief(x, prop, 0.3) == pytest.approx(expected, rel=1e-10)
-        assert rule.belief(x, Complement(prop), 0.3) == pytest.approx(
+        assert rule.belief(x, prop) == pytest.approx(expected, rel=1e-10)
+        assert rule.belief(x, Complement(prop)) == pytest.approx(
             1.0 - expected, rel=1e-10
         )
 
@@ -165,8 +186,8 @@ class TestAdditiveGaussianRule:
         rule = AdditiveGaussianRule([[1.0]])
         prop = Ball(center=[0.0], radius=0.5)
         x = np.array([0.2])
-        assert rule.plausibility(x, prop, 0.1) == pytest.approx(
-            rule.belief(x, prop, 0.1), rel=1e-12
+        assert rule.plausibility(x, prop) == pytest.approx(
+            rule.belief(x, prop), rel=1e-12
         )
 
     @pytest.mark.parametrize("center, mass", [(0.5, 1.0), (3e5, 0.0)])
@@ -175,12 +196,12 @@ class TestAdditiveGaussianRule:
         # inside it and none about a point beyond it
         rule = AdditiveGaussianRule([[1e-300]])
         prop = Ball(center=[center], radius=1e5)
-        assert rule.belief(np.array([0.0]), prop, 0.1) == mass
+        assert rule.belief(np.array([0.0]), prop) == mass
 
     def test_anisotropic_ball_unsupported(self):
         rule = AdditiveGaussianRule(np.diag([1.0, 9.0]))
         with pytest.raises(UnsupportedPropositionError):
-            rule.belief(np.zeros(2), Ball(center=[0.0, 0.0], radius=1.0), 0.1)
+            rule.belief(np.zeros(2), Ball(center=[0.0, 0.0], radius=1.0))
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_isotropy_verdict_independent_of_scale(self, scale):
@@ -188,12 +209,12 @@ class TestAdditiveGaussianRule:
         # the variance is correlated, however small or large the variance
         ball = Ball(center=[0.0, 0.0], radius=math.sqrt(scale))
         near = AdditiveGaussianRule(scale * np.array([[1.0, 1e-16], [1e-16, 1.0]]))
-        assert near.belief(np.zeros(2), ball, 0.1) == pytest.approx(
+        assert near.belief(np.zeros(2), ball) == pytest.approx(
             -math.expm1(-0.5), rel=1e-12
         )
         correlated = AdditiveGaussianRule(scale * np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(UnsupportedPropositionError):
-            correlated.belief(np.zeros(2), ball, 0.1)
+            correlated.belief(np.zeros(2), ball)
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,7 +230,97 @@ def test_belief_plausibility_bounds_hold(offset, radius, alpha):
     assert 0.0 <= bel <= pls <= 1.0
 
 
+def _oracle(prop, region):
+    """Signed margins ``(inside, meets)`` of the region against the set, from
+    the squared-radius range and the half-space support: positive where the
+    set contains (meets) the region, of magnitude the relative distance from
+    contact."""
+    if isinstance(prop, Complement):
+        inside, meets = _oracle(prop.inner, region)
+        return -meets, -inside
+    if isinstance(prop, FullSpace):
+        return math.inf, math.inf
+    if isinstance(prop, HalfSpace):
+        spread = np.linalg.norm(region.semi_lengths * (region.axes.T @ prop.normal))
+        room = (prop.offset - prop.normal @ region.center) / spread
+        return room - 1.0, room + 1.0
+    gmin, gmax = standardized_range(prop.ellipsoid, region)
+    return 1.0 - gmax, 1.0 - gmin
+
+
+def _random_proposition(rng, dim, kind, n_complements):
+    if kind == "full":
+        prop = FullSpace()
+    elif kind == "ball":
+        prop = Ball(center=2.0 * rng.standard_normal(dim), radius=rng.uniform(0.2, 5.0))
+    elif kind == "ellipsoid":
+        axes = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        semi = 10.0 ** rng.uniform(-0.5, 0.7, dim)
+        prop = EllipsoidSet(Ellipsoid(2.0 * rng.standard_normal(dim), axes, semi))
+    else:
+        prop = HalfSpace(normal=rng.standard_normal(dim), offset=2.0 * rng.normal())
+    for _ in range(n_complements):
+        prop = Complement(prop)
+    return prop
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    kind=st.sampled_from(["full", "ball", "ellipsoid", "halfspace"]),
+    n_complements=st.integers(0, 2),
+    alpha=st.floats(min_value=1e-3, max_value=0.999),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_rule_matches_level_region_decisions(dim, kind, n_complements, alpha, draw):
+    # belief >= 1 - alpha exactly where the level-alpha region lies inside
+    # the set, and plausibility >= alpha exactly where it meets the set
+    rng = np.random.default_rng(draw)
+    axes = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    cov = (axes * 10.0 ** rng.uniform(-1.0, 1.0, dim)) @ axes.T
+    x = 2.0 * rng.standard_normal(dim)
+    prop = _random_proposition(rng, dim, kind, n_complements)
+    region = build_ellipsoid(x, cov, ksigma_for_level(alpha, dim))
+    inside, meets = _oracle(prop, region)
+    assume(min(abs(inside), abs(meets)) > 1e-9)
+    rule = gaussian_region_rule(cov)
+    bel, pls = region_belief(region, alpha, prop)
+    belief, plausibility = rule.belief(x, prop), rule.plausibility(x, prop)
+    assert (belief >= 1.0 - alpha) == (bel > 0.0) == (inside > 0.0)
+    assert (plausibility >= alpha) == (pls == 1.0) == (meets > 0.0)
+    if belief > 0.0:
+        assert plausibility == 1.0
+
+
 class TestValidityCheck:
+    def test_rule_evaluated_once_per_trial_and_proposition(self):
+        calls = []
+
+        class Counted(AdditiveGaussianRule):
+            def belief(self, x, proposition):
+                calls.append(1)
+                return super().belief(x, proposition)
+
+        cov = [[1.0]]
+        family = [Complement(Ball(center=[0.0], radius=r)) for r in (0.1, 0.5)]
+        report = validity_check(
+            Counted(cov), gaussian_sampling_model([0.0], cov), [0.0], family,
+            alpha_grid=[0.01, 0.05, 0.1], n_trials=1000, seed=57,
+        )
+        assert len(report.rates) == 3
+        assert len(calls) == 1000 * len(family)
+
+    def test_ksigma_rule_accepts_levels_zero_and_one(self):
+        cov = [[1.0]]
+        report = validity_check(
+            gaussian_region_rule(cov), gaussian_sampling_model([0.0], cov), [0.0],
+            [Complement(Ball(center=[0.0], radius=0.5))],
+            alpha_grid=[0.0, 1.0], n_trials=1000, seed=58,
+        )
+        assert report.rates == (0.0, 1.0)
+        assert report.verdicts == ("pass", "pass")
+
     def test_ksigma_rule_passes_in_three_dimensions(self):
         cov = np.diag([2.0, 1.0, 0.5])
         rule = gaussian_region_rule(cov)

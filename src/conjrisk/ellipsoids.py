@@ -3,7 +3,10 @@
 An ellipsoid is stored as center, orthonormal axes, and semi-axis lengths.
 Every geometric decision reduces to one bound of one ellipsoid's
 standardized squared radius over another ellipsoid: the minimum decides
-overlap and the maximum containment. In a shared SVD frame each bound, and
+overlap and the maximum containment. The depth and reach of an ellipsoid
+about a region, the largest scale of the region inside it and the smallest
+that meets it, are the minimum of the region's standardized radius over the
+ellipsoid's surface and solid. In a shared SVD frame each bound, and
 the projection of a point onto an ellipsoid, is the root of one secular
 equation ``sum((c_i / (d_i + t))**2) = 1``, solved by one safeguarded
 Newton kernel. The distance between separated bodies is the largest
@@ -30,7 +33,6 @@ _SECULAR_MAX_ITERS = 100
 _PROJECTION_MAX_ITERS = 10**4
 _DISTANCE_TOL_SCALE = 1e-10
 _NEWTON_HALVINGS = 20
-_DEGENERATE_SIGMA = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +87,11 @@ class Ellipsoid:
         return (self.axes.T @ (point - self.center)) / self.semi_lengths
 
     def squared_radius(self, point) -> float:
-        """Standardized squared radius; <= 1 on the solid, 1 on the surface."""
-        xi = self.standardized(point)
-        return float(xi @ xi)
+        """Standardized squared radius; <= 1 on the solid, 1 on the surface,
+        ``inf`` where it overflows."""
+        with np.errstate(over="ignore"):
+            xi = self.standardized(point)
+            return float(xi @ xi)
 
     def contains(self, point) -> bool:
         return self.squared_radius(point) <= 1.0 + _CONTACT_RTOL
@@ -185,15 +189,27 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid):
     radius is ``scale**2 * ||w + sigma * y||**2`` for ``||y|| <= 1``, from
     one SVD; ``sigma`` is descending and ``max(sigma, ||w||) = 1``. Raises
     ``NumericalError`` if a standardized offset or axis ratio overflows.
+
+    The SVD is of ``diag(1 / prop.semi) C diag(region.semi)`` with ``C``
+    orthogonal. LAPACK's SVD keeps the small singular values of such a
+    graded matrix to relative accuracy when its rows and columns shrink
+    from first to last, and only to the largest one's round-off otherwise
+    (1e-4 against 1e-15 at an axis ratio of 1e12), so both axis sets are
+    put in that order first.
     """
     if prop.dim != region.dim:
         raise InputValidationError(
             f"dimension mismatch: {prop.dim} vs {region.dim}"
         )
+    rows = np.argsort(prop.semi_lengths)
+    cols = np.argsort(-region.semi_lengths)
+    prop_axes = prop.axes[:, rows]
     with np.errstate(over="ignore"):
-        inv_ap = 1.0 / prop.semi_lengths
-        b = inv_ap * (prop.axes.T @ (region.center - prop.center))
-        mat = (inv_ap[:, None] * prop.axes.T) @ (region.axes * region.semi_lengths)
+        inv_ap = 1.0 / prop.semi_lengths[rows]
+        b = inv_ap * (prop_axes.T @ (region.center - prop.center))
+        mat = (inv_ap[:, None] * prop_axes.T) @ (
+            region.axes[:, cols] * region.semi_lengths[cols]
+        )
     if not (np.isfinite(b).all() and np.isfinite(mat).all()):
         raise NumericalError("standardized ellipsoid offset or axis ratio overflows")
     u_mat, sigma, _ = np.linalg.svd(mat)
@@ -202,17 +218,18 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid):
     return w / scale, sigma / scale, scale
 
 
-def _ball_min(w: np.ndarray, sigma: np.ndarray, solve: bool = True) -> float:
-    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``;
-    without ``solve``, ``inf`` stands for a minimum that needs the secular
-    equation, which is always positive."""
-    active = sigma > _DEGENERATE_SIGMA
+def _ball_min(w: np.ndarray, sigma: np.ndarray) -> float:
+    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``.
+
+    Only an axis with ``sigma`` exactly 0 is left out of the secular
+    equation: a thin axis still decides a minimum as small as itself.
+    """
+    active = sigma > 0.0
     base = float((w[~active] ** 2).sum())
     w, sigma = w[active], sigma[active]
-    if ((w / sigma) ** 2).sum() <= 1.0:
+    # each ratio is bounded by 1 first, so that ``w / sigma`` cannot overflow
+    if (np.abs(w) <= sigma).all() and ((w / sigma) ** 2).sum() <= 1.0:
         return base
-    if not solve:
-        return math.inf
     mu = _secular_root(sigma * w, sigma * sigma)
     resid = w * mu / (sigma * sigma + mu)
     return base + float(resid @ resid)
@@ -226,16 +243,18 @@ def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float) -> float:
     multiplier ``end + sign * t`` solves the secular equation with
     ``gap = |sigma**2 - end|``; the multiplier minus ``sigma**2`` is taken
     as ``sign * (gap + t)``, because ``end + t`` rounds away the digits of
-    a small ``t``. Handles the "hard" case: no offset along the pole.
+    a small ``t``. Handles the "hard" case: no offset along the pole, which
+    is an offset small beside the pole's own ``sigma``, however small that
+    is.
     """
     sig2 = sigma * sigma
     if sig2[0] == 0.0:
         return float(w @ w)
     end = float(sig2[0] if sign > 0 else sig2[-1])
     gap = sign * (end - sig2)
-    pole = gap <= 1e-12 * sig2[0]
+    pole = gap <= 1e-12 * end
     sw = sigma * w
-    if np.all(np.abs(w[pole]) <= 1e-14):
+    if np.all(np.abs(sw[pole]) <= 1e-14 * end):
         # the secular sum stays finite at the pole; if it fits inside the
         # sphere budget there, the remaining length goes into the pole axis
         leak = float(np.sum((sw[~pole] / gap[~pole]) ** 2))
@@ -257,6 +276,26 @@ def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float
     w, sigma, scale = _range_frame(prop, region)
     gmax = scale * scale * _sphere_extreme(w, sigma, 1.0)
     return scale * scale * _ball_min(w, sigma), gmax
+
+
+def ellipsoid_depth(prop: Ellipsoid, region: Ellipsoid) -> float:
+    """Largest ``k`` such that ``region`` scaled by ``k`` about its center
+    lies inside ``prop``: 0 for a center outside, else the region-standardized
+    distance from the center to ``prop``'s surface."""
+    if not prop.contains(region.center):
+        return 0.0
+    w, sigma, scale = _range_frame(region, prop)
+    return scale * math.sqrt(_sphere_extreme(w, sigma, -1.0))
+
+
+def ellipsoid_reach(prop: Ellipsoid, region: Ellipsoid) -> float:
+    """Smallest ``k`` such that ``region`` scaled by ``k`` about its center
+    meets ``prop``: 0 for a center inside, else the region-standardized
+    distance from the center to ``prop``."""
+    if prop.contains(region.center):
+        return 0.0
+    w, sigma, scale = _range_frame(region, prop)
+    return scale * math.sqrt(_ball_min(w, sigma))
 
 
 def ellipsoids_intersect(e1: Ellipsoid, e2: Ellipsoid) -> bool:

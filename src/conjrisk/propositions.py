@@ -19,9 +19,8 @@ import numpy as np
 from .ellipsoids import (
     _CONTACT_RTOL,
     Ellipsoid,
-    _ball_min,
-    _range_frame,
-    _sphere_extreme,
+    ellipsoid_depth,
+    ellipsoid_reach,
 )
 from .errors import InputValidationError, UnsupportedPropositionError
 
@@ -76,7 +75,7 @@ class HalfSpace(Proposition):
         normal = np.atleast_1d(np.asarray(self.normal, dtype=float))
         if normal.ndim != 1 or not np.all(np.isfinite(normal)):
             raise InputValidationError("half-space normal must be a finite vector")
-        if float(np.linalg.norm(normal)) == 0.0:
+        if not normal.any():
             raise InputValidationError("half-space normal must be nonzero")
         if not math.isfinite(self.offset):
             raise InputValidationError(f"half-space offset must be finite, got {self.offset}")
@@ -126,12 +125,7 @@ def depth(prop: Proposition, region: Ellipsoid) -> float:
     if isinstance(prop, FullSpace):
         return math.inf if inside else 0.0
     if isinstance(prop, (Ball, EllipsoidSet)):
-        w, sigma, scale = _range_frame(region, prop.ellipsoid)
-        if not inside:
-            return scale * math.sqrt(_ball_min(w, sigma))
-        if _ball_min(w, sigma, solve=False) > 0.0:  # the center lies outside
-            return 0.0
-        return scale * math.sqrt(_sphere_extreme(w, sigma, -1.0))
+        return (ellipsoid_depth if inside else ellipsoid_reach)(prop.ellipsoid, region)
     if isinstance(prop, HalfSpace):
         # ``normal . x`` spans ``mid +- k * rho`` over the region scaled by
         # ``k``; the contact slack grows with the magnitudes involved
@@ -140,7 +134,8 @@ def depth(prop: Proposition, region: Ellipsoid) -> float:
         span = abs(prop.offset) + math.hypot(*prop.normal) * (
             math.hypot(*region.center) + region.bounding_radius
         )
-        margin = (prop.offset + _CONTACT_RTOL * max(span, 1.0) - mid) / rho
+        room = prop.offset + _CONTACT_RTOL * max(span, 1.0) - mid
+        margin = room / rho if rho > 0.0 else math.copysign(math.inf, room)
         return max(margin if inside else -margin, 0.0)
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 

@@ -473,6 +473,18 @@ class TestValidityCommand:
         assert captured.err == ""
 
 
+    def test_ksigma_halfwidth_beyond_float_range_of_sigma(self, capsys):
+        # every estimate lies inside the excluded ball, 1e355 sigmas wide:
+        # its belief is 0 without the ball ever entering the region's frame
+        argv = ["validity", "--sigma", "1e-155", "--halfwidth", "1e200",
+                "--seed", "1", "--n-trials", "1000"]
+        assert _run_warning_free(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "0.01,0,0,pass", "0.05,0,0,pass", "0.1,0,0,pass",
+        ]
+        assert captured.err == ""
+
 class TestFalseConfidenceCommand:
     def test_default_halfwidth_rate_one(self, capsys):
         status = run_command(

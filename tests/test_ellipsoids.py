@@ -183,6 +183,24 @@ class TestSphereMinimum:
         assert values.min() - 1e-4 <= got <= values.min()
 
 
+    def test_offset_beside_a_thin_pole(self):
+        # an offset of 5e-15 is half the thin axis: not the hard case
+        got = ellipsoids._sphere_extreme(np.array([0.0, 5e-15]), np.array([1.0, 1e-13]), -1.0)
+        assert got == pytest.approx((1e-13 - 5e-15) ** 2, rel=1e-12, abs=0.0)
+
+    def test_hard_case_pole_is_only_the_smallest_axis(self):
+        # axes 1e-7 and 1e-13 are far apart, though their squares differ by
+        # less than 1e-12 of the largest: the offset along 1e-7 is cancelled
+        # and the rest of the unit length goes into the 1e-13 axis
+        w = np.array([0.0, 1e-9, 0.0])
+        sigma = np.array([1.0, 1e-7, 1e-13])
+        end = 1e-26
+        leak = (1e-16 / (1e-14 - end)) ** 2
+        expected = end * (1.0 - leak) + (1e-9 * end / (1e-14 - end)) ** 2
+        got = ellipsoids._sphere_extreme(w, sigma, -1.0)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestSecularRoot:
     @staticmethod
     def _check(c, d, rtol=1e-14):

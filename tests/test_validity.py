@@ -28,7 +28,7 @@ from conjrisk import (
 )
 from conjrisk import ellipsoids
 from conjrisk.ellipsoids import standardized_range
-from conjrisk.propositions import depth, reach
+from conjrisk.propositions import contains_region, depth, intersects_region, reach
 
 
 def _region(center, radius):
@@ -137,6 +137,49 @@ class TestConfidenceRegionRule:
         )
         assert reach(prop, region) == 0.0
         assert reach(Complement(prop), region) == depth(prop, region)
+
+    def test_thin_set_axis_is_kept_in_the_region_frame(self):
+        # a set 1e13 times longer than it is thick, about a unit ball: its
+        # thickness decides depth and reach however long it is
+        region = Ellipsoid([0.0, 0.0], np.eye(2), [1.0, 1.0])
+        slab = EllipsoidSet(Ellipsoid([0.0, 1.0], np.eye(2), [1e14, 10.0]))
+        assert depth(slab, region) == pytest.approx(9.0, rel=1e-12)
+        assert contains_region(slab, region)
+        assert reach(slab, Ellipsoid([0.0, 0.0], np.eye(2), [0.5, 0.5])) == 0.0
+        far = EllipsoidSet(Ellipsoid([0.0, 30.0], np.eye(2), [1e14, 10.0]))
+        assert reach(far, region) == pytest.approx(20.0, rel=1e-12)
+        assert depth(Complement(far), region) == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_under_covariance_of_condition_1e26(self, dim):
+        cov = np.diag([1.0, 1e-13, 1e-26][:dim])
+        rule = gaussian_region_rule(cov)
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(20):
+            x = rng.standard_normal(dim) * np.sqrt(np.diag(cov)) * 3.0
+            prop = Ball(center=np.zeros(dim), radius=rng.uniform(0.5, 4.0))
+            alpha = rng.uniform(0.01, 0.5)
+            region = build_ellipsoid(x, cov, ksigma_for_level(alpha, dim))
+            for candidate in (prop, Complement(prop)):
+                inside, meets = _oracle(candidate, region)
+                if min(abs(inside), abs(meets)) <= 1e-9:
+                    continue
+                assert (rule.belief(x, candidate) >= 1.0 - alpha) == (inside > 0.0)
+                assert (rule.plausibility(x, candidate) >= alpha) == (meets > 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_halfspace_depth_under_a_vanishing_spread(self):
+        # semi-axes 1e-150 against a normal of norm 1e-200: the spread of
+        # normal . x over the region underflows to 0
+        region = build_ellipsoid([0.0, 0.0], np.diag([1e-300, 1e-300]), 1.0)
+        below = HalfSpace(normal=[1e-200, 0.0], offset=1.0)
+        assert depth(below, region) == math.inf
+        assert reach(below, region) == 0.0
+        assert contains_region(below, region) and intersects_region(below, region)
+        above = HalfSpace(normal=[-1e-200, 0.0], offset=-1.0)
+        assert depth(above, region) == 0.0
+        assert reach(above, region) == math.inf
+        assert not intersects_region(above, region)
 
     def test_invalid_covariance_rejected_once_up_front(self):
         with pytest.raises(InputValidationError, match="degenerate"):
@@ -291,6 +334,45 @@ def test_rule_matches_level_region_decisions(dim, kind, n_complements, alpha, dr
     assert (plausibility >= alpha) == (pls == 1.0) == (meets > 0.0)
     if belief > 0.0:
         assert plausibility == 1.0
+
+
+def _scaled(region, k):
+    return Ellipsoid(region.center, region.axes, k * region.semi_lengths)
+
+
+@pytest.mark.parametrize("shape", ["long", "thin", "needle region"])
+@pytest.mark.parametrize("draw", range(10))
+def test_depth_and_reach_bracket_the_oracle_at_axis_ratio_1e13(shape, draw):
+    # the region scaled by depth (reach) has its squared-radius maximum
+    # (minimum) in the set's own frame cross 1
+    rng = np.random.default_rng(draw)
+    dim = int(rng.integers(2, 4))
+    set_axes, region_axes = (
+        np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2)
+    )
+    semi = 10.0 ** rng.uniform(-1.0, 1.0, dim)
+    region_semi = 10.0 ** rng.uniform(-0.5, 0.5, dim)
+    offset = rng.uniform(-0.5, 0.5, dim) * min(semi)
+    if shape == "long":
+        semi[0] *= 1e13
+    elif shape == "thin":
+        semi[-1] *= 1e-13
+        offset = np.zeros(dim)
+        offset[-1] = rng.uniform(-0.5, 0.5) * semi[-1]
+    else:
+        semi[:] = semi[0]
+        region_semi[-1] *= 1e-13
+    prop = Ellipsoid(2.0 * rng.standard_normal(dim), set_axes, semi)
+    for center in (prop.center + set_axes @ offset, 3.0 * rng.standard_normal(dim)):
+        region = Ellipsoid(center, region_axes, region_semi)
+        inside, gap = depth(EllipsoidSet(prop), region), reach(EllipsoidSet(prop), region)
+        assert (inside > 0.0) == (gap == 0.0) == prop.contains(center)
+        if inside > 0.0:
+            assert standardized_range(prop, _scaled(region, inside * (1 - 1e-6)))[1] < 1.0
+            assert standardized_range(prop, _scaled(region, inside * (1 + 1e-6)))[1] > 1.0
+        else:
+            assert standardized_range(prop, _scaled(region, gap * (1 - 1e-6)))[0] > 1.0
+            assert standardized_range(prop, _scaled(region, gap * (1 + 1e-6)))[0] < 1.0
 
 
 class TestValidityCheck:

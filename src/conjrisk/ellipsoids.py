@@ -6,13 +6,13 @@ standardized squared radius over another ellipsoid: the minimum decides
 overlap and the maximum containment. The depth and reach of an ellipsoid
 about a region, the largest scale of the region inside it and the smallest
 that meets it, are the minimum of the region's standardized radius over the
-ellipsoid's surface and solid. In a shared SVD frame each bound, and
-the projection of a point onto an ellipsoid, is the root of one secular
-equation ``sum((c_i / (d_i + t))**2) = 1``, solved by one safeguarded
-Newton kernel. The distance between separated bodies is the largest
-separation ``n.delta - h1(n) - h2(n)`` over unit directions, from the
-closed-form support functions ``h``; one run of Newton steps on the sphere
-brackets it from both sides.
+ellipsoid's surface and solid. In a shared SVD frame each bound, the
+projection of a point onto an ellipsoid and the separating plane of two is
+the root of one secular equation ``sum((c_i / (d_i + t))**2) = 1``, solved
+by one safeguarded Newton kernel. The distance between separated bodies is
+the largest separation ``n.delta - h1(n) - h2(n)`` over unit directions,
+from the closed-form support functions ``h``; one run of Newton steps on
+the sphere brackets it from both sides.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _ORTHONORMAL_ATOL = 1e-10
 _CONTACT_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _SECULAR_MAX_ITERS = 100
-_PROJECTION_MAX_ITERS = 10**4
+_DISTANCE_MAX_ITERS = 100
 _DISTANCE_TOL_SCALE = 1e-10
 _NEWTON_HALVINGS = 20
 
@@ -96,16 +96,6 @@ class Ellipsoid:
     def contains(self, point) -> bool:
         return self.squared_radius(point) <= 1.0 + _CONTACT_RTOL
 
-    def surface_point(self, direction) -> np.ndarray:
-        """Boundary point in the given direction from the center."""
-        direction = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            raise InputValidationError("direction must be nonzero")
-        unit = direction / norm
-        scaled = (self.axes.T @ unit) / self.semi_lengths
-        return self.center + unit / float(np.linalg.norm(scaled))
-
 
 def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
     """Scale a covariance into a geometric uncertainty ellipsoid.
@@ -156,12 +146,12 @@ def _secular_root(c, d) -> float:
 
     Raises:
         NumericalError: after ``_SECULAR_MAX_ITERS`` evaluations, with the
-            bracket reached.
+            bracket reached, or where every term underflows.
     """
     terms = [(ci, di) for ci, di in zip(c.tolist(), d.tolist()) if ci != 0.0]
-    t = max(0.0, max(abs(ci) - di for ci, di in terms))
+    t = max([0.0] + [abs(ci) - di for ci, di in terms])
     norm = math.hypot(*(ci for ci, _ in terms))
-    lo, hi = t, max(t, norm - min(di for _, di in terms))
+    lo, hi = t, max(t, norm - min((di for _, di in terms), default=0.0))
     slack = (len(terms) + 3) * _EPS
     last_rise = math.inf
     for _ in range(_SECULAR_MAX_ITERS):
@@ -172,6 +162,8 @@ def _secular_root(c, d) -> float:
             slope += r * r / (di + t)
         if f <= 1.0:
             hi = t
+        if slope == 0.0:
+            raise NumericalError(f"secular equation underflows at {t:.6e}")
         step = f * (math.sqrt(f) - 1.0) / slope
         if abs(step) <= slack * f / slope:
             return t + step
@@ -185,10 +177,12 @@ def _secular_root(c, d) -> float:
 
 
 def _range_frame(prop: Ellipsoid, region: Ellipsoid):
-    """``(w, sigma, scale)``: over ``region``, ``prop``'s standardized squared
-    radius is ``scale**2 * ||w + sigma * y||**2`` for ``||y|| <= 1``, from
-    one SVD; ``sigma`` is descending and ``max(sigma, ||w||) = 1``. Raises
-    ``NumericalError`` if a standardized offset or axis ratio overflows.
+    """``(w, sigma, scale, axes, inv, u)``: over ``region``, ``prop``'s
+    standardized squared radius is ``scale**2 * ||w + sigma * y||**2`` for
+    ``||y|| <= 1``, from one SVD; ``sigma`` is descending and ``max(sigma,
+    ||w||) = 1``. Such a point is ``scale * u @ (w + sigma * y)`` on
+    ``prop``'s sorted ``axes``, with inverse semi-axes ``inv``. Raises
+    ``NumericalError`` if an offset or axis ratio overflows.
 
     The SVD is of ``diag(1 / prop.semi) C diag(region.semi)`` with ``C``
     orthogonal. LAPACK's SVD keeps the small singular values of such a
@@ -215,24 +209,24 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid):
     u_mat, sigma, _ = np.linalg.svd(mat)
     w = u_mat.T @ b
     scale = max(float(sigma[0]), math.hypot(*w.tolist()))
-    return w / scale, sigma / scale, scale
+    return w / scale, sigma / scale, scale, prop_axes, inv_ap, u_mat
 
 
-def _ball_min(w: np.ndarray, sigma: np.ndarray) -> float:
-    """Minimum of ``||w + sigma * y||**2`` over the unit ball ``||y|| <= 1``.
+def _ball_nearest(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The point ``w + sigma * y`` nearest the origin over ``||y|| <= 1``.
 
     Only an axis with ``sigma`` exactly 0 is left out of the secular
     equation: a thin axis still decides a minimum as small as itself.
     """
     active = sigma > 0.0
-    base = float((w[~active] ** 2).sum())
+    nearest = np.where(active, 0.0, w)
     w, sigma = w[active], sigma[active]
     # each ratio is bounded by 1 first, so that ``w / sigma`` cannot overflow
     if (np.abs(w) <= sigma).all() and ((w / sigma) ** 2).sum() <= 1.0:
-        return base
+        return nearest
     mu = _secular_root(sigma * w, sigma * sigma)
-    resid = w * mu / (sigma * sigma + mu)
-    return base + float(resid @ resid)
+    nearest[active] = w * mu / (sigma * sigma + mu)
+    return nearest
 
 
 def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float) -> float:
@@ -273,9 +267,10 @@ def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float
     ``region`` meets ``prop`` iff ``gmin <= 1`` and lies inside ``prop`` iff
     ``gmax <= 1``.
     """
-    w, sigma, scale = _range_frame(prop, region)
+    w, sigma, scale, *_ = _range_frame(prop, region)
     gmax = scale * scale * _sphere_extreme(w, sigma, 1.0)
-    return scale * scale * _ball_min(w, sigma), gmax
+    nearest = _ball_nearest(w, sigma)
+    return float(nearest @ nearest) * scale * scale, gmax
 
 
 def ellipsoid_depth(prop: Ellipsoid, region: Ellipsoid) -> float:
@@ -284,7 +279,7 @@ def ellipsoid_depth(prop: Ellipsoid, region: Ellipsoid) -> float:
     distance from the center to ``prop``'s surface."""
     if not prop.contains(region.center):
         return 0.0
-    w, sigma, scale = _range_frame(region, prop)
+    w, sigma, scale, *_ = _range_frame(region, prop)
     return scale * math.sqrt(_sphere_extreme(w, sigma, -1.0))
 
 
@@ -294,14 +289,26 @@ def ellipsoid_reach(prop: Ellipsoid, region: Ellipsoid) -> float:
     distance from the center to ``prop``."""
     if prop.contains(region.center):
         return 0.0
-    w, sigma, scale = _range_frame(region, prop)
-    return scale * math.sqrt(_ball_min(w, sigma))
+    w, sigma, scale, *_ = _range_frame(region, prop)
+    nearest = _ball_nearest(w, sigma)
+    return scale * math.sqrt(float(nearest @ nearest))
+
+
+def _separating_normal(e1: Ellipsoid, e2: Ellipsoid):
+    """Normal, from ``e1`` toward ``e2``, of a plane between the solids, or
+    None where they meet: in ``e1``'s unit-ball frame, the tangent plane at
+    the point of ``e2`` nearest the center, mapped back."""
+    w, sigma, scale, axes, inv, u = _range_frame(e1, e2)
+    nearest = _ball_nearest(w, sigma)
+    # the bounded factor goes first: ``scale * scale`` may overflow
+    if float(nearest @ nearest) * scale * scale <= 1.0 + _CONTACT_RTOL:
+        return None
+    return axes @ (inv / inv[0] * (u @ nearest))  # inv[0] is the largest
 
 
 def ellipsoids_intersect(e1: Ellipsoid, e2: Ellipsoid) -> bool:
     """Exact solid-intersection test."""
-    w, sigma, scale = _range_frame(e1, e2)
-    return scale * scale * _ball_min(w, sigma) <= 1.0 + _CONTACT_RTOL
+    return _separating_normal(e1, e2) is None
 
 
 def project_point(ell: Ellipsoid, point) -> np.ndarray:
@@ -337,7 +344,9 @@ def _probe(shapes, delta: np.ndarray, direction: np.ndarray) -> _Probe:
     function is ``h(n) = n.c + ||M n||``. Gives the lower bound
     ``g(n) = n.delta - ||M1 n|| - ||M2 n||`` on the distance, its gradient
     ``q - p`` (the gap between the two support points, whose norm is an
-    upper bound) and its Hessian, all taken in the ambient space.
+    upper bound) and its Hessian, all taken in the ambient space. The
+    Hessian uses the support point's offset ``tip``, a length: ``M^T M n``
+    squared overflows once the semi-axes pass 1e77.
     """
     n = direction / float(np.linalg.norm(direction))
     g = float(n @ delta)
@@ -346,10 +355,10 @@ def _probe(shapes, delta: np.ndarray, direction: np.ndarray) -> _Probe:
     for mat in shapes:
         u = mat @ n
         radius = float(np.linalg.norm(u))
-        w = mat.T @ u
+        tip = mat.T @ u / radius
         g -= radius
-        grad -= w / radius
-        hess -= (mat.T @ mat - np.outer(w, w) / (radius * radius)) / radius
+        grad -= tip
+        hess -= (mat.T @ mat - np.outer(tip, tip)) / radius
     return _Probe(n, g, grad, hess)
 
 
@@ -358,9 +367,9 @@ def _newton_ascent(shapes, delta, best: _Probe, halvings: int, upper: float):
 
     The Hessian on the tangent space is ``P hess P - g P`` (``g`` is
     positively homogeneous, so ``n.grad = g``); ``P hess P`` is negative
-    semidefinite, so the whole is negative definite wherever ``g > 0`` and
-    often a little below. Adding ``-n n^T`` makes the system regular and
-    keeps the step tangent. Where the Hessian is not negative definite the
+    semidefinite, so the whole is negative definite wherever ``g > 0``.
+    Taking ``-g I`` for ``-g P`` makes the system regular at the problem's
+    scale and keeps the step tangent. Where it is not negative definite the
     step need not ascend and none is tried. Otherwise the step is halved
     until ``g`` rises, at most ``halvings`` tries. Returns the probe that
     raised ``g`` (or None) and ``upper`` lowered to the smallest
@@ -369,7 +378,7 @@ def _newton_ascent(shapes, delta, best: _Probe, halvings: int, upper: float):
     """
     n = best.n
     proj = np.eye(n.size) - np.outer(n, n)
-    tangent_hess = proj @ best.hess @ proj - best.g * proj - np.outer(n, n)
+    tangent_hess = proj @ best.hess @ proj - best.g * np.eye(n.size)
     try:
         np.linalg.cholesky(-tangent_hess)
     except np.linalg.LinAlgError:
@@ -391,56 +400,39 @@ def min_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
     the lower bound ``g(n) = n.delta - ||S1 A1^T n|| - ||S2 A2^T n||`` from
     the closed-form support functions, and the distance ``||q - p||``
     between its two support points is an upper bound (``delta`` is the
-    center offset). The first direction joins the center-line surface point of
-    ``e1`` to its projection onto ``e2``; Riemannian Newton steps then
-    maximize ``g``, with an alternating-projection step wherever no Newton
-    step raises it. Once the bracket is within ``_DISTANCE_TOL_SCALE`` of
-    the problem scale, full Newton steps polish it to round-off and the
-    upper bound is returned. All work is relative to ``e1``'s center, so
-    large absolute coordinates cost no precision.
+    center offset). Riemannian Newton steps maximize ``g`` until none raises
+    it, from the better of the center line and the separating normal of the
+    intersection test (``g > 0``), which can follow a flat body's thin axis.
+    Once the bracket is within ``_DISTANCE_TOL_SCALE`` of the problem scale,
+    full Newton steps polish it to round-off and the upper bound is
+    returned. All work is relative to ``e1``'s center, so large absolute
+    coordinates cost no precision.
 
     Raises:
         NumericalError: if the bracket does not close within
-            ``_PROJECTION_MAX_ITERS`` steps; the message carries both bounds.
+            ``_DISTANCE_MAX_ITERS`` steps; the message carries both bounds.
     """
     if e1.dim != e2.dim:
         raise InputValidationError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    delta = e2.center - e1.center
-    scale = max(float(np.linalg.norm(delta)), e1.bounding_radius, e2.bounding_radius)
-
-    if ellipsoids_intersect(e1, e2):
+    start = _separating_normal(e1, e2)
+    if start is None:
         return 0.0
 
-    body1 = Ellipsoid(np.zeros_like(delta), e1.axes, e1.semi_lengths)
-    body2 = Ellipsoid(delta, e2.axes, e2.semi_lengths)
+    delta = e2.center - e1.center
+    scale = max(float(np.linalg.norm(delta)), e1.bounding_radius, e2.bounding_radius)
     shapes = [e.semi_lengths[:, None] * e.axes.T for e in (e1, e2)]
     tol = _DISTANCE_TOL_SCALE * scale
-
-    p = body1.surface_point(delta)
-    q = project_point(body2, p)
-    best = _probe(shapes, delta, q - p)
+    probes = [_probe(shapes, delta, d / np.abs(d).max()) for d in (start, delta)]
+    best = max(probes, key=lambda probe: probe.g)
     lower = max(0.0, best.g)
-    upper = min(float(np.linalg.norm(q - p)), float(np.linalg.norm(best.grad)))
-    newton = True    # a Newton step from ``best`` is untried
-    for _ in range(_PROJECTION_MAX_ITERS):
-        certified = upper - lower <= tol
-        trial = None
-        if newton:
-            halvings = 1 if certified else _NEWTON_HALVINGS
-            trial, upper = _newton_ascent(shapes, delta, best, halvings, upper)
+    upper = float(np.linalg.norm(best.grad))
+    for _ in range(_DISTANCE_MAX_ITERS):
+        halvings = 1 if upper - lower <= tol else _NEWTON_HALVINGS
+        trial, upper = _newton_ascent(shapes, delta, best, halvings, upper)
         if trial is None:
-            if certified:
-                return upper
-            p = project_point(body1, q)
-            q = project_point(body2, p)
-            trial = _probe(shapes, delta, q - p)
-            upper = min(
-                upper, float(np.linalg.norm(q - p)), float(np.linalg.norm(trial.grad))
-            )
-        newton = trial.g > best.g
-        if newton:
-            best = trial
-            lower = max(lower, best.g)
+            break
+        best = trial
+        lower = max(lower, best.g)
     if upper - lower <= tol:
         return upper
     raise NumericalError(

@@ -107,9 +107,7 @@ def contains_point(prop: Proposition, point) -> bool:
         bound = abs(prop.offset) + float(np.linalg.norm(prop.normal)) * float(
             np.linalg.norm(point)
         )
-        return float(prop.normal @ point) <= prop.offset + _CONTACT_RTOL * max(
-            bound, 1.0
-        )
+        return float(prop.normal @ point) <= prop.offset + _CONTACT_RTOL * bound
     if isinstance(prop, Complement):
         return not contains_point(prop.inner, point)
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
@@ -134,7 +132,7 @@ def depth(prop: Proposition, region: Ellipsoid) -> float:
         span = abs(prop.offset) + math.hypot(*prop.normal) * (
             math.hypot(*region.center) + region.bounding_radius
         )
-        room = prop.offset + _CONTACT_RTOL * max(span, 1.0) - mid
+        room = prop.offset + _CONTACT_RTOL * span - mid
         margin = room / rho if rho > 0.0 else math.copysign(math.inf, room)
         return max(margin if inside else -margin, 0.0)
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")

@@ -17,9 +17,15 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import settings
 from scipy import optimize
 
 from conjrisk import Ellipsoid, JointState
+
+# property tests run only their seeded examples, never ones replayed from a
+# local example database
+settings.register_profile("seeded", database=None)
+settings.load_profile("seeded")
 
 
 def random_rotation(rng: np.random.Generator, n: int = 3) -> np.ndarray:

@@ -408,8 +408,8 @@ class TestMinDistance:
             oracle = dense_min_distance_oracle(e1, e2)
             assert abs(got - oracle) <= 1e-6 * _scale(e1, e2)
 
-    @pytest.mark.parametrize("rel_gap", [1e-2, 1e-3])
-    @pytest.mark.parametrize("axis_ratio", [10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("rel_gap", [1e-2, 1e-3, 1e-10])
+    @pytest.mark.parametrize("axis_ratio", [10.0, 30.0, 100.0, 1e3, 1e4])
     def test_elongated_near_touching_against_mpmath(self, axis_ratio, rel_gap):
         rng = np.random.default_rng([int(axis_ratio), int(1.0 / rel_gap)])
         for offset in (0.0, 7.0e6):
@@ -422,7 +422,7 @@ class TestMinDistance:
     def test_iteration_cap_reports_both_bounds(self, monkeypatch):
         rng = np.random.default_rng(31)
         e1, e2 = ellipsoid_pair_with_gap(rng, 30.0, 1e-3)
-        monkeypatch.setattr(ellipsoids, "_PROJECTION_MAX_ITERS", 1)
+        monkeypatch.setattr(ellipsoids, "_DISTANCE_MAX_ITERS", 1)
         with pytest.raises(NumericalError, match="did not converge") as info:
             min_distance(e1, e2)
         bounds = re.search(r"between (\S+) and (\S+)$", str(info.value))
@@ -430,22 +430,36 @@ class TestMinDistance:
         reference = float(_mp_distance(e1, e2))
         assert 0.0 <= lower < reference < upper
 
-    def test_projection_work_budget(self, monkeypatch):
-        # one run, not a multi-start: the separated pairs need one
-        # projection each to find a direction that Newton steps finish
-        calls = []
-        project = ellipsoids.project_point
+    def test_newton_work_budget(self, monkeypatch):
+        # the better of the center line and the intersection test's
+        # separating normal is a start that a few Newton steps finish alone
+        projections, probes = [], []
+        probe = ellipsoids._probe
 
-        def counted(ell, point):
-            calls.append(1)
-            return project(ell, point)
+        def counted(*args):
+            probes.append(1)
+            return probe(*args)
 
-        monkeypatch.setattr(ellipsoids, "project_point", counted)
+        monkeypatch.setattr(ellipsoids, "project_point", lambda *a: projections.append(1))
+        monkeypatch.setattr(ellipsoids, "_probe", counted)
         rng = np.random.default_rng(19)
-        pairs = 50
-        for _ in range(pairs):
-            min_distance(*separated_ellipsoid_pair(rng, min_factor=1.0))
-        assert 0 < len(calls) <= 2 * pairs
+        for _ in range(50):
+            pair = separated_ellipsoid_pair(rng, min_factor=1.0)
+            probes.clear()
+            assert min_distance(*pair) > 0.0
+            assert 0 < len(probes) <= 10
+        assert projections == []
+
+    @pytest.mark.parametrize("seed", [43, 750, 1086, 2090, 2116, 2915, 2961, 3677])
+    def test_elongated_pairs_that_defeated_projection(self, seed):
+        # the hardest of 4000 pairs drawn this way, with axis ratios up to
+        # 1e6 and gaps down to 1e-12 of the touching size
+        rng = np.random.default_rng(seed)
+        ratio, gap = 10 ** rng.uniform(0, 6), 10 ** rng.uniform(-12, 0)
+        offset = rng.choice([0.0, 7e6])
+        e1, e2 = ellipsoid_pair_with_gap(rng, ratio, gap, offset)
+        reference = float(_mp_distance(e1, e2))
+        assert abs(min_distance(e1, e2) - reference) <= 1e-12 * _scale(e1, e2)
 
     def test_far_separation(self):
         rng = np.random.default_rng(18)

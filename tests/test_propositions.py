@@ -17,6 +17,7 @@ from conjrisk import (
     contains_region,
     intersects_region,
 )
+from conjrisk.propositions import depth
 
 from conftest import random_ellipsoid
 
@@ -108,3 +109,26 @@ class TestRegionPredicates:
             Ball(center=[0.0, 0.0], radius=-1.0)
         with pytest.raises(InputValidationError):
             HalfSpace(normal=[0.0, 0.0, 0.0], offset=1.0)
+
+
+class TestHalfSpaceSlack:
+    """The contact slack scales with the magnitudes involved, not the unit."""
+
+    def test_point_just_outside_a_tiny_offset(self):
+        hs = HalfSpace(normal=[-1.0, 0.0], offset=-1e-13)  # x1 >= 1e-13
+        assert not contains_point(hs, [0.0, 0.0])
+        assert contains_point(hs, [1e-13, 0.0])
+
+    def test_tiny_ball_beside_a_tiny_offset(self):
+        hs = HalfSpace(normal=[-1.0, 0.0], offset=-1e-13)
+        assert depth(hs, Ball(center=[0.0, 0.0], radius=1e-14).ellipsoid) == 0.0
+        inside = Ball(center=[2e-13, 0.0], radius=1e-14).ellipsoid
+        assert depth(hs, inside) == pytest.approx(10.0, rel=1e-9)
+
+    def test_tiny_normal_and_offset_about_a_tinier_region(self):
+        # x1 >= 1e-100 holds nowhere on a region 1e-150 across at the origin
+        hs = HalfSpace(normal=[-1e-200, 0.0], offset=-1e-300)
+        region = Ball(center=[0.0, 0.0], radius=1e-150).ellipsoid
+        assert depth(hs, region) == 0.0
+        assert not contains_region(hs, region)
+        assert not contains_point(hs, [0.0, 0.0])

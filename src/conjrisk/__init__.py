@@ -1,12 +1,12 @@
 """Conjunction analysis toolkit.
 
 Reduces joint satellite state estimates to the encounter plane, computes
-collision probability by contour integration (by the exact noncentral
-chi-squared series for circular encounters), quantifies how probability
-dilution degrades threshold-based detection, and provides K-sigma
-uncertainty-ellipsoid screening whose missed-detection rate is capped by
-construction, together with a harness for empirically testing belief rules
-against that validity standard.
+collision probability by a Gauss-Legendre strip integral (by the exact
+noncentral chi-squared series for circular encounters), quantifies how
+probability dilution degrades threshold-based detection, and provides
+K-sigma uncertainty-ellipsoid screening whose missed-detection rate is
+capped by construction, together with a harness for empirically testing
+belief rules against that validity standard.
 """
 
 from .detection import (

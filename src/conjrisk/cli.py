@@ -83,13 +83,8 @@ def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
 def _cmd_pc(args, config: Config) -> int:
     cf = _read_conjunction(args)
     enc = standardized_encounter(cf.to_joint_state())
-    result = pc_contour(enc, n_quad=args.n_quad)
+    result = pc_contour(enc)
     print(format_cell(result.pc, config.output_precision))
-    if result.below_min_quad:
-        print(
-            "warning: requested quadrature count is below the anisotropy rule",
-            file=sys.stderr,
-        )
     _emit(args, config, result.to_json_dict(), result.csv_rows())
     return 0
 
@@ -245,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = commands.add_parser("pc", help="collision probability for a conjunction file")
     _add_io_flags(pc, with_input=True)
-    pc.add_argument("--n-quad", type=int, default=None, help="quadrature point count")
     pc.set_defaults(handler=_cmd_pc)
 
     dil = commands.add_parser("dilution-curve", help="probability vs uncertainty ratio")

@@ -2,11 +2,13 @@
 
 For an anisotropic encounter (``pc_contour``) the probability that the true
 relative displacement falls inside the combined-radius disk, under bivariate
-normal uncertainty, is evaluated as a single periodic contour integral
-around the disk boundary mapped into unit normal space. The trapezoidal rule
-on evenly spaced points converges spectrally for this integrand; at least
-``10 * max(s1/s2, s2/s1)`` points are required, with a floor of 64 for a
-uniform small-error guarantee.
+normal uncertainty, is integrated across the disk along the axis of the
+smaller deviation: that axis's normal density times the mass the other
+axis's law puts on the chord. With ``y = r sin(theta)`` the chord is smooth
+at the disk's edge. Composite 16-point Gauss-Legendre panels are doubled
+until two panel counts agree to ``1e-10`` relative; every term is positive
+and the sum is taken in log space, so the relative error holds down to the
+underflow limit.
 
 For a circular encounter (``s1 == s2 == s``, ``pc_circular``) the squared
 displacement over ``s`` is noncentral chi-squared with two degrees of
@@ -22,83 +24,107 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlog1py, xlogy
+from scipy.special import gammainc, gammaln, log_ndtr, xlog1py, xlogy
 
 from .errors import InputValidationError, NumericalError
 from .geometry import StandardizedEncounter
 
-#: Minimum quadrature point count used even for near-circular encounters.
-QUAD_FLOOR = 64
-#: Most quadrature points ``pc_contour`` evaluates; the automatic count
-#: reaches it at an axis ratio s1/s2 near 1e5. Bounds the memory used.
-MAX_QUAD = 2**20
 #: Largest grid ``dilution_curve`` accepts; each point is one Pc evaluation.
 MAX_CURVE_POINTS = 10**5
 
-# below this squared radius the radial kernel is replaced by its limit 1/(4 pi)
-_TINY_RSQ = 1e-16
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
+_MASS_X, _MASS_W = np.polynomial.legendre.leggauss(8)
+#: Most panels ``pc_contour`` doubles to before it raises.
+_MAX_PANELS = 2**12
+_PC_RTOL = 1e-10
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _rule_minimum(s1: float, s2: float) -> int:
-    return int(math.ceil(10.0 * max(s1 / s2, s2 / s1)))
+def _log_interval_mass(m: float, w: np.ndarray) -> np.ndarray:
+    """``log P(|Z - m| <= w)`` for a standard normal ``Z``, ``m >= 0`` and
+    ``w >= 0``, without cancellation. Where ``w max(w, m) <= 1/2`` it is
+    ``phi(m)`` times 8-point Gauss-Legendre on ``exp(-m s - s^2/2)`` over
+    ``|s| <= w``; elsewhere the two tails from ``log_ndtr``."""
+    near = w <= 0.5 / np.maximum(w, m)
+    out = np.empty_like(w)
+    s = w[near, None] * _MASS_X
+    out[near] = np.log(w[near] * (np.exp(-s * (m + 0.5 * s)) @ _MASS_W))
+    out[near] -= 0.5 * m * m + _HALF_LOG_2PI
+    far = w[~near]
+    lo, hi = log_ndtr(far - m), log_ndtr(-far - m)
+    out[~near] = lo + np.log(-np.expm1(hi - lo))
+    return out
 
 
-def auto_n_quad(s1: float, s2: float) -> int:
-    """Default quadrature count: anisotropy rule with a floor, rounded even."""
-    n = max(QUAD_FLOOR, _rule_minimum(s1, s2))
-    return n if n % 2 == 0 else n + 1
+def _strip_integral(a: float, b: float, p: float, q: float) -> tuple[float, int, float]:
+    """Probability that ``normal((a, b), diag(p^2, q^2))`` falls in the unit
+    disk, integrated along the second axis; returns it, the node count and
+    the absolute difference from half the panels.
 
-
-def _contour_integral(
-    u: np.ndarray, v: float, s1: float, s2: float, r: float, n: int
-) -> np.ndarray:
-    """Trapezoidal contour integral for a batch of first-axis offsets.
-
-    ``u`` may be any shape; ``v`` is shared. Returns probabilities with the
-    shape of ``u``.
+    Only ``|y - b| <= 40 q`` is integrated (the rest holds under 1e-349 of
+    the mass), over ``t = theta - theta_c`` from ``sin(theta_c) = clamp(b)``,
+    so that ``y - b`` keeps its digits at every node however small ``q`` is.
     """
-    psi = np.arange(n) * (2.0 * math.pi / n)
-    cos_psi = np.cos(psi)
-    sin_psi = np.sin(psi)
-    u = np.asarray(u, dtype=float)
-    x = u[..., None] / s1 + (r / s1) * cos_psi
-    y = v / s2 + (r / s2) * sin_psi
-    rsq = x * x + y * y
-    small = rsq < _TINY_RSQ
-    denom = np.where(small, 1.0, rsq)
-    kernel = np.where(
-        small, 1.0 / (4.0 * math.pi), -np.expm1(-rsq / 2.0) / (2.0 * math.pi * denom)
+    if not math.isfinite(a + b + p + q):  # a ratio to r overflows
+        return 0.0, 0, 0.0
+    if q < 1e-300:  # below about 1e-306 log_ndtr overflows across the window
+        raise NumericalError(f"s2/r = {q!r} is below 1e-300")
+    m = abs(a) / p
+    c = min(1.0, max(-1.0, b))
+    d_lo, d_hi = max(-1.0 - c, b - c - 40.0 * q), min(1.0 - c, b - c + 40.0 * q)
+    if d_lo >= d_hi:
+        return 0.0, 0, 0.0
+    # half-chords at y = c + d: the anchor's, the window ends' and the widest
+    cos_c, h_lo, h_hi, widest = (
+        math.sqrt((1.0 - c - d) * (1.0 + c + d))
+        for d in (0.0, d_lo, d_hi, min(max(-c, d_lo), d_hi))
     )
-    boundary = (r / (s1 * s2)) * (r + u[..., None] * cos_psi + v * sin_psi)
-    values = kernel * boundary
-    if not np.all(np.isfinite(values)):
-        bad = np.nonzero(~np.isfinite(values))
-        offending = psi[bad[-1][0]]
-        raise NumericalError(
-            f"non-finite contour integrand at psi = {offending:.6f} rad"
-        )
-    return values.sum(axis=-1) * (2.0 * math.pi / n)
+    # the mass on the widest chord bounds Pc; where it underflows, so does Pc
+    if math.exp(log_ndtr((widest - abs(a)) / p)) == 0.0:
+        return 0.0, 0, 0.0
+    # tan(t/2) = (y - c) / (cos(theta_c) + cos(theta)) at the window's ends
+    t_lo, t_hi = (2.0 * math.atan2(d, cos_c + h) for d, h in ((d_lo, h_lo), (d_hi, h_hi)))
+    panels, last = 1, None
+    with np.errstate(divide="ignore"):
+        while panels <= _MAX_PANELS:
+            half = 0.5 * (t_hi - t_lo) / panels
+            t = (np.arange(1.0, 2 * panels, 2.0)[:, None] + _PANEL_X).ravel() * half + t_lo
+            sin_t = np.sin(t)
+            h = np.maximum(cos_c * np.cos(t) - c * sin_t, 0.0)
+            z = ((c - b) + cos_c * sin_t - 2.0 * c * np.sin(0.5 * t) ** 2) / q
+            log_f = _log_interval_mass(m, h / p) + np.log(h) - 0.5 * z * z
+            top = log_f.max()
+            total = float(np.exp(log_f - top).reshape(panels, -1).sum(axis=0) @ _PANEL_W)
+            log_scale = top + math.log(half) - math.log(q) - _HALF_LOG_2PI
+            if last is not None:
+                diff = abs(total - last[1] * math.exp(last[0] - log_scale))
+                if diff <= _PC_RTOL * total:
+                    pc = math.exp(log_scale + math.log(total))
+                    return min(1.0, pc), t.size, diff * math.exp(log_scale)
+            last = (log_scale, total)
+            panels *= 2
+    pc, diff = math.exp(log_scale + math.log(total)), diff * math.exp(log_scale)
+    raise NumericalError(f"Pc quadrature reached {pc:.6g} with difference {diff:.3g}")
 
 
 @dataclass(frozen=True)
 class PcResult:
     """Collision probability with quadrature metadata.
 
-    ``quad_error_est`` is the absolute difference against a half-resolution
-    evaluation. ``below_min_quad`` flags an explicitly requested point count
-    under the anisotropy rule (the computation still proceeds).
+    ``n_quad`` is the node count of the accepted rule, 0 where Pc underflows
+    before any rule runs; ``quad_error_est`` is its absolute difference from
+    the rule with half the panels.
     """
 
     pc: float
     n_quad: int
     quad_error_est: float
-    below_min_quad: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.pc <= 1.0):
             raise InputValidationError(f"pc must be in [0, 1], got {self.pc}")
-        if self.n_quad < 1:
-            raise InputValidationError(f"n_quad must be positive, got {self.n_quad}")
+        if self.n_quad < 0:
+            raise InputValidationError(f"n_quad must be >= 0, got {self.n_quad}")
         if not (self.quad_error_est >= 0.0):
             raise InputValidationError(
                 f"quad_error_est must be non-negative, got {self.quad_error_est}"
@@ -108,50 +134,15 @@ class PcResult:
         return asdict(self)
 
     def csv_rows(self) -> list[dict]:
-        return [{k: v for k, v in asdict(self).items() if k != "below_min_quad"}]
+        return [asdict(self)]
 
 
-def pc_contour(enc: StandardizedEncounter, n_quad: int | None = None) -> PcResult:
-    """Collision probability for a standardized encounter.
-
-    Args:
-        enc: standardized encounter-plane description.
-        n_quad: evenly spaced quadrature point count, at most ``MAX_QUAD``;
-            defaults to ``max(QUAD_FLOOR, ceil(10 * max(s1/s2, s2/s1)))``
-            rounded even.
-
-    Returns:
-        PcResult with the probability, the point count used, and an error
-        estimate from comparing against half the resolution.
-
-    Raises:
-        InputValidationError: if ``n_quad`` is outside ``[1, MAX_QUAD]``.
-        NumericalError: if the automatic count exceeds ``MAX_QUAD``.
-    """
-    explicit = n_quad is not None
-    if explicit:
-        if not (1 <= n_quad <= MAX_QUAD):
-            raise InputValidationError(
-                f"n_quad must be in [1, {MAX_QUAD}], got {n_quad}"
-            )
-        n = int(n_quad)
-    else:
-        n = auto_n_quad(enc.s1, enc.s2)
-        if n > MAX_QUAD:
-            raise NumericalError(
-                f"contour quadrature needs {n} points for s1 = {enc.s1:.6g}, "
-                f"s2 = {enc.s2:.6g}, more than {MAX_QUAD}"
-            )
-    below = explicit and n < _rule_minimum(enc.s1, enc.s2)
-    args = (enc.v_hat, enc.s1, enc.s2, enc.r_combined)
-    pc = float(_contour_integral(np.array(enc.u_hat), *args, n))
-    pc_half = float(_contour_integral(np.array(enc.u_hat), *args, max(1, n // 2)))
-    return PcResult(
-        pc=min(1.0, max(0.0, pc)),
-        n_quad=n,
-        quad_error_est=abs(pc - pc_half),
-        below_min_quad=below,
-    )
+def pc_contour(enc: StandardizedEncounter) -> PcResult:
+    """Collision probability for a standardized encounter, to ``1e-10``
+    relative. Raises ``NumericalError`` if ``s2 / r`` is below 1e-300 or
+    the rule does not converge in ``_MAX_PANELS`` panels."""
+    r = enc.r_combined
+    return PcResult(*_strip_integral(enc.u_hat / r, enc.v_hat / r, enc.s1 / r, enc.s2 / r))
 
 
 #: Share of the series total that ``ncx2_cdf`` may leave out.

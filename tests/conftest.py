@@ -8,7 +8,9 @@ derivative-free local refinement, or maximized over separating directions in
 mpmath with numerical derivatives. The noncentral chi-squared references sum
 every Poisson term from zero at 40 digits, and the circular collision
 probability is also taken from the Bessel series of the Marcum Q function.
-Secular-equation roots are bisected at 40 digits.
+The anisotropic collision probability is the same strip integral as the
+kernel's, in mpmath, where the working precision rather than the formulation
+absorbs cancellation. Secular-equation roots are bisected at 40 digits.
 """
 
 from __future__ import annotations
@@ -334,3 +336,28 @@ def mp_pc_circular(d_over_r, s_over_r, dps: int = 40):
             return +(scale * mpmath.fsum(r**k * bessel[k] for k in range(1, top + 1)))
         r = a / b
         return 1 - scale * mpmath.fsum(r**k * bessel[k] for k in range(top + 1))
+
+
+def mp_pc(u, v, s1, s2, r, dps: int = 40):
+    """Anisotropic collision probability at ``dps`` digits (an mpmath number).
+
+    The mass of ``normal(u, s1^2)`` on the chord ``|x| <= r cos(t)``, times
+    the density of ``normal(v, s2^2)`` at ``y = r sin(t)``, integrated over
+    the ``t`` of ``|y - v| <= 40 s2`` in 8 equal pieces. The integrand is
+    divided by its largest value at the piece ends first, because mpmath
+    stops at an absolute error.
+    """
+    with mpmath.workdps(dps):
+        u, v, s1, s2, r = (mpmath.mpf(x) for x in (u, v, s1, s2, r))
+
+        def f(t):
+            h = r * mpmath.cos(t)
+            mass = mpmath.ncdf((h - abs(u)) / s1) - mpmath.ncdf((-h - abs(u)) / s1)
+            return mpmath.npdf((r * mpmath.sin(t) - v) / s2) / s2 * mass * h
+
+        lo, hi = max(-r, v - 40 * s2), min(r, v + 40 * s2)
+        if lo >= hi:
+            return mpmath.mpf(0)
+        ends = mpmath.linspace(mpmath.asin(lo / r), mpmath.asin(hi / r), 9)
+        scale = max(f(t) for t in ends)
+        return scale * mpmath.quad(lambda t: f(t) / scale, ends, method="gauss-legendre")

@@ -158,6 +158,15 @@ def test_screen_contract(doc, k, tmp_path_factory):
     _check_contract(["screen", "--input", str(path), "--k-sigma", repr(k)])
 
 
+@seed(2031)
+@settings(max_examples=200, deadline=None)
+@given(doc=_conjunction_doc())
+def test_pc_contract(doc, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "pc_contract.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _check_contract(["pc", "--input", str(path)])
+
+
 @seed(2029)
 @settings(max_examples=5, deadline=None)
 @given(

@@ -29,7 +29,6 @@ CASES: dict[str, list[str]] = {
     "pc_head_on": ["pc", "--input", "head_on.json"],
     "pc_kvn": ["pc", "--input", "offset.kvn"],
     "pc_full12": ["pc", "--input", "full12.json"],
-    "pc_n_quad_8": ["pc", "--input", "offset.kvn", "--n-quad", "8"],
     "pc_precision4": ["--config", "precision4.cfg", "pc", "--input", "head_on.json"],
     "screen_head_on": ["screen", "--input", "head_on.json"],
     "screen_kvn": ["screen", "--input", "offset.kvn", "--k-sigma", "3"],

@@ -1,4 +1,4 @@
-"""Collision probability: closed forms, Monte Carlo oracle, quadrature."""
+"""Collision probability: closed forms, Monte Carlo and mpmath oracles, quadrature."""
 
 import math
 import re
@@ -20,9 +20,10 @@ from conjrisk import (
     pc_circular,
     pc_contour,
 )
-from conjrisk.probability import MAX_CURVE_POINTS, auto_n_quad, pc_circular_batch
+from conjrisk import probability
+from conjrisk.probability import MAX_CURVE_POINTS, _strip_integral, pc_circular_batch
 
-from conftest import mc_pc_oracle, mp_pc_circular
+from conftest import mc_pc_oracle, mp_pc, mp_pc_circular
 
 # frozen 1e7-sample oracle values (seed 20240101), fraction and standard error
 FIG2_ORACLE = {
@@ -98,13 +99,12 @@ class TestCircularSeries:
         assert checked >= 60
 
     def test_contour_agrees_at_equal_deviations(self):
-        # the 64-point contour resolves the circle from s/r = 0.1 up; it
-        # has an absolute floor of about 1e-17 from cancellation
-        for s in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
+        # two independent kernels: the strip quadrature and the ncx2 series
+        for s in (0.01, 0.03, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
             for d in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0):
                 contour = pc_contour(_encounter(d, 0.0, s, s)).pc
                 circular = pc_circular(d, s)
-                assert abs(contour - circular) <= min(2e-10, 1e-4 * circular + 1e-16)
+                assert contour == pytest.approx(circular, rel=1e-11, abs=1e-300)
 
     def test_batch_matches_scalar(self):
         for s in (0.05, 0.7, 4.0, 60.0):
@@ -163,8 +163,6 @@ class TestMonteCarloOracle:
 
 class TestSymmetries:
     def test_sign_flip_and_axis_exchange(self):
-        from conjrisk.probability import _contour_integral
-
         rng = np.random.default_rng(5)
         for _ in range(20):
             enc = _random_encounter(rng)
@@ -173,18 +171,12 @@ class TestSymmetries:
                 _encounter(-enc.u_hat, -enc.v_hat, enc.s1, enc.s2)
             ).pc
             assert flipped == pytest.approx(base, abs=1e-10)
-            # exchange (u, s1) <-> (v, s2) via the raw integrand, since the
-            # encounter type itself enforces the s1 >= s2 ordering
-            n = auto_n_quad(enc.s1, enc.s2)
-            direct = float(
-                _contour_integral(np.array(enc.u_hat), enc.v_hat,
-                                  enc.s1, enc.s2, 1.0, n)
-            )
-            exchanged = float(
-                _contour_integral(np.array(enc.v_hat), enc.u_hat,
-                                  enc.s2, enc.s1, 1.0, n)
-            )
-            assert exchanged == pytest.approx(direct, abs=1e-10)
+            # exchange (u, s1) <-> (v, s2) in the kernel, since the
+            # encounter type itself enforces the s1 >= s2 ordering; the
+            # exchanged call integrates along the wider axis
+            direct = _strip_integral(enc.u_hat, enc.v_hat, enc.s1, enc.s2)[0]
+            exchanged = _strip_integral(enc.v_hat, enc.u_hat, enc.s2, enc.s1)[0]
+            assert exchanged == pytest.approx(direct, rel=1e-10)
 
     def test_strictly_decreasing_in_displacement(self):
         for s in (0.5, 2.0, 10.0):
@@ -194,36 +186,70 @@ class TestSymmetries:
             assert np.all(diffs < 1e-12)
 
 
-class TestQuadrature:
-    def test_auto_rule(self):
-        assert auto_n_quad(1.0, 1.0) == 64
-        assert auto_n_quad(10.0, 1.0) == 100
-        assert auto_n_quad(1.0, 12.5) == 126  # ceil(125) rounded even
+# (u, v, s1, s2) with r = 1: far tails, sharp strips and needles
+MPMATH_CASES = [
+    (10.0, 0.0, 1.0, 1.0 / 3.0),
+    (8.0, 0.0, 1.0, 0.5),
+    (5.0, 0.0, 0.5, 0.25),
+    (20.0, 0.0, 1.0, 0.1),
+    (1.0, 0.0, 0.01, 0.005),
+    (0.5, 0.8660254037844386, 0.01, 1e-5),
+    (1.0, 0.0, 0.1, 1e-4),
+]
 
-    def test_convergence_at_rule_count(self):
+
+class TestQuadrature:
+    @pytest.mark.parametrize("u, v, s1, s2", MPMATH_CASES)
+    def test_against_mpmath(self, u, v, s1, s2):
+        result = pc_contour(_encounter(u, v, s1, s2))
+        assert result.pc == pytest.approx(float(mp_pc(u, v, s1, s2, 1.0)), rel=1e-10, abs=0.0)
+
+    def test_full12_far_tail_against_mpmath(self):
+        # the encounter plane of tests/golden/inputs/full12.json
+        plane = (-946.153118171137, -465.943775098459, 31.876935040547245,
+                 26.792933806709893, 5.5)
+        pc = pc_contour(_encounter(*plane[:4], r=plane[4])).pc
+        assert pc == pytest.approx(float(mp_pc(*plane)), rel=1e-10, abs=0.0)
+        assert 4.5e-258 < pc < 4.6e-258
+
+    def test_beyond_the_strip_is_zero(self):
+        # about 1e-7844: the 40-deviation window misses the disk
+        assert pc_contour(_encounter(0.0, 20.0, 1.0, 0.1)) == PcResult(0.0, 0, 0.0)
+
+    @pytest.mark.parametrize(
+        "u, v, s1, s2",
+        [(1e152, -2e152, 1e-41, 3e-43), (-1.3e263, -1.2e262, 1e86, 4e84), (1e308, 0.0, 1.0, 1.0)],
+    )
+    def test_far_offsets_underflow_quietly(self, u, v, s1, s2):
+        # offsets of 1e162 to 1e318 radii: Pc underflows, with no overflow warning
+        assert pc_contour(_encounter(u, v, s1, s2, r=1e-10)) == PcResult(0.0, 0, 0.0)
+
+    def test_tiny_deviation_ratio_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="below 1e-300"):
+            pc_contour(_encounter(0.0, 0.0, 1.0, 1e-301))
+
+    def test_unconverged_rule_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(probability, "_MAX_PANELS", 2)
+        with pytest.raises(NumericalError, match=r"reached 0\.50\d* with difference 0\.4"):
+            pc_contour(_encounter(1.0, 0.0, 0.01, 0.005))
+
+    def test_convergence_certified(self):
         rng = np.random.default_rng(6)
         for _ in range(15):
             enc = _random_encounter(rng)
-            n = auto_n_quad(enc.s1, enc.s2)
-            a = pc_contour(enc, n_quad=n).pc
-            b = pc_contour(enc, n_quad=2 * n).pc
-            assert abs(a - b) < 1e-9
+            result = pc_contour(enc)
+            panels = result.n_quad // 16
+            assert result.n_quad == 16 * panels and panels & (panels - 1) == 0
+            assert result.quad_error_est <= 1e-10 * result.pc
 
     def test_error_estimate_and_flag(self):
         enc = _encounter(2.0, 1.0, 4.0, 1.0)
-        auto = pc_contour(enc)
-        assert auto.n_quad == 64
-        assert auto.n_quad % 2 == 0
-        assert not auto.below_min_quad
-        assert auto.quad_error_est >= 0.0
-        low = pc_contour(enc, n_quad=10)
-        assert low.below_min_quad
-        assert 0.0 <= low.pc <= 1.0
+        result = pc_contour(enc)
+        assert 0.0 <= result.quad_error_est <= 1e-10 * result.pc
+        # the result carries no point-count flag
+        assert set(result.to_json_dict()) == {"pc", "n_quad", "quad_error_est"}
 
     def test_invalid_inputs(self):
-        enc = _encounter(1.0, 0.0, 2.0, 1.0)
-        with pytest.raises(InputValidationError):
-            pc_contour(enc, n_quad=0)
         with pytest.raises(InputValidationError):
             pc_circular(-1.0, 2.0)
         with pytest.raises(InputValidationError):
@@ -233,7 +259,7 @@ class TestQuadrature:
         with pytest.raises(InputValidationError):
             PcResult(pc=1.5, n_quad=64, quad_error_est=0.0)
         with pytest.raises(InputValidationError):
-            PcResult(pc=0.5, n_quad=0, quad_error_est=0.0)
+            PcResult(pc=0.5, n_quad=-1, quad_error_est=0.0)
 
 
 @settings(max_examples=60, deadline=None)

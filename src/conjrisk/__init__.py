@@ -15,7 +15,6 @@ from .detection import (
     critical_displacement,
     default_threshold_grid,
     detection_curve,
-    detection_rate,
     dilution_boundary,
     false_confidence_demo,
     proof_halfwidth,
@@ -85,7 +84,6 @@ from .validity import (
     ValidityReport,
     gaussian_region_rule,
     gaussian_sampling_model,
-    ksigma_for_level,
     region_belief,
     validity_check,
 )

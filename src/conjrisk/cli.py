@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .detection import (
     detection_curve,
     dilution_boundary,
@@ -40,6 +38,7 @@ from .validity import (
     AdditiveGaussianRule,
     gaussian_region_rule,
     gaussian_sampling_model,
+    halfwidth_in_sigmas,
     validity_check,
 )
 
@@ -161,10 +160,9 @@ def _cmd_screen(args, config: Config) -> int:
 
 def _cmd_validity(args, config: Config) -> int:
     seed = _resolve_seed(args, config)
-    sigma = args.sigma
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise InputValidationError(f"sigma must be positive, got {sigma}")
-    cov = np.array([[sigma * sigma]])
+    # in units of sigma: only halfwidth / sigma reaches the rule
+    radius = halfwidth_in_sigmas(args.halfwidth, args.sigma)
+    cov = [[1.0]]
     if args.rule == "ksigma":
         rule = gaussian_region_rule(cov)
     else:
@@ -173,7 +171,7 @@ def _cmd_validity(args, config: Config) -> int:
         rule=rule,
         sampling_model=gaussian_sampling_model([0.0], cov),
         theta_true=[0.0],
-        proposition_family=[Complement(Ball(center=[0.0], radius=args.halfwidth))],
+        proposition_family=[Complement(Ball(center=[0.0], radius=radius))],
         alpha_grid=_floats("--alpha-grid", args.alpha_grid),
         n_trials=args.n_trials,
         seed=seed,

@@ -22,6 +22,13 @@ from scipy import special
 from . import rng as rngmod
 from .errors import InputValidationError, NumericalError
 from .probability import max_pc_head_on, ncx2_cdf, pc_circular
+from .propositions import Ball, Complement
+from .validity import (
+    AdditiveGaussianRule,
+    gaussian_sampling_model,
+    halfwidth_in_sigmas,
+    validity_check,
+)
 
 #: Most Pc evaluations one critical-displacement solve may take.
 _NEWTON_MAX_ITERS = 100
@@ -150,15 +157,43 @@ def critical_displacement(threshold: float, s_over_r: float) -> float | None:
     )
 
 
-def _detection_rates(
-    thresholds: np.ndarray,
+def default_threshold_grid() -> np.ndarray:
+    """Log-spaced threshold grid including ``POLICY_THRESHOLDS`` exactly."""
+    grid = np.geomspace(1e-8, 1e-1, 43)
+    return np.unique(np.concatenate([grid, POLICY_THRESHOLDS]))
+
+
+def detection_curve(
     s_over_r: float,
     d_true_over_r: float,
-    method: str,
-    n_trials: int,
-    seed: int | None,
-) -> np.ndarray:
-    """Detection rate at each threshold of an array (see ``detection_rate``)."""
+    thresholds=None,
+    method: str = _SEMI_ANALYTIC,
+    n_trials: int = 10**6,
+    seed: int | None = None,
+) -> DetectionCurve:
+    """Failure-to-detect probability across a grid of thresholds.
+
+    The detection rate at a threshold is the aleatory probability of
+    flagging the encounter. ``d_true_over_r`` is the true miss distance over
+    the combined radius; values ``<= 1`` describe an impending collision, so
+    the rate is then the detection rate and its complement the failure rate.
+
+    The semi-analytic path evaluates the noncentral chi-squared CDF at the
+    critical displacement of each threshold. The Monte Carlo path redraws
+    the estimated displacement from its sampling law and counts the draws at
+    or below the critical displacement, which are exactly those whose
+    collision probability reaches the threshold; it requires a seed and
+    shares one displacement sample across all thresholds, which preserves
+    the monotone shape of the curve. A noncentrality
+    ``(d_true_over_r / s_over_r)^2`` that overflows raises
+    ``NumericalError``.
+    """
+    thresholds = (
+        default_threshold_grid() if thresholds is None
+        else np.sort(np.asarray(thresholds, dtype=float))
+    )
+    if thresholds.size == 0:
+        raise InputValidationError("threshold grid is empty")
     if not np.all((thresholds > 0.0) & (thresholds < 1.0)):
         raise InputValidationError("thresholds must lie in (0, 1)")
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
@@ -179,77 +214,19 @@ def _detection_rates(
             f"(d_true_over_r / s_over_r)^2 overflows for d_true_over_r = "
             f"{d_true_over_r!r}, s_over_r = {s_over_r!r}"
         )
-    lam = ratio**2
     # Pc is strictly decreasing in the displacement, so Pc >= t exactly
     # where D/S <= u_crit(t); an unreachable threshold (None) and one
     # reached only by a head-on estimate (0) have rate 0
     u_crit = np.array([critical_displacement(t, s_over_r) or 0.0 for t in thresholds])
     if method == _SEMI_ANALYTIC:
-        return ncx2_cdf(2, lam, u_crit * u_crit)
-    hits = np.zeros(thresholds.size, dtype=np.int64)
-    for gen, count in rngmod.blocks(seed, n_trials):
-        xi = gen.standard_normal((count, 2))
-        d_over_s = np.sort(np.hypot(ratio + xi[:, 0], xi[:, 1]))
-        hits += np.searchsorted(d_over_s, u_crit, side="right")
-    return hits / n_trials
-
-
-def detection_rate(
-    threshold: float,
-    s_over_r: float,
-    d_true_over_r: float,
-    method: str = _SEMI_ANALYTIC,
-    n_trials: int = 10**6,
-    seed: int | None = None,
-) -> float:
-    """Aleatory probability of flagging an encounter at the given threshold.
-
-    ``d_true_over_r`` is the true miss distance over the combined radius;
-    values ``<= 1`` describe an impending collision, so the returned value is
-    then the detection rate and its complement the failure rate.
-
-    The semi-analytic path evaluates the noncentral chi-squared CDF at the
-    critical displacement. The Monte Carlo path redraws the estimated
-    displacement from its sampling law and counts the draws at or below the
-    critical displacement, which are exactly those whose collision
-    probability reaches the threshold; it requires a seed. A noncentrality
-    ``(d_true_over_r / s_over_r)^2`` that overflows raises
-    ``NumericalError``.
-    """
-    rates = _detection_rates(
-        np.array([float(threshold)]), s_over_r, d_true_over_r, method, n_trials, seed
-    )
-    return float(rates[0])
-
-
-def default_threshold_grid() -> np.ndarray:
-    """Log-spaced threshold grid including ``POLICY_THRESHOLDS`` exactly."""
-    grid = np.geomspace(1e-8, 1e-1, 43)
-    return np.unique(np.concatenate([grid, POLICY_THRESHOLDS]))
-
-
-def detection_curve(
-    s_over_r: float,
-    d_true_over_r: float,
-    thresholds=None,
-    method: str = _SEMI_ANALYTIC,
-    n_trials: int = 10**6,
-    seed: int | None = None,
-) -> DetectionCurve:
-    """Failure-to-detect probability across a grid of thresholds.
-
-    The Monte Carlo path shares one displacement sample across all
-    thresholds, which preserves the monotone shape of the curve.
-    """
-    thresholds = (
-        default_threshold_grid() if thresholds is None
-        else np.sort(np.asarray(thresholds, dtype=float))
-    )
-    if thresholds.size == 0:
-        raise InputValidationError("threshold grid is empty")
-    rates = _detection_rates(
-        thresholds, s_over_r, d_true_over_r, method, n_trials, seed
-    )
+        rates = ncx2_cdf(2, ratio**2, u_crit * u_crit)
+    else:
+        hits = np.zeros(thresholds.size, dtype=np.int64)
+        for gen, count in rngmod.blocks(seed, n_trials):
+            xi = gen.standard_normal((count, 2))
+            d_over_s = np.sort(np.hypot(ratio + xi[:, 0], xi[:, 1]))
+            hits += np.searchsorted(d_over_s, u_crit, side="right")
+        rates = hits / n_trials
     points = tuple(
         (float(t), float(1.0 - rate)) for t, rate in zip(thresholds, rates)
     )
@@ -290,13 +267,6 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
     return alpha * sigma * math.sqrt(2.0 * math.pi) / 2.0
 
 
-def _interval_belief(x: np.ndarray, halfwidth: float, sigma: float) -> np.ndarray:
-    """Normal(x, sigma^2) mass of the interval (-halfwidth, halfwidth)."""
-    with np.errstate(over="ignore"):  # ndtr(+-inf) is the exact limit
-        upper, lower = (halfwidth - x) / sigma, (-halfwidth - x) / sigma
-    return special.ndtr(upper) - special.ndtr(lower)
-
-
 def false_confidence_demo(
     sigma: float,
     halfwidth: float,
@@ -314,50 +284,46 @@ def false_confidence_demo(
     proposition belief at least ``1 - alpha``, together with the analytic
     rate ``p_target`` it should approach.
 
-    With ``halfwidth <= proof_halfwidth(sigma, alpha)`` the rate is exactly
-    one: the false proposition is always believed at level ``1 - alpha``.
+    This is ``validity_check`` of the additive rule at the level ``alpha``,
+    run in units of ``sigma``, so the answer depends on ``halfwidth /
+    sigma`` alone; a ratio outside the float range raises
+    ``NumericalError``. With ``halfwidth <= proof_halfwidth(sigma, alpha)``
+    the rate is exactly one: the false proposition is always believed at
+    level ``1 - alpha``.
     """
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise InputValidationError(f"sigma must be positive, got {sigma}")
-    if not (halfwidth > 0.0 and math.isfinite(halfwidth)):
-        raise InputValidationError(f"halfwidth must be positive, got {halfwidth}")
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if n_trials < 10**3:
-        raise InputValidationError(f"n_trials must be >= 1000, got {n_trials}")
-    seed = rngmod.validate_seed(seed)
+    radius = halfwidth_in_sigmas(halfwidth, sigma)
+    rule = AdditiveGaussianRule([[1.0]])
+    near = Ball(center=[0.0], radius=radius)
+    report = validity_check(
+        rule, gaussian_sampling_model([0.0], [[1.0]]), [0.0], [Complement(near)],
+        [alpha], n_trials, seed,
+    )
 
-    hits = 0
-    for gen, count in rngmod.blocks(seed, n_trials):
-        x = sigma * gen.standard_normal(count)
-        belief_outside = 1.0 - _interval_belief(x, halfwidth, sigma)
-        hits += int(np.count_nonzero(belief_outside >= 1.0 - alpha))
+    def mass(z: float) -> float:
+        return float(rule.belief(np.array([[z]]), near)[0])
 
-    # analytic rate: interval mass decreases in |x|, so threshold-crossing
-    # happens outside a band |x| >= x_star
-    max_mass = float(_interval_belief(np.array(0.0), halfwidth, sigma))
-    if max_mass <= alpha:
+    # analytic rate: the interval mass decreases in |z|, so the belief in
+    # the complement reaches 1 - alpha outside a band |z| >= z_star
+    if mass(0.0) <= alpha:
         p_target = 1.0
-    elif float(_interval_belief(np.array(_NDTR_ZERO * sigma), halfwidth, sigma)) > alpha:
-        # x_star lies beyond _NDTR_ZERO sigmas, where 2 ndtr(-x_star/sigma) is 0
+    elif mass(_NDTR_ZERO) > alpha:
+        # z_star lies beyond _NDTR_ZERO, where 2 ndtr(-z_star) is 0
         p_target = 0.0
     else:
         from scipy import optimize  # imported on first use: slow to import
 
-        x_star = optimize.brentq(
-            lambda x: float(_interval_belief(np.array(x), halfwidth, sigma)) - alpha,
-            0.0,
-            halfwidth + sigma * 50.0,
-            xtol=1e-14,
-            rtol=8.9e-16,
+        z_star = optimize.brentq(
+            lambda z: mass(z) - alpha, 0.0, radius + 50.0, xtol=1e-14, rtol=8.9e-16
         )
-        p_target = 2.0 * float(special.ndtr(-x_star / sigma))
+        p_target = 2.0 * float(special.ndtr(-z_star))
 
     return FalseConfidenceReport(
         alpha=float(alpha),
         p_target=p_target,
         neighborhood_halfwidth=float(halfwidth),
-        empirical_rate=hits / n_trials,
-        n_trials=int(n_trials),
-        seed=seed,
+        empirical_rate=report.rates[0],
+        n_trials=report.n_trials,
+        seed=report.seed,
     )

@@ -12,8 +12,8 @@ Conventions fixed here for reproducibility:
 * units are meters and meters per second throughout;
 * covariances are symmetrized as ``(C + C^T) / 2`` and rejected if the
   asymmetry exceeds ``1e-9`` relative;
-* eigenvalues in ``[-1e-9 * trace, 0)`` are clamped to zero, anything lower
-  is rejected;
+* eigenvalues in ``[-1e-9 * trace, 0)`` are taken for round-off and
+  reported as zero (the matrix itself is kept), anything lower is rejected;
 * principal deviations are ordered descending (``s1 >= s2``).
 """
 
@@ -45,13 +45,15 @@ def _as_finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
 def covariance_eigh(mat, name: str = "covariance"):
     """Symmetrize and PSD-check a covariance matrix, and eigendecompose it.
 
-    Eigenvalues within ``-1e-9 * trace`` of zero are clamped to zero and the
-    matrix is reconstructed; anything below that is rejected with the
-    offending eigenvalue in the message.
+    Eigenvalues within ``-1e-9 * trace`` of zero are round-off: they are
+    reported as zero, and the matrix is returned symmetrized but not rebuilt
+    from them, so that a small block keeps its own digits. Anything below
+    that is rejected with the offending eigenvalue in the message; a caller
+    that needs a block of the matrix definite checks that block itself.
 
-    Returns ``(sym, eigvals, eigvecs)``: the validated matrix, its
-    eigenvalues in ascending order after clamping, and the eigenvectors as
-    columns, so that ``sym = eigvecs @ diag(eigvals) @ eigvecs.T``.
+    Returns ``(sym, eigvals, eigvecs)``: the symmetrized matrix, its
+    eigenvalues in ascending order with the round-off ones set to zero, and
+    the eigenvectors as columns.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -75,9 +77,7 @@ def covariance_eigh(mat, name: str = "covariance"):
             f"below tolerance {floor:.3e}"
         )
     if lowest < 0.0:
-        eigvals = np.clip(eigvals, 0.0, None)
-        sym = eigvecs @ np.diag(eigvals) @ eigvecs.T
-        sym = 0.5 * (sym + sym.T)
+        eigvals = np.maximum(eigvals, 0.0)
     return sym, eigvals, eigvecs
 
 

@@ -8,11 +8,12 @@ confidence ellipsoid inside the proposition, is consonant and, by the
 coverage property, valid.
 
 The harness in this module tests that criterion empirically for arbitrary
-belief rules: simulate data at a known truth, evaluate the rule once per
-realization on a family of false propositions, and compare the observed
-rates of belief ``>= 1 - alpha`` against every level of a grid. Additive
-rules (posterior mass) fail the test spectacularly for suitably small
-excluded neighborhoods; confidence-region rules pass.
+belief rules: simulate data at a known truth, score each block of
+realizations with one call of the rule per false proposition of a family,
+and compare the observed rates of belief ``>= 1 - alpha`` against every
+level of a grid. Additive rules (posterior mass) fail the test
+spectacularly for suitably small excluded neighborhoods; confidence-region
+rules pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy import special
 
 from . import rng as rngmod
 from .ellipsoids import Ellipsoid, build_ellipsoid
-from .errors import InputValidationError, UnsupportedPropositionError
+from .errors import InputValidationError, NumericalError, UnsupportedPropositionError
 from .geometry import covariance_eigh
 from .probability import ncx2_cdf
 from .propositions import (
@@ -70,16 +71,18 @@ class BeliefRule(ABC):
     """A data-conditional belief assignment: one number per realization and
     proposition, tested against every level at once.
 
-    ``plausibility`` is derived from belief of the complement, so the
-    complementarity identity holds for every rule by construction.
+    A rule scores a whole block of realizations per call. ``plausibility``
+    is derived from belief of the complement, so the complementarity
+    identity holds for every rule by construction.
     """
 
     @abstractmethod
-    def belief(self, x: np.ndarray, proposition: Proposition) -> float:
-        """Belief in the proposition given data realization ``x``."""
+    def belief(self, xs: np.ndarray, proposition: Proposition) -> np.ndarray:
+        """Belief in the proposition given each row of ``xs``, an ``(n, dim)``
+        block of data realizations; an ``(n,)`` array."""
 
-    def plausibility(self, x: np.ndarray, proposition: Proposition) -> float:
-        return 1.0 - self.belief(x, Complement(proposition))
+    def plausibility(self, xs: np.ndarray, proposition: Proposition) -> np.ndarray:
+        return 1.0 - self.belief(xs, Complement(proposition))
 
 
 class ConfidenceRegionRule(BeliefRule):
@@ -89,25 +92,20 @@ class ConfidenceRegionRule(BeliefRule):
     about the estimate inside the proposition, ``k`` its ``depth`` about
     the unit ellipsoid: it reaches ``1 - alpha`` exactly when the
     level-``alpha`` region lies inside. The covariance is validated and
-    decomposed once, here; each trial only moves the unit ellipsoid.
+    decomposed once, here; each realization only moves the unit ellipsoid.
     """
 
     def __init__(self, cov):
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         self._unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
 
-    def belief(self, x, proposition):
+    def belief(self, xs, proposition):
         unit = self._unit
-        region = Ellipsoid(np.asarray(x, dtype=float), unit.axes, unit.semi_lengths)
-        k = depth(proposition, region)
-        return float(special.gammainc(unit.dim / 2.0, 0.5 * k * k))
-
-
-def ksigma_for_level(alpha: float, dim: int) -> float:
-    """Sigma multiple whose ellipsoid has coverage ``1 - alpha``."""
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return math.sqrt(2.0 * float(special.gammaincinv(dim / 2.0, 1.0 - alpha)))
+        k = np.array([
+            depth(proposition, Ellipsoid(x, unit.axes, unit.semi_lengths))
+            for x in np.asarray(xs, dtype=float)
+        ])
+        return special.gammainc(unit.dim / 2.0, 0.5 * k * k)
 
 
 def gaussian_region_rule(cov) -> ConfidenceRegionRule:
@@ -147,30 +145,34 @@ class AdditiveGaussianRule(BeliefRule):
         isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
         self._isotropic_var = float(diag[0]) if isotropic else None
 
-    def belief(self, x, proposition):
-        return self._mass(np.atleast_1d(np.asarray(x, dtype=float)), proposition)
+    def belief(self, xs, proposition):
+        return self._mass(np.asarray(xs, dtype=float), proposition)
 
-    def _mass(self, x: np.ndarray, prop: Proposition) -> float:
+    def _mass(self, xs: np.ndarray, prop: Proposition) -> np.ndarray:
         if isinstance(prop, FullSpace):
-            return 1.0
+            return np.ones(xs.shape[0])
         if isinstance(prop, Complement):
-            return 1.0 - self._mass(x, prop.inner)
+            return 1.0 - self._mass(xs, prop.inner)
         if isinstance(prop, HalfSpace):
             spread = math.sqrt(float(prop.normal @ self.cov @ prop.normal))
-            return float(
-                special.ndtr((prop.offset - float(prop.normal @ x)) / spread)
-            )
+            return special.ndtr((prop.offset - xs @ prop.normal) / spread)
         if isinstance(prop, Ball):
             if self._isotropic_var is None:
                 raise UnsupportedPropositionError(
                     "ball mass implemented only for isotropic covariance"
                 )
             sigma = math.sqrt(self._isotropic_var)
-            shift = float(np.linalg.norm(prop.center - x)) / sigma
+            if self.dim == 1:  # an interval: the difference of two normal CDFs
+                x, center = xs[:, 0], float(prop.center[0])
+                with np.errstate(over="ignore"):  # ndtr(+-inf) is the exact limit
+                    upper = (center + prop.radius - x) / sigma
+                    lower = (center - prop.radius - x) / sigma
+                return special.ndtr(upper) - special.ndtr(lower)
+            shift = np.linalg.norm(xs - prop.center, axis=1) / sigma
             try:
                 reach = (prop.radius / sigma) ** 2
             except OverflowError:  # radius over 1e154 sigma: a half-space's mass
-                return float(special.ndtr(prop.radius / sigma - shift))
+                return special.ndtr(prop.radius / sigma - shift)
             return ncx2_cdf(self.dim, shift * shift, reach)
         raise UnsupportedPropositionError(
             f"Gaussian mass not implemented for {type(prop).__name__}"
@@ -227,10 +229,10 @@ def validity_check(
 ) -> ValidityReport:
     """Empirically test a belief rule against the validity criterion.
 
-    Simulates data realizations at the true parameter, evaluates the rule's
-    belief in each (false) proposition once, and records how often belief
-    reaches ``1 - alpha`` for each level in the grid. A valid rule keeps
-    every such rate at or below its level.
+    Simulates blocks of data realizations at the true parameter, scores
+    each block's belief in each (false) proposition with one call of the
+    rule, and records how often belief reaches ``1 - alpha`` for each level
+    in the grid. A valid rule keeps every such rate at or below its level.
 
     Args:
         rule: belief rule under test.
@@ -274,8 +276,12 @@ def validity_check(
             raise InputValidationError(
                 "sampling_model returned wrong number of realizations"
             )
-        beliefs = np.array([[rule.belief(x, prop) for prop in props] for x in xs])
-        hits += np.count_nonzero(beliefs >= floors, axis=1)
+        beliefs = np.array([rule.belief(xs, prop) for prop in props])
+        if beliefs.shape != (len(props), count):
+            raise InputValidationError(
+                "rule.belief must return one belief per realization of the block"
+            )
+        hits += np.count_nonzero(beliefs >= floors, axis=2)
 
     rate_matrix = hits / n_trials
     worst_per_alpha = rate_matrix.max(axis=1)
@@ -307,6 +313,29 @@ def gaussian_sampling_model(theta_true, cov):
     chol = np.linalg.cholesky(_definite_covariance(cov))
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        return theta_true + gen.standard_normal((n, theta_true.size)) @ chol.T
+        # np.dot: on a tall block with one column, ``@`` is 5 times slower
+        return theta_true + np.dot(gen.standard_normal((n, theta_true.size)), chol.T)
 
     return draw
+
+
+def halfwidth_in_sigmas(halfwidth: float, sigma: float) -> float:
+    """``halfwidth / sigma``, the radius of the one-dimensional experiment's
+    excluded neighborhood in units of the estimator's deviation.
+
+    Raises:
+        InputValidationError: if ``sigma`` or ``halfwidth`` is not positive
+            and finite.
+        NumericalError: if the ratio overflows or underflows to 0.
+    """
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise InputValidationError(f"sigma must be positive, got {sigma}")
+    if not (halfwidth > 0.0 and math.isfinite(halfwidth)):
+        raise InputValidationError(f"halfwidth must be positive, got {halfwidth}")
+    ratio = halfwidth / sigma
+    if ratio == 0.0 or math.isinf(ratio):
+        fate = "overflows" if ratio else "underflows to 0"
+        raise NumericalError(
+            f"halfwidth / sigma {fate} at halfwidth = {halfwidth!r}, sigma = {sigma!r}"
+        )
+    return ratio

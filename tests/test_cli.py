@@ -422,16 +422,17 @@ class TestValidityCommand:
 
     @pytest.mark.parametrize("rule", ["ksigma", "additive"])
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
-    def test_degenerate_covariance_exits_two(self, rule, sigma, capsys):
-        # sigma**2 underflows to 0 or overflows to inf
-        status = run_command(
-            ["validity", "--rule", rule, "--sigma", sigma, "--halfwidth", "0.1",
-             "--n-trials", "1000", "--seed", "1"]
-        )
-        assert status == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "covariance" in captured.err
+    def test_sigma_squared_beyond_float_range_runs(self, rule, sigma, capsys):
+        # sigma**2 underflows to 0 or overflows to inf, but only
+        # halfwidth / sigma reaches the rule
+        common = ["validity", "--rule", rule, "--n-trials", "1000", "--seed", "1"]
+        ratio = repr(0.1 / float(sigma))
+        assert _run_warning_free(common + ["--halfwidth", ratio]) == 0
+        reference = capsys.readouterr()
+        status = _run_warning_free(common + ["--sigma", sigma, "--halfwidth", "0.1"])
+        assert status == 0
+        assert capsys.readouterr() == reference
+        assert reference.err == ""
 
     def test_additive_at_subnormal_variance_matches_ksigma(self, capsys):
         # sigma**2 = 1e-320 is subnormal and (halfwidth / sigma)**2 overflows
@@ -477,16 +478,17 @@ class TestValidityCommand:
 
 
     def test_ksigma_halfwidth_beyond_float_range_of_sigma(self, capsys):
-        # every estimate lies inside the excluded ball, 1e355 sigmas wide:
-        # its belief is 0 without the ball ever entering the region's frame
+        # the excluded ball would be 1e355 sigmas wide
         argv = ["validity", "--sigma", "1e-155", "--halfwidth", "1e200",
                 "--seed", "1", "--n-trials", "1000"]
-        assert _run_warning_free(argv) == 0
+        assert _run_warning_free(argv) == 3
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1:] == [
-            "0.01,0,0,pass", "0.05,0,0,pass", "0.1,0,0,pass",
-        ]
-        assert captured.err == ""
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: halfwidth / sigma overflows at "
+            "halfwidth = 1e+200, sigma = 1e-155\n"
+        )
+
 
 class TestFalseConfidenceCommand:
     def test_default_halfwidth_rate_one(self, capsys):
@@ -505,15 +507,36 @@ class TestFalseConfidenceCommand:
         assert status == 0
         assert capsys.readouterr().out.startswith("empirical_rate=0 p_target=0 ")
 
-    def test_standardized_bounds_that_overflow_stay_silent(self, capsys):
+    def test_tiny_sigma_keeps_the_digits_of_p_target(self, capsys):
+        # the rate and p_target of halfwidth / sigma = 1.5, as at sigma 1
         status = _run_warning_free(
-            ["false-confidence", "--halfwidth", "1e160", "--sigma", "1e-300",
-             "--seed", "1", "--n-trials", "1000"]
+            ["false-confidence", "--sigma", "1e-20", "--halfwidth", "1.5e-20",
+             "--alpha", "0.5", "--seed", "1"]
         )
         assert status == 0
         captured = capsys.readouterr()
-        assert captured.out == "empirical_rate=0 p_target=0 halfwidth=1e+160\n"
+        assert captured.out == (
+            "empirical_rate=0.1339 p_target=0.134503074 halfwidth=1.5e-20\n"
+        )
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "sigma, halfwidth, alpha, seed",
+        [("1", "0.5", "0.05", "3"), ("2", "0.8", "0.2", "21"),
+         ("1e-200", "3e-200", "0.1", "5"), ("4e250", "1e250", "0.05", "8")],
+    )
+    def test_rate_is_the_additive_validity_rate(self, sigma, halfwidth, alpha, seed,
+                                                capsys):
+        # one engine: the same draws, beliefs and hit count in both commands
+        common = ["--sigma", sigma, "--halfwidth", halfwidth,
+                  "--n-trials", "70000", "--seed", seed]
+        assert run_command(["false-confidence", "--alpha", alpha] + common) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        argv = ["validity", "--rule", "additive", "--alpha-grid", alpha] + common
+        assert run_command(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == fields["empirical_rate"]
+        assert 0.0 < float(row[1]) < 1.0
 
     def test_seed_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -529,6 +552,30 @@ class TestFalseConfidenceCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, fate",
+        [
+            (["false-confidence", "--sigma", "1e-300", "--halfwidth", "1e160"],
+             "overflows"),
+            (["false-confidence", "--sigma", "1e300", "--halfwidth", "1e-300"],
+             "underflows to 0"),
+            (["validity", "--rule", "additive", "--sigma", "1e-300",
+              "--halfwidth", "1e160"], "overflows"),
+            (["validity", "--rule", "additive", "--sigma", "1e300",
+              "--halfwidth", "1e-300"], "underflows to 0"),
+            (["validity", "--sigma", "1e300", "--halfwidth", "1e-300"],
+             "underflows to 0"),
+        ],
+    )
+    def test_halfwidth_over_sigma_beyond_float_range_exits_three(
+        self, argv, fate, capsys
+    ):
+        status = _run_warning_free(argv + ["--n-trials", "1000", "--seed", "1"])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numerical failure: halfwidth / sigma {fate} ")
+
     def test_unknown_subcommand(self, capsys):
         assert run_command(["frobnicate"]) == 2
 

@@ -3,8 +3,9 @@
 Each run writes its parse ``warning: …`` lines to stderr first. Then it
 either exits 0 with finite numbers on stdout and nothing more on stderr,
 or exits 2 or 3 with empty stdout and one more line on stderr. Lengths
-enter the K-sigma validity check only through their ratio, so scaling
-``--sigma`` and ``--halfwidth`` together leaves its report unchanged.
+enter the validity check of either rule and the false-confidence run only
+through their ratio, so scaling ``--sigma`` and ``--halfwidth`` together
+leaves the reported rates unchanged.
 """
 
 import contextlib
@@ -167,22 +168,54 @@ def test_pc_contract(doc, tmp_path_factory):
     _check_contract(["pc", "--input", str(path)])
 
 
-@seed(2029)
-@settings(max_examples=5, deadline=None)
-@given(
+_SCALE_DRAWS = dict(
     sigma=st.floats(min_value=0.1, max_value=10.0),
     ratio=st.floats(min_value=1e-3, max_value=5.0),
-    exponent=st.integers(min_value=-150, max_value=150),
+    exponent=st.integers(min_value=-300, max_value=300),
     run_seed=st.integers(0, 2**31),
 )
+
+
+def _scaled_out(argv, sigma, ratio, scale, run_seed) -> str:
+    status, out, err = _run(
+        argv + ["--sigma", repr(sigma * scale), "--halfwidth",
+                repr(ratio * sigma * scale), "--n-trials", "1000",
+                "--seed", str(run_seed)]
+    )
+    assert (status, err) == (0, "")
+    return out
+
+
+@seed(2029)
+@settings(max_examples=5, deadline=None)
+@given(**_SCALE_DRAWS)
 def test_ksigma_validity_independent_of_length_unit(sigma, ratio, exponent, run_seed):
     def rows(scale):
-        status, out, err = _run(
-            ["validity", "--sigma", repr(sigma * scale), "--halfwidth",
-             repr(ratio * sigma * scale), "--n-trials", "1000",
-             "--seed", str(run_seed)]
-        )
-        assert (status, err) == (0, "")
-        return out
+        return _scaled_out(["validity"], sigma, ratio, scale, run_seed)
 
     assert rows(10.0**exponent) == rows(1.0)
+
+
+@seed(2032)
+@settings(max_examples=5, deadline=None)
+@given(**_SCALE_DRAWS)
+def test_additive_validity_independent_of_length_unit(sigma, ratio, exponent, run_seed):
+    def rows(scale):
+        return _scaled_out(["validity", "--rule", "additive"], sigma, ratio, scale, run_seed)
+
+    assert rows(10.0**exponent) == rows(1.0)
+
+
+@seed(2033)
+@settings(max_examples=5, deadline=None)
+@given(alpha=st.floats(min_value=0.01, max_value=0.5), **_SCALE_DRAWS)
+def test_false_confidence_independent_of_length_unit(
+    alpha, sigma, ratio, exponent, run_seed
+):
+    # the echoed halfwidth is in the length unit; the rates are not
+    def rates(scale):
+        out = _scaled_out(["false-confidence", "--alpha", repr(alpha)],
+                          sigma, ratio, scale, run_seed)
+        return out.rsplit(" halfwidth=", 1)[0]
+
+    assert rates(10.0**exponent) == rates(1.0)

@@ -14,7 +14,6 @@ from conjrisk import (
     NumericalError,
     critical_displacement,
     detection_curve,
-    detection_rate,
     dilution_boundary,
     false_confidence_demo,
     max_pc_head_on,
@@ -203,11 +202,17 @@ class TestCriticalDisplacement:
             critical_displacement(4.4e-4, 10.0)
 
 
+def _rate(threshold, s_over_r, d_true_over_r, **kwargs):
+    """Detection rate at one threshold."""
+    curve = detection_curve(s_over_r, d_true_over_r, thresholds=[threshold], **kwargs)
+    return 1.0 - curve.points[0][1]
+
+
 class TestDetectionRate:
     def test_quoted_operational_rates(self):
-        assert detection_rate(4.4e-4, 10.0, 0.0) == pytest.approx(0.912, abs=2e-3)
-        assert detection_rate(4.4e-4, 10.0, 1.0) == pytest.approx(0.911, abs=2e-3)
-        assert detection_rate(4.4e-4, 20.0, 0.0) == pytest.approx(0.648, abs=2e-3)
+        assert _rate(4.4e-4, 10.0, 0.0) == pytest.approx(0.912, abs=2e-3)
+        assert _rate(4.4e-4, 10.0, 1.0) == pytest.approx(0.911, abs=2e-3)
+        assert _rate(4.4e-4, 20.0, 0.0) == pytest.approx(0.648, abs=2e-3)
 
     def test_methods_agree_on_grid(self):
         thresholds = [1e-7, 4.4e-4, 1e-2]
@@ -223,7 +228,7 @@ class TestDetectionRate:
                 )
                 for threshold, failure in curve.points:
                     mc = 1.0 - failure
-                    semi = detection_rate(threshold, s, d_true)
+                    semi = _rate(threshold, s, d_true)
                     se = math.sqrt(semi * (1.0 - semi) / n)
                     # +3/n covers the Poisson regime of near-0/near-1 rates,
                     # where the normal 3-sigma band under-covers
@@ -232,16 +237,16 @@ class TestDetectionRate:
     def test_head_on_never_harder_than_glancing(self):
         for s in (2.0, 5.0, 10.0, 20.0, 50.0):
             for threshold in (1e-7, 4.4e-4, 1e-2):
-                assert detection_rate(threshold, s, 0.0) >= detection_rate(
+                assert _rate(threshold, s, 0.0) >= _rate(
                     threshold, s, 1.0
                 )
 
     def test_exactly_zero_beyond_boundary(self):
         threshold = 4.4e-4
         boundary = dilution_boundary(threshold)
-        assert detection_rate(threshold, boundary * 1.001, 0.0) == 0.0
-        assert detection_rate(threshold, boundary * 1.001, 1.0) == 0.0
-        assert detection_rate(threshold, boundary * 0.999, 0.0) > 0.0
+        assert _rate(threshold, boundary * 1.001, 0.0) == 0.0
+        assert _rate(threshold, boundary * 1.001, 1.0) == 0.0
+        assert _rate(threshold, boundary * 0.999, 0.0) > 0.0
 
     def test_threshold_counting_matches_pc_per_draw(self):
         # Pc is strictly decreasing in the displacement, so counting draws
@@ -275,24 +280,23 @@ class TestDetectionRate:
 
     def test_monte_carlo_requires_seed(self):
         with pytest.raises(InputValidationError, match="seed"):
-            detection_rate(1e-4, 10.0, 0.0, method="monte-carlo")
+            _rate(1e-4, 10.0, 0.0, method="monte-carlo")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InputValidationError, match="method"):
-            detection_rate(1e-4, 10.0, 0.0, method="exact")
+            _rate(1e-4, 10.0, 0.0, method="exact")
 
     def test_monte_carlo_deterministic_given_seed(self):
-        a = detection_rate(
+        a = _rate(
             4.4e-4, 10.0, 0.0, method="monte-carlo", n_trials=2 * 10**4, seed=5
         )
-        b = detection_rate(
+        b = _rate(
             4.4e-4, 10.0, 0.0, method="monte-carlo", n_trials=2 * 10**4, seed=5
         )
         assert a == b
 
     def test_monte_carlo_hit_counts_pinned(self):
-        # hit counts of 70000 trials (two substream blocks) at seed 5;
-        # detection_rate and detection_curve share one sample per seed
+        # hit counts of 70000 trials (two substream blocks) at seed 5
         n = 70000
         expected = {1e-7: 70000, 4.4e-4: 69438, 1e-2: 57028}
         curve = detection_curve(
@@ -301,10 +305,6 @@ class TestDetectionRate:
         )
         for (threshold, failure), (t, hits) in zip(curve.points, expected.items()):
             assert threshold == t
-            rate = detection_rate(
-                t, 3.0, 0.7, method="monte-carlo", n_trials=n, seed=5
-            )
-            assert rate == hits / n
             assert failure == 1.0 - hits / n
 
     @pytest.mark.parametrize("method", ["semi-analytic", "monte-carlo"])
@@ -316,8 +316,6 @@ class TestDetectionRate:
     def test_both_methods_validate_inputs(self, method, s_over_r, d_true_over_r):
         kwargs = dict(method=method, n_trials=1000, seed=1)
         with pytest.raises(InputValidationError):
-            detection_rate(1e-4, s_over_r, d_true_over_r, **kwargs)
-        with pytest.raises(InputValidationError):
             detection_curve(s_over_r, d_true_over_r, thresholds=[1e-4], **kwargs)
 
     @pytest.mark.parametrize("method", ["semi-analytic", "monte-carlo"])
@@ -325,7 +323,7 @@ class TestDetectionRate:
     def test_threshold_outside_unit_interval_rejected(self, method, threshold):
         kwargs = dict(method=method, n_trials=1000, seed=1)
         with pytest.raises(InputValidationError):
-            detection_rate(threshold, 3.0, 0.5, **kwargs)
+            detection_curve(3.0, 0.5, thresholds=[threshold], **kwargs)
         with pytest.raises(InputValidationError):
             detection_curve(3.0, 0.5, thresholds=[1e-4, threshold], **kwargs)
 

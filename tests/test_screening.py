@@ -197,6 +197,28 @@ class TestScreenConjunction:
         with pytest.raises(InputValidationError, match="positive definite"):
             screen_conjunction(js, 4.0)
 
+    def test_tiny_position_block_keeps_its_digits(self):
+        # object 1 position variances 1e-93 to 1e-85, correlated with its
+        # velocity; object 2's block has an eigenvalue of -1e-6, inside the
+        # round-off tolerance. Rebuilding the whole matrix from clamped
+        # eigenvalues would leave errors of 1e-30 to 1e-17 in object 1's
+        # block and make its ellipsoid degenerate.
+        scale = np.sqrt([1e-85, 1e-89, 1e-93, 1e-2, 1e-3, 1e-4])
+        cov = np.zeros((12, 12))
+        cov[0:6, 0:6] = (0.5 * np.eye(6) + 0.5) * np.outer(scale, scale)
+        rot = random_rotation(np.random.default_rng(24), 6)
+        cov[6:12, 6:12] = (rot * [4e4, 2.5e4, 1e4, 1.0, 0.5, -1e-6]) @ rot.T
+        cov = 0.5 * (cov + cov.T)
+        theta = np.array(
+            [0.0, 0.0, 0.0, 0.0, 7500.0, 0.0, 3000.0, 0.0, 3000.0, 0.0, -7500.0, 10.0]
+        )
+        js = JointState(theta_hat=theta, c_theta=cov, r1=2.0, r2=2.0)
+        assert np.array_equal(js.c_theta[0:3, 0:3], cov[0:3, 0:3])
+        eig = np.linalg.eigvalsh(js.c_theta[0:3, 0:3])
+        assert 1e-94 < eig[0] and eig[-1] < 1e-84
+        decision = screen_conjunction(js, 4.0)
+        assert decision.min_distance > 0.0 and not decision.overlap
+
     def test_json_wire_keys(self):
         js = _conjunction_state(
             np.zeros(3), np.array([400.0, 0.0, 0.0]),

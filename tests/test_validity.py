@@ -21,7 +21,7 @@ from conjrisk import (
     build_ellipsoid,
     gaussian_region_rule,
     gaussian_sampling_model,
-    ksigma_for_level,
+    ncx2_cdf,
     proof_halfwidth,
     region_belief,
     validity_check,
@@ -29,6 +29,11 @@ from conjrisk import (
 from conjrisk import ellipsoids
 from conjrisk.ellipsoids import standardized_range
 from conjrisk.propositions import contains_region, depth, intersects_region, reach
+
+
+def _ksigma(alpha, dim):
+    """Sigma multiple whose ellipsoid has coverage ``1 - alpha``."""
+    return math.sqrt(2.0 * special.gammaincinv(dim / 2.0, 1.0 - alpha))
 
 
 def _region(center, radius):
@@ -88,7 +93,7 @@ class TestConfidenceRegionRule:
         monkeypatch.setattr(ellipsoids, "_secular_root", counted)
         rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
         prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
-        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop) >= 1.0 - 0.05
+        assert rule.belief(np.array([[12.0, 1.0, 0.5]]), prop)[0] >= 1.0 - 0.05
         assert len(solves) == 1
 
     def test_belief_builds_only_the_trial_region(self, monkeypatch):
@@ -104,7 +109,7 @@ class TestConfidenceRegionRule:
         rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
         prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
         monkeypatch.setattr(ellipsoids.Ellipsoid, "__post_init__", counted)
-        assert rule.belief(np.array([12.0, 1.0, 0.5]), prop) >= 1.0 - 0.05
+        assert rule.belief(np.array([[12.0, 1.0, 0.5]]), prop)[0] >= 1.0 - 0.05
         assert len(built) == 1
 
     def test_plausibility_matches_region_belief(self):
@@ -115,11 +120,12 @@ class TestConfidenceRegionRule:
             x = rng.standard_normal(3) * 2.0
             alpha = rng.uniform(0.01, 0.5)
             prop = Ball(center=rng.standard_normal(3), radius=rng.uniform(0.1, 2.0))
-            region = build_ellipsoid(x, cov, ksigma_for_level(alpha, 3))
+            region = build_ellipsoid(x, cov, _ksigma(alpha, 3))
             for candidate in (prop, Complement(prop)):
                 bel, pls = region_belief(region, alpha, candidate)
-                assert (rule.belief(x, candidate) >= 1.0 - alpha) == (bel > 0.0)
-                assert (rule.plausibility(x, candidate) >= alpha) == (pls == 1.0)
+                belief = rule.belief(x[None], candidate)[0]
+                assert (belief >= 1.0 - alpha) == (bel > 0.0)
+                assert (rule.plausibility(x[None], candidate)[0] >= alpha) == (pls == 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_depth_at_ellipsoid_center_is_smallest_axis_ratio(self, dim):
@@ -159,13 +165,14 @@ class TestConfidenceRegionRule:
             x = rng.standard_normal(dim) * np.sqrt(np.diag(cov)) * 3.0
             prop = Ball(center=np.zeros(dim), radius=rng.uniform(0.5, 4.0))
             alpha = rng.uniform(0.01, 0.5)
-            region = build_ellipsoid(x, cov, ksigma_for_level(alpha, dim))
+            region = build_ellipsoid(x, cov, _ksigma(alpha, dim))
             for candidate in (prop, Complement(prop)):
                 inside, meets = _oracle(candidate, region)
                 if min(abs(inside), abs(meets)) <= 1e-9:
                     continue
-                assert (rule.belief(x, candidate) >= 1.0 - alpha) == (inside > 0.0)
-                assert (rule.plausibility(x, candidate) >= alpha) == (meets > 0.0)
+                belief = rule.belief(x[None], candidate)[0]
+                assert (belief >= 1.0 - alpha) == (inside > 0.0)
+                assert (rule.plausibility(x[None], candidate)[0] >= alpha) == (meets > 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_halfspace_depth_under_a_vanishing_spread(self):
@@ -186,27 +193,12 @@ class TestConfidenceRegionRule:
             gaussian_region_rule(np.diag([1.0, 0.0]))
 
 
-class TestKsigmaForLevel:
-    def test_one_dimensional_matches_gaussian_quantile(self):
-        for alpha in (0.01, 0.05, 0.2):
-            k = ksigma_for_level(alpha, 1)
-            assert 2.0 * special.ndtr(k) - 1.0 == pytest.approx(
-                1.0 - alpha, rel=1e-10
-            )
-
-    def test_two_dimensional_closed_form(self):
-        for alpha in (0.01, 0.05, 0.2):
-            assert ksigma_for_level(alpha, 2) == pytest.approx(
-                math.sqrt(-2.0 * math.log(alpha)), rel=1e-10
-            )
-
-
 class TestAdditiveGaussianRule:
     def test_halfspace_mass(self):
         rule = AdditiveGaussianRule(np.diag([4.0, 1.0]))
         prop = HalfSpace(normal=[1.0, 0.0], offset=1.0)
         x = np.array([0.0, 0.0])
-        assert rule.belief(x, prop) == pytest.approx(
+        assert rule.belief(x[None], prop)[0] == pytest.approx(
             float(special.ndtr(0.5)), rel=1e-12
         )
 
@@ -219,18 +211,40 @@ class TestAdditiveGaussianRule:
             special.ndtr((h - 0.4) / sigma) - special.ndtr((-h - 0.4) / sigma)
         )
         prop = Ball(center=[0.0], radius=h)
-        assert rule.belief(x, prop) == pytest.approx(expected, rel=1e-10)
-        assert rule.belief(x, Complement(prop)) == pytest.approx(
+        assert rule.belief(x[None], prop)[0] == pytest.approx(expected, rel=1e-10)
+        assert rule.belief(x[None], Complement(prop))[0] == pytest.approx(
             1.0 - expected, rel=1e-10
         )
+
+    @pytest.mark.parametrize("center, radius", [(0.0, 0.0626), (0.3, 1.5), (-2.0, 7.0)])
+    def test_interval_mass_is_the_one_dimensional_ball_mass(self, center, radius):
+        # the closed form against the 1-dof noncentral chi-squared law of
+        # (theta - x)^2, over estimates up to 40 deviations out
+        x = np.linspace(-40.0, 40.0, 801)
+        mass = AdditiveGaussianRule([[1.0]]).belief(
+            x[:, None], Ball(center=[center], radius=radius)
+        )
+        expected = ncx2_cdf(1, (x - center) ** 2, radius**2)
+        assert np.max(np.abs(mass - expected)) <= 1e-12
+
+    def test_block_beliefs_are_the_row_beliefs(self):
+        rng = np.random.default_rng(43)
+        xs = rng.standard_normal((50, 2)) * 2.0
+        ball = Ball(center=[0.5, -0.5], radius=1.5)
+        for rule in (AdditiveGaussianRule(np.eye(2)), gaussian_region_rule(np.eye(2))):
+            for prop in (ball, Complement(ball), HalfSpace(normal=[1.0, 2.0], offset=0.5)):
+                block = rule.belief(xs, prop)
+                assert block.shape == (50,)
+                rows = [rule.belief(x[None], prop)[0] for x in xs]
+                assert block == pytest.approx(rows, rel=1e-14, abs=1e-300)
 
     def test_plausibility_equals_belief(self):
         # additive rules are self-conjugate
         rule = AdditiveGaussianRule([[1.0]])
         prop = Ball(center=[0.0], radius=0.5)
         x = np.array([0.2])
-        assert rule.plausibility(x, prop) == pytest.approx(
-            rule.belief(x, prop), rel=1e-12
+        assert rule.plausibility(x[None], prop)[0] == pytest.approx(
+            rule.belief(x[None], prop)[0], rel=1e-12
         )
 
     @pytest.mark.parametrize("center, mass", [(0.5, 1.0), (3e5, 0.0)])
@@ -239,12 +253,12 @@ class TestAdditiveGaussianRule:
         # inside it and none about a point beyond it
         rule = AdditiveGaussianRule([[1e-300]])
         prop = Ball(center=[center], radius=1e5)
-        assert rule.belief(np.array([0.0]), prop) == mass
+        assert rule.belief(np.zeros((1, 1)), prop)[0] == mass
 
     def test_anisotropic_ball_unsupported(self):
         rule = AdditiveGaussianRule(np.diag([1.0, 9.0]))
         with pytest.raises(UnsupportedPropositionError):
-            rule.belief(np.zeros(2), Ball(center=[0.0, 0.0], radius=1.0))
+            rule.belief(np.zeros((1, 2)), Ball(center=[0.0, 0.0], radius=1.0))
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_isotropy_verdict_independent_of_scale(self, scale):
@@ -252,12 +266,12 @@ class TestAdditiveGaussianRule:
         # the variance is correlated, however small or large the variance
         ball = Ball(center=[0.0, 0.0], radius=math.sqrt(scale))
         near = AdditiveGaussianRule(scale * np.array([[1.0, 1e-16], [1e-16, 1.0]]))
-        assert near.belief(np.zeros(2), ball) == pytest.approx(
+        assert near.belief(np.zeros((1, 2)), ball)[0] == pytest.approx(
             -math.expm1(-0.5), rel=1e-12
         )
         correlated = AdditiveGaussianRule(scale * np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(UnsupportedPropositionError):
-            correlated.belief(np.zeros(2), ball)
+            correlated.belief(np.zeros((1, 2)), ball)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,12 +338,13 @@ def test_rule_matches_level_region_decisions(dim, kind, n_complements, alpha, dr
     cov = (axes * 10.0 ** rng.uniform(-1.0, 1.0, dim)) @ axes.T
     x = 2.0 * rng.standard_normal(dim)
     prop = _random_proposition(rng, dim, kind, n_complements)
-    region = build_ellipsoid(x, cov, ksigma_for_level(alpha, dim))
+    region = build_ellipsoid(x, cov, _ksigma(alpha, dim))
     inside, meets = _oracle(prop, region)
     assume(min(abs(inside), abs(meets)) > 1e-9)
     rule = gaussian_region_rule(cov)
     bel, pls = region_belief(region, alpha, prop)
-    belief, plausibility = rule.belief(x, prop), rule.plausibility(x, prop)
+    belief = rule.belief(x[None], prop)[0]
+    plausibility = rule.plausibility(x[None], prop)[0]
     assert (belief >= 1.0 - alpha) == (bel > 0.0) == (inside > 0.0)
     assert (plausibility >= alpha) == (pls == 1.0) == (meets > 0.0)
     if belief > 0.0:
@@ -376,22 +391,37 @@ def test_depth_and_reach_bracket_the_oracle_at_axis_ratio_1e13(shape, draw):
 
 
 class TestValidityCheck:
-    def test_rule_evaluated_once_per_trial_and_proposition(self):
-        calls = []
+    def test_rule_evaluated_once_per_block_and_proposition(self):
+        rows = []
 
         class Counted(AdditiveGaussianRule):
-            def belief(self, x, proposition):
-                calls.append(1)
-                return super().belief(x, proposition)
+            def belief(self, xs, proposition):
+                rows.append(len(xs))
+                return super().belief(xs, proposition)
 
         cov = [[1.0]]
         family = [Complement(Ball(center=[0.0], radius=r)) for r in (0.1, 0.5)]
+        n_trials = 70000  # a full substream block and part of a second
         report = validity_check(
             Counted(cov), gaussian_sampling_model([0.0], cov), [0.0], family,
-            alpha_grid=[0.01, 0.05, 0.1], n_trials=1000, seed=57,
+            alpha_grid=[0.01, 0.05, 0.1], n_trials=n_trials, seed=57,
         )
         assert len(report.rates) == 3
-        assert len(calls) == 1000 * len(family)
+        assert rows == [65536, 65536, 4464, 4464]
+        assert sum(rows[::2]) == sum(rows[1::2]) == n_trials
+
+    def test_rule_returning_one_number_per_block_rejected(self):
+        class Scalar(AdditiveGaussianRule):
+            def belief(self, xs, proposition):
+                return float(super().belief(xs, proposition)[0])
+
+        cov = [[1.0]]
+        with pytest.raises(InputValidationError, match="one belief per realization"):
+            validity_check(
+                Scalar(cov), gaussian_sampling_model([0.0], cov), [0.0],
+                [Complement(Ball(center=[0.0], radius=0.5))],
+                alpha_grid=[0.05], n_trials=1000, seed=59,
+            )
 
     def test_ksigma_rule_accepts_levels_zero_and_one(self):
         cov = [[1.0]]

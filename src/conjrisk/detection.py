@@ -259,12 +259,22 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
     of total measure ``alpha * sigma * sqrt(2 pi)`` (halfwidth = half that)
     can never receive belief above ``alpha``; its complement, a false
     proposition, then always receives belief at least ``1 - alpha``.
+
+    Raises:
+        NumericalError: if the halfwidth overflows, which a ``sigma`` near
+            the largest float allows.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InputValidationError(f"sigma must be positive, got {sigma}")
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return alpha * sigma * math.sqrt(2.0 * math.pi) / 2.0
+    halfwidth = alpha * sigma * math.sqrt(2.0 * math.pi) / 2.0
+    if math.isinf(halfwidth):
+        raise NumericalError(
+            f"proof halfwidth alpha * sigma * sqrt(2 pi) / 2 overflows at "
+            f"sigma = {sigma!r}, alpha = {alpha!r}"
+        )
+    return halfwidth
 
 
 def false_confidence_demo(

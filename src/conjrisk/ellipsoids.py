@@ -9,7 +9,9 @@ that meets it, are the minimum of the region's standardized radius over the
 ellipsoid's surface and solid. In a shared SVD frame each bound, the
 projection of a point onto an ellipsoid and the separating plane of two is
 the root of one secular equation ``sum((c_i / (d_i + t))**2) = 1``, solved
-by one safeguarded Newton kernel. The distance between separated bodies is
+by one safeguarded Newton iteration: in Python floats for a single body,
+and row by row for a block of region centers, which share the frame's SVD
+since it does not depend on them. The distance between separated bodies is
 the largest separation ``n.delta - h1(n) - h2(n)`` over unit directions,
 from the closed-form support functions ``h``; one run of Newton steps on
 the sphere brackets it from both sides.
@@ -82,18 +84,19 @@ class Ellipsoid:
         return float(np.max(self.semi_lengths))
 
     def standardized(self, point) -> np.ndarray:
-        """Coordinates of ``point`` in the unit-ball frame of this ellipsoid."""
+        """Coordinates of ``point``, or of each row of an ``(n, dim)`` array
+        of points, in the unit-ball frame of this ellipsoid."""
         point = np.asarray(point, dtype=float)
-        return (self.axes.T @ (point - self.center)) / self.semi_lengths
+        return ((point - self.center) @ self.axes) / self.semi_lengths
 
-    def squared_radius(self, point) -> float:
-        """Standardized squared radius; <= 1 on the solid, 1 on the surface,
-        ``inf`` where it overflows."""
+    def squared_radius(self, point):
+        """Standardized squared radius, per row for an array of points; <= 1
+        on the solid, 1 on the surface, ``inf`` where it overflows."""
         with np.errstate(over="ignore"):
             xi = self.standardized(point)
-            return float(xi @ xi)
+            return (xi * xi).sum(axis=-1)
 
-    def contains(self, point) -> bool:
+    def contains(self, point):
         return self.squared_radius(point) <= 1.0 + _CONTACT_RTOL
 
 
@@ -176,20 +179,77 @@ def _secular_root(c, d) -> float:
     )
 
 
-def _range_frame(prop: Ellipsoid, region: Ellipsoid):
-    """``(w, sigma, scale, axes, inv, u)``: over ``region``, ``prop``'s
-    standardized squared radius is ``scale**2 * ||w + sigma * y||**2`` for
-    ``||y|| <= 1``, from one SVD; ``sigma`` is descending and ``max(sigma,
-    ||w||) = 1``. Such a point is ``scale * u @ (w + sigma * y)`` on
-    ``prop``'s sorted ``axes``, with inverse semi-axes ``inv``. Raises
-    ``NumericalError`` if an offset or axis ratio overflows.
+def _secular_roots(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_secular_root`` of each row of the ``(n, m)`` arrays ``c`` and ``d``.
+
+    Runs the same iteration on every row at once: the same start, bracket,
+    geometric-mean jump and stopping rule, with the terms ``c_i = 0``
+    masked out and each row frozen once it converges. Its arithmetic is
+    that of Python floats, where an overflow gives ``inf``. A single row
+    goes to ``_secular_root``, which is about 20 times faster at that size.
+
+    Raises:
+        NumericalError: as ``_secular_root``, for the first row that fails.
+    """
+    if c.shape[0] == 1:
+        return np.array([_secular_root(c[0], d[0])])
+    live = c != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.max(np.where(live, np.abs(c) - d, 0.0), axis=1, initial=0.0)
+        floor = np.min(d, axis=1, where=live, initial=np.inf)
+        floor = np.where(live.any(axis=1), floor, 0.0)
+        hi = np.maximum(t, np.hypot.reduce(c, axis=1) - floor)
+        lo = t
+        slack = (np.count_nonzero(live, axis=1) + 3) * _EPS
+        last_rise = np.full(t.shape, np.inf)
+        rows = np.arange(t.size)
+        roots = np.empty(t.size)
+        for _ in range(_SECULAR_MAX_ITERS):
+            shifted = d + t[:, None]
+            ratio = np.divide(c, shifted, out=np.zeros_like(c), where=live)
+            square = ratio * ratio
+            f = square.sum(axis=1)
+            slope = np.divide(square, shifted, out=np.zeros_like(c), where=live)
+            slope = slope.sum(axis=1)
+            hi = np.where(f <= 1.0, t, hi)
+            if (slope == 0.0).any():
+                raise NumericalError(
+                    f"secular equation underflows at {t[slope == 0.0][0]:.6e}"
+                )
+            step = f * (np.sqrt(f) - 1.0) / slope
+            done = np.abs(step) <= slack * f / slope
+            roots[rows[done]] = (t + step)[done]
+            lo = np.where(t + step > lo, t + step, lo)
+            t = np.where((last_rise < step) & (step < t), np.sqrt(lo * hi), lo)
+            last_rise = np.where(step > 0.0, step, last_rise)
+            if done.all():
+                return roots
+            more = ~done
+            rows, c, d, live, t, lo, hi, slack, last_rise = (
+                a[more] for a in (rows, c, d, live, t, lo, hi, slack, last_rise)
+            )
+    raise NumericalError(
+        f"secular equation did not converge: root between {lo[0]:.6e} and {hi[0]:.6e}"
+    )
+
+
+def _range_frame(prop: Ellipsoid, region: Ellipsoid, centers):
+    """``(w, sigma, scale, axes, inv, u)``: with ``prop``'s shape moved to
+    each row of ``centers`` (a point or an ``(n, dim)`` array), its
+    standardized squared radius over ``region`` is ``scale**2 * ||w +
+    sigma * y||**2`` for ``||y|| <= 1``, row by row; ``sigma`` is
+    descending and ``max(sigma, ||w||) = 1`` in each row. Such a point is
+    ``scale * u @ (w + sigma * y)`` on ``prop``'s sorted ``axes``, with
+    inverse semi-axes ``inv``. Raises ``NumericalError`` if an offset or
+    axis ratio overflows.
 
     The SVD is of ``diag(1 / prop.semi) C diag(region.semi)`` with ``C``
-    orthogonal. LAPACK's SVD keeps the small singular values of such a
-    graded matrix to relative accuracy when its rows and columns shrink
-    from first to last, and only to the largest one's round-off otherwise
-    (1e-4 against 1e-15 at an axis ratio of 1e12), so both axis sets are
-    put in that order first.
+    orthogonal. It does not depend on the centers, so one SVD serves them
+    all, and their offsets enter through one matrix product. LAPACK's SVD
+    keeps the small singular values of such a graded matrix to relative
+    accuracy when its rows and columns shrink from first to last, and only
+    to the largest one's round-off otherwise (1e-4 against 1e-15 at an axis
+    ratio of 1e12), so both axis sets are put in that order first.
     """
     if prop.dim != region.dim:
         raise InputValidationError(
@@ -200,38 +260,51 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid):
     prop_axes = prop.axes[:, rows]
     with np.errstate(over="ignore"):
         inv_ap = 1.0 / prop.semi_lengths[rows]
-        b = inv_ap * (prop_axes.T @ (region.center - prop.center))
+        b = inv_ap * ((region.center - centers) @ prop_axes)
         mat = (inv_ap[:, None] * prop_axes.T) @ (
             region.axes[:, cols] * region.semi_lengths[cols]
         )
     if not (np.isfinite(b).all() and np.isfinite(mat).all()):
         raise NumericalError("standardized ellipsoid offset or axis ratio overflows")
     u_mat, sigma, _ = np.linalg.svd(mat)
-    w = u_mat.T @ b
-    scale = max(float(sigma[0]), math.hypot(*w.tolist()))
-    return w / scale, sigma / scale, scale, prop_axes, inv_ap, u_mat
+    w = b @ u_mat
+    scale = np.maximum(sigma[0], np.hypot.reduce(w, axis=-1))[..., None]
+    return w / scale, sigma / scale, scale[..., 0], prop_axes, inv_ap, u_mat
 
 
 def _ball_nearest(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The point ``w + sigma * y`` nearest the origin over ``||y|| <= 1``.
+    """The point ``w + sigma * y`` nearest the origin over ``||y|| <= 1``,
+    for each row of ``(..., m)`` arrays; the rows that need a secular
+    equation are solved in one call.
 
     Only an axis with ``sigma`` exactly 0 is left out of the secular
     equation: a thin axis still decides a minimum as small as itself.
     """
+    shape = w.shape
+    w, sigma = w.reshape(-1, shape[-1]), sigma.reshape(-1, shape[-1])
     active = sigma > 0.0
+    # an overflowing ratio is ``inf``, so the origin does not pass as inside;
+    # the ``w / 0`` of a left-out axis is masked
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = w / sigma
+        ratio[~active] = 0.0
+        far = (ratio * ratio).sum(axis=1) > 1.0
     nearest = np.where(active, 0.0, w)
-    w, sigma = w[active], sigma[active]
-    # each ratio is bounded by 1 first, so that ``w / sigma`` cannot overflow
-    if (np.abs(w) <= sigma).all() and ((w / sigma) ** 2).sum() <= 1.0:
-        return nearest
-    mu = _secular_root(sigma * w, sigma * sigma)
-    nearest[active] = w * mu / (sigma * sigma + mu)
-    return nearest
+    if far.any():
+        rows = slice(None) if far.all() else far  # a pair of bodies: no copies
+        w, sigma, active = w[rows], sigma[rows], active[rows]
+        mu = _secular_roots(sigma * w, sigma * sigma)[:, None]
+        nearest[rows] = np.divide(
+            w * mu, sigma * sigma + mu, out=nearest[rows], where=active
+        )
+    return nearest.reshape(shape)
 
 
-def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float) -> float:
+def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float):
     """Maximum (``sign = 1``) or minimum (``sign = -1``) of
-    ``||w + sigma * y||**2`` over the unit sphere ``||y|| = 1``.
+    ``||w + sigma * y||**2`` over the unit sphere ``||y|| = 1``, for each
+    row of ``(..., m)`` arrays; the rows that need a secular equation are
+    solved in one call.
 
     The pole ``end`` is the largest or smallest ``sigma**2``, and the
     multiplier ``end + sign * t`` solves the secular equation with
@@ -241,23 +314,33 @@ def _sphere_extreme(w: np.ndarray, sigma: np.ndarray, sign: float) -> float:
     is an offset small beside the pole's own ``sigma``, however small that
     is.
     """
+    shape = w.shape[:-1]
+    w, sigma = w.reshape(-1, w.shape[-1]), sigma.reshape(-1, w.shape[-1])
     sig2 = sigma * sigma
-    if sig2[0] == 0.0:
-        return float(w @ w)
-    end = float(sig2[0] if sign > 0 else sig2[-1])
+    end = (sig2[:, :1] if sign > 0 else sig2[:, -1:])
     gap = sign * (end - sig2)
     pole = gap <= 1e-12 * end
     sw = sigma * w
-    if np.all(np.abs(sw[pole]) <= 1e-14 * end):
+    extreme = (w * w).sum(axis=1)  # the value where every sigma is 0
+    todo = sig2[:, 0] != 0.0
+    hard = todo & np.all(np.abs(sw) <= 1e-14 * end, axis=1, where=pole)
+    if hard.any():
         # the secular sum stays finite at the pole; if it fits inside the
         # sphere budget there, the remaining length goes into the pole axis
-        leak = float(np.sum((sw[~pole] / gap[~pole]) ** 2))
-        if leak <= 1.0:
-            rest = w[~pole] * end / gap[~pole]
-            return end * (1.0 - leak) + float(rest @ rest)
-    t = _secular_root(sw, gap)
-    stretched = w * (end + sign * t) / (gap + t)
-    return float(stretched @ stretched)
+        off, gap_h, end_h = ~pole[hard], gap[hard], end[hard]
+        leak = np.divide(sw[hard], gap_h, out=np.zeros(gap_h.shape), where=off)
+        leak = (leak * leak).sum(axis=1)
+        rest = np.divide(w[hard] * end_h, gap_h, out=np.zeros(gap_h.shape), where=off)
+        value = end_h[:, 0] * (1.0 - leak) + (rest * rest).sum(axis=1)
+        fits = leak <= 1.0
+        settled = np.flatnonzero(hard)[fits]
+        extreme[settled] = value[fits]
+        todo[settled] = False
+    if todo.any():
+        t = _secular_roots(sw[todo], gap[todo])[:, None]
+        stretched = w[todo] * (end[todo] + sign * t) / (gap[todo] + t)
+        extreme[todo] = (stretched * stretched).sum(axis=1)
+    return extreme.reshape(shape)[()]
 
 
 def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float]:
@@ -267,38 +350,46 @@ def standardized_range(prop: Ellipsoid, region: Ellipsoid) -> tuple[float, float
     ``region`` meets ``prop`` iff ``gmin <= 1`` and lies inside ``prop`` iff
     ``gmax <= 1``.
     """
-    w, sigma, scale, *_ = _range_frame(prop, region)
-    gmax = scale * scale * _sphere_extreme(w, sigma, 1.0)
+    w, sigma, scale, *_ = _range_frame(prop, region, prop.center)
+    scale = float(scale)
+    gmax = scale * scale * float(_sphere_extreme(w, sigma, 1.0))
     nearest = _ball_nearest(w, sigma)
     return float(nearest @ nearest) * scale * scale, gmax
 
 
-def ellipsoid_depth(prop: Ellipsoid, region: Ellipsoid) -> float:
-    """Largest ``k`` such that ``region`` scaled by ``k`` about its center
-    lies inside ``prop``: 0 for a center outside, else the region-standardized
+def ellipsoid_depth(prop: Ellipsoid, region: Ellipsoid, centers) -> np.ndarray:
+    """For each row of the ``(n, dim)`` array ``centers``, the largest ``k``
+    such that ``region``'s shape about that center, scaled by ``k``, lies
+    inside ``prop``: 0 for a center outside, else the region-standardized
     distance from the center to ``prop``'s surface."""
-    if not prop.contains(region.center):
-        return 0.0
-    w, sigma, scale, *_ = _range_frame(region, prop)
-    return scale * math.sqrt(_sphere_extreme(w, sigma, -1.0))
+    inside = prop.contains(centers)
+    depths = np.zeros(inside.shape)
+    if inside.any():
+        w, sigma, scale, *_ = _range_frame(region, prop, centers[inside])
+        depths[inside] = scale * np.sqrt(_sphere_extreme(w, sigma, -1.0))
+    return depths
 
 
-def ellipsoid_reach(prop: Ellipsoid, region: Ellipsoid) -> float:
-    """Smallest ``k`` such that ``region`` scaled by ``k`` about its center
+def ellipsoid_reach(prop: Ellipsoid, region: Ellipsoid, centers) -> np.ndarray:
+    """For each row of the ``(n, dim)`` array ``centers``, the smallest
+    ``k`` such that ``region``'s shape about that center, scaled by ``k``,
     meets ``prop``: 0 for a center inside, else the region-standardized
     distance from the center to ``prop``."""
-    if prop.contains(region.center):
-        return 0.0
-    w, sigma, scale, *_ = _range_frame(region, prop)
-    nearest = _ball_nearest(w, sigma)
-    return scale * math.sqrt(float(nearest @ nearest))
+    outside = ~prop.contains(centers)
+    reaches = np.zeros(outside.shape)
+    if outside.any():
+        w, sigma, scale, *_ = _range_frame(region, prop, centers[outside])
+        nearest = _ball_nearest(w, sigma)
+        reaches[outside] = scale * np.sqrt((nearest * nearest).sum(axis=1))
+    return reaches
 
 
 def _separating_normal(e1: Ellipsoid, e2: Ellipsoid):
     """Normal, from ``e1`` toward ``e2``, of a plane between the solids, or
     None where they meet: in ``e1``'s unit-ball frame, the tangent plane at
     the point of ``e2`` nearest the center, mapped back."""
-    w, sigma, scale, axes, inv, u = _range_frame(e1, e2)
+    w, sigma, scale, axes, inv, u = _range_frame(e1, e2, e1.center)
+    scale = float(scale)
     nearest = _ball_nearest(w, sigma)
     # the bounded factor goes first: ``scale * scale`` may overflow
     if float(nearest @ nearest) * scale * scale <= 1.0 + _CONTACT_RTOL:

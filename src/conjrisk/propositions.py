@@ -102,7 +102,7 @@ def contains_point(prop: Proposition, point) -> bool:
             1.0 + _CONTACT_RTOL
         )
     if isinstance(prop, EllipsoidSet):
-        return prop.ellipsoid.contains(point)
+        return bool(prop.ellipsoid.contains(point))
     if isinstance(prop, HalfSpace):
         bound = abs(prop.offset) + float(np.linalg.norm(prop.normal)) * float(
             np.linalg.norm(point)
@@ -113,35 +113,53 @@ def contains_point(prop: Proposition, point) -> bool:
     raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
 
 
-def depth(prop: Proposition, region: Ellipsoid) -> float:
-    """Largest ``k`` such that ``region`` scaled by ``k`` about its center lies
-    inside the proposition set: the region-standardized distance from the
-    center to the set's complement (0 for a center outside the set)."""
+def depth(prop: Proposition, region: Ellipsoid, centers=None):
+    """Largest ``k`` such that ``region`` scaled by ``k`` about its center
+    lies inside the proposition set: the region-standardized distance from
+    the center to the set's complement (0 for a center outside the set).
+
+    Given ``centers``, an ``(n, dim)`` array, ``region`` is only a shape:
+    the ``(n,)`` depths are those of that shape about each row, decided
+    with array operations. Without it, the region's own center is the one
+    row and the depth is a float.
+    """
+    rows = region.center[None] if centers is None else np.asarray(centers, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != region.dim:
+        raise InputValidationError(
+            f"centers of shape {rows.shape} do not fit dimension {region.dim}"
+        )
     inside = True
     while isinstance(prop, Complement):  # a complement swaps depth and reach
         prop, inside = prop.inner, not inside
     if isinstance(prop, FullSpace):
-        return math.inf if inside else 0.0
-    if isinstance(prop, (Ball, EllipsoidSet)):
-        return (ellipsoid_depth if inside else ellipsoid_reach)(prop.ellipsoid, region)
-    if isinstance(prop, HalfSpace):
+        depths = np.full(rows.shape[0], math.inf if inside else 0.0)
+    elif isinstance(prop, (Ball, EllipsoidSet)):
+        kernel = ellipsoid_depth if inside else ellipsoid_reach
+        depths = kernel(prop.ellipsoid, region, rows)
+    elif isinstance(prop, HalfSpace):
         # ``normal . x`` spans ``mid +- k * rho`` over the region scaled by
         # ``k``; the contact slack grows with the magnitudes involved
-        mid = float(prop.normal @ region.center)
         rho = math.hypot(*(region.semi_lengths * (region.axes.T @ prop.normal)))
-        span = abs(prop.offset) + math.hypot(*prop.normal) * (
-            math.hypot(*region.center) + region.bounding_radius
+        with np.errstate(over="ignore"):  # an overflow is ``inf``, as in floats
+            mid = rows @ prop.normal
+            span = abs(prop.offset) + math.hypot(*prop.normal) * (
+                np.hypot.reduce(rows, axis=1) + region.bounding_radius
+            )
+            room = prop.offset + _CONTACT_RTOL * span - mid
+            margin = room / rho if rho > 0.0 else np.copysign(math.inf, room)
+        depths = np.maximum(margin if inside else -margin, 0.0)
+    else:
+        raise UnsupportedPropositionError(
+            f"unknown proposition type {type(prop).__name__}"
         )
-        room = prop.offset + _CONTACT_RTOL * span - mid
-        margin = room / rho if rho > 0.0 else math.copysign(math.inf, room)
-        return max(margin if inside else -margin, 0.0)
-    raise UnsupportedPropositionError(f"unknown proposition type {type(prop).__name__}")
+    return float(depths[0]) if centers is None else depths
 
 
-def reach(prop: Proposition, region: Ellipsoid) -> float:
+def reach(prop: Proposition, region: Ellipsoid, centers=None):
     """Smallest ``k`` such that ``region`` scaled by ``k`` about its center
-    meets the proposition set: the depth of its complement."""
-    return depth(Complement(prop), region)
+    meets the proposition set: the depth of its complement, per row of
+    ``centers`` as in ``depth``."""
+    return depth(Complement(prop), region, centers)
 
 
 def contains_region(prop: Proposition, region: Ellipsoid) -> bool:

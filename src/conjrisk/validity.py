@@ -92,7 +92,9 @@ class ConfidenceRegionRule(BeliefRule):
     about the estimate inside the proposition, ``k`` its ``depth`` about
     the unit ellipsoid: it reaches ``1 - alpha`` exactly when the
     level-``alpha`` region lies inside. The covariance is validated and
-    decomposed once, here; each realization only moves the unit ellipsoid.
+    decomposed once, here; a block of realizations moves the unit
+    ellipsoid's shape to every estimate at once, and is decided by array
+    operations with one SVD per proposition.
     """
 
     def __init__(self, cov):
@@ -100,12 +102,8 @@ class ConfidenceRegionRule(BeliefRule):
         self._unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
 
     def belief(self, xs, proposition):
-        unit = self._unit
-        k = np.array([
-            depth(proposition, Ellipsoid(x, unit.axes, unit.semi_lengths))
-            for x in np.asarray(xs, dtype=float)
-        ])
-        return special.gammainc(unit.dim / 2.0, 0.5 * k * k)
+        k = depth(proposition, self._unit, xs)
+        return special.gammainc(self._unit.dim / 2.0, 0.5 * k * k)
 
 
 def gaussian_region_rule(cov) -> ConfidenceRegionRule:

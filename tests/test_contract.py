@@ -16,6 +16,7 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,20 @@ def test_false_confidence_contract(sigma, halfwidth, alpha, run_seed):
     if halfwidth is not None:
         argv += ["--halfwidth", repr(halfwidth)]
     _check_contract(argv)
+
+
+@pytest.mark.parametrize("sigma, alpha", [(1.5e308, 0.9), (1.7e308, 0.5)])
+def test_false_confidence_default_halfwidth_overflow_is_numerical(sigma, alpha):
+    # the default halfwidth alpha * sigma * sqrt(2 pi) / 2 overflows: a
+    # numerical failure naming it and sigma, not a halfwidth of ``inf``
+    # blamed on the user
+    argv = ["false-confidence", "--sigma", repr(sigma), "--alpha", repr(alpha),
+            "--n-trials", "1000", "--seed", "1"]
+    _check_contract(argv)
+    status, out, err = _run(argv)
+    assert (status, out) == (3, "")
+    assert err.startswith("numerical failure: proof halfwidth")
+    assert f"sigma = {sigma!r}" in err
 
 
 @seed(2028)

@@ -267,6 +267,52 @@ class TestSecularRoot:
         assert lower < float(mp_secular_root(c, d)) < upper
 
 
+class TestSecularRoots:
+    """The block solve row by row against the scalar one and the oracle."""
+
+    @staticmethod
+    def _rows(rng, n):
+        """Rows with ``f(0) > 1``: up to two pole terms (``d = 0``), ``d``
+        over 8 decades and ``c`` over 4, and about a quarter of the ``c``
+        terms exactly 0, a pole's among them."""
+        c = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, (n, 3))
+        d = 10.0 ** rng.uniform(-8.0, 0.0, (n, 3))
+        d[np.arange(3) < rng.integers(0, 3, n)[:, None]] = 0.0
+        c[rng.uniform(size=(n, 3)) < 0.25] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f0 = np.where(c != 0.0, (c / d) ** 2, 0.0).sum(axis=1)
+        keep = f0 > 1.0
+        return c[keep], d[keep]
+
+    def test_rows_agree_with_the_scalar_solve_and_the_oracle(self):
+        c, d = self._rows(np.random.default_rng(63), 400)
+        assert len(c) > 300 and (c == 0.0).any() and (d == 0.0).any()
+        roots = ellipsoids._secular_roots(c, d)
+        scalar = np.array([ellipsoids._secular_root(ci, di) for ci, di in zip(c, d)])
+        assert np.all(np.abs(roots - scalar) <= 2.0 * np.spacing(scalar))
+        for ci, di, root in list(zip(c, d, roots))[::5]:
+            reference = mp_secular_root(ci, di)
+            assert abs(root - reference) <= 1e-14 * reference
+
+    def test_a_row_is_its_own_block(self):
+        # a row's root does not depend on the rows solved with it
+        c, d = self._rows(np.random.default_rng(64), 60)
+        roots = ellipsoids._secular_roots(c, d)
+        for i in (0, 7, len(c) - 1):
+            assert ellipsoids._secular_roots(c[i:i + 2], d[i:i + 2])[0] == roots[i]
+
+    def test_iteration_cap_reports_the_failing_rows_bracket(self, monkeypatch):
+        # the first row converges at its start, the second hits the cap
+        c = np.array([[2.0, 0.0, 0.0], [0.3, 2.0, 0.5]])
+        d = np.array([[1.0, 0.0, 0.0], [0.0, 0.1, 1.0]])
+        monkeypatch.setattr(ellipsoids, "_SECULAR_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match="did not converge") as scalar:
+            ellipsoids._secular_root(c[1], d[1])
+        with pytest.raises(NumericalError, match="did not converge") as block:
+            ellipsoids._secular_roots(c, d)
+        assert str(block.value) == str(scalar.value)
+
+
 class TestStandardizedRange:
     def test_concentric_spheres(self):
         gmin, gmax = standardized_range(_sphere([0, 0, 0], 2.0), _sphere([0, 0, 0], 1.0))

@@ -11,6 +11,7 @@ from scipy import special
 from conjrisk import (
     AdditiveGaussianRule,
     Ball,
+    ConfidenceRegionRule,
     Complement,
     Ellipsoid,
     EllipsoidSet,
@@ -28,7 +29,13 @@ from conjrisk import (
 )
 from conjrisk import ellipsoids
 from conjrisk.ellipsoids import standardized_range
-from conjrisk.propositions import contains_region, depth, intersects_region, reach
+from conjrisk.propositions import (
+    contains_point,
+    contains_region,
+    depth,
+    intersects_region,
+    reach,
+)
 
 
 def _ksigma(alpha, dim):
@@ -80,25 +87,56 @@ class TestRegionBelief:
 
 
 class TestConfidenceRegionRule:
+    @staticmethod
+    def _block(n_rows):
+        """A rule, two propositions and ``n_rows`` estimates, each of which
+        needs a secular solve: outside the small ball, inside the ellipsoid."""
+        rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
+        props = [
+            Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1)),
+            EllipsoidSet(Ellipsoid([0.0, 0.0, 0.0], np.eye(3), [30.0, 20.0, 10.0])),
+        ]
+        xs = np.random.default_rng(44).uniform(1.0, 3.0, (n_rows, 3))
+        return rule, props, xs
+
     def test_belief_runs_one_secular_solve(self, monkeypatch):
-        # belief reads containment only: for a ball complement that is one
-        # intersection decision, i.e. one minimum of the standardized radius
+        # every row of a block that needs a secular equation is solved in
+        # one call per (block, proposition), whatever the row count
         solves = []
-        solve = ellipsoids._secular_root
+        solve = ellipsoids._secular_roots
 
         def counted(c, d):
-            solves.append(1)
+            solves.append(len(c))
             return solve(c, d)
 
-        monkeypatch.setattr(ellipsoids, "_secular_root", counted)
-        rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
-        prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
-        assert rule.belief(np.array([[12.0, 1.0, 0.5]]), prop)[0] >= 1.0 - 0.05
-        assert len(solves) == 1
+        monkeypatch.setattr(ellipsoids, "_secular_roots", counted)
+        for n_rows in (1, 1000):
+            rule, props, xs = self._block(n_rows)
+            for prop in props:
+                assert (rule.belief(xs, prop) > 0.0).all()
+        assert solves == [1, 1, 1000, 1000]
 
-    def test_belief_builds_only_the_trial_region(self, monkeypatch):
-        # a ball builds its ellipsoid once, with the ball, so a belief on its
-        # complement constructs one Ellipsoid: the trial region
+    @pytest.mark.parametrize("n_rows", [1, 1000])
+    def test_belief_runs_one_svd_per_block(self, n_rows, monkeypatch):
+        # the decomposed matrix does not depend on the estimate, so one SVD
+        # serves the whole block
+        rule, props, xs = self._block(n_rows)
+        svds = []
+        svd = np.linalg.svd
+
+        def counted(mat):
+            svds.append(1)
+            return svd(mat)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for prop in props:
+            rule.belief(xs, prop)
+        assert len(svds) == len(props)
+
+    def test_belief_builds_no_ellipsoid(self, monkeypatch):
+        # the rule moves its unit ellipsoid's shape to each estimate without
+        # constructing, let alone validating, a region per estimate
+        rule, props, xs = self._block(1000)
         built = []
         post_init = ellipsoids.Ellipsoid.__post_init__
 
@@ -106,11 +144,11 @@ class TestConfidenceRegionRule:
             built.append(1)
             post_init(self)
 
-        rule = gaussian_region_rule(np.diag([2.0, 1.0, 0.5]))
-        prop = Complement(Ball(center=[0.0, 0.0, 0.0], radius=0.1))
         monkeypatch.setattr(ellipsoids.Ellipsoid, "__post_init__", counted)
-        assert rule.belief(np.array([[12.0, 1.0, 0.5]]), prop)[0] >= 1.0 - 0.05
-        assert len(built) == 1
+        for prop in props:
+            rule.belief(xs, prop)
+            rule.belief(xs[:1], prop)
+        assert built == []
 
     def test_plausibility_matches_region_belief(self):
         cov = np.diag([2.0, 1.0, 0.5])
@@ -540,3 +578,142 @@ class TestValidityCheck:
             assert level["stderr"] == pytest.approx(
                 math.sqrt(level["rate"] * (1.0 - level["rate"]) / 1000)
             )
+
+
+#: A 3-D round of the validity benchmark: covariance, truth, level, seed.
+_COV3 = np.array([
+    [2.2153695098502797, -1.2499338277233998, 0.5850193541396296],
+    [-1.2499338277233998, 1.2446703097742895, -0.6749485547732861],
+    [0.5850193541396296, -0.6749485547732861, 0.6643082352247142],
+])
+_THETA3 = np.array([-4.262746838001551, 3.86211794778154, 2.724770053695986])
+_GRID3 = [0.03143617251002992, 0.01, 0.05, 0.2, 0.5, 0.9]
+
+
+def _family3():
+    """A ball complement, a half-space and an ellipsoid, none holding the
+    truth, scaled by the covariance's largest deviation."""
+    scale = math.sqrt(float(np.linalg.eigvalsh(_COV3)[-1]))
+    normal = np.array([1.0, 0.5, -0.25])
+    return [
+        Complement(Ball(center=_THETA3, radius=0.1 * scale)),
+        HalfSpace(normal=normal, offset=float(normal @ _THETA3) - 0.5 * scale),
+        EllipsoidSet(Ellipsoid(center=_THETA3 + np.array([3.0 * scale, 0.0, 0.0]),
+                               axes=np.eye(3), semi_lengths=np.full(3, 2.0 * scale))),
+    ]
+
+
+def test_three_dimensional_hit_counts_are_pinned():
+    # hit counts of a seed-fixed 3-D K-sigma check, recorded when each
+    # belief still built its own region ellipsoid
+    rule = gaussian_region_rule(_COV3)
+    model = gaussian_sampling_model(_THETA3, _COV3)
+
+    def hits(family):
+        report = validity_check(rule, model, _THETA3, family, _GRID3,
+                                n_trials=2000, seed=1391687736)
+        return report, [round(rate * 2000) for rate in report.rates]
+
+    family = _family3()
+    report, worst = hits(family)
+    assert worst == [28, 9, 49, 216, 688, 1583]
+    assert report.verdicts == ("pass",) * 6
+    assert (report.worst_alpha, report.worst_proposition_index) == (0.01, 0)
+    assert [hits([prop])[1] for prop in family] == [
+        [28, 9, 49, 216, 688, 1583],
+        [0, 0, 1, 4, 24, 111],
+        [0, 0, 0, 0, 1, 13],
+    ]
+
+
+def _row_beliefs(cov, xs, prop):
+    """Reference beliefs: one region ellipsoid and one depth per row."""
+    unit = build_ellipsoid(np.zeros(len(cov)), cov, 1.0)
+    k = np.array([depth(prop, Ellipsoid(x, unit.axes, unit.semi_lengths)) for x in xs])
+    return special.gammainc(len(cov) / 2.0, 0.5 * k * k)
+
+
+def _block_case(dim):
+    """A covariance, every kind of proposition with its complement and
+    double complement, and estimates that include each set's center (the
+    hard case of the sphere minimum) and points within 1e-13 of each
+    boundary on either side."""
+    rng = np.random.default_rng(90 + dim)
+    axes = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    cov = (axes * 10.0 ** rng.uniform(-1.0, 1.0, dim)) @ axes.T
+    ell_axes = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    ell = Ellipsoid(rng.standard_normal(dim), ell_axes, 10.0 ** rng.uniform(-0.3, 0.7, dim))
+    ball = Ball(center=rng.standard_normal(dim), radius=1.5)
+    half = HalfSpace(normal=rng.standard_normal(dim), offset=0.7)
+    direction = rng.standard_normal(dim)
+    direction /= np.linalg.norm(direction)
+    foot = half.normal * half.offset / (half.normal @ half.normal)
+    rows = [3.0 * rng.standard_normal((200, dim)), ell.center[None], ball.center[None]]
+    for side in (1.0 - 1e-13, 1.0 + 1e-13):
+        rows.append((ell.center + ell_axes @ (side * ell.semi_lengths * direction))[None])
+        rows.append((ball.center + side * ball.radius * direction)[None])
+        rows.append((side * foot)[None])
+    bases = [FullSpace(), ball, EllipsoidSet(ell), half]
+    props = [
+        p for base in bases for p in (base, Complement(base), Complement(Complement(base)))
+    ]
+    return cov, props, np.vstack(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_beliefs_equal_row_beliefs(dim):
+    cov, props, xs = _block_case(dim)
+    rule = gaussian_region_rule(cov)
+    alphas = np.array([0.0, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0])[:, None]
+    for prop in props:
+        block, rows = rule.belief(xs, prop), _row_beliefs(cov, xs, prop)
+        assert np.all(np.abs(block - rows) <= 1e-12)
+        assert np.array_equal(block >= 1.0 - alphas, rows >= 1.0 - alphas)
+        assert rule.belief(xs[-1:], prop)[0] == pytest.approx(rows[-1], abs=1e-12)
+
+
+def test_block_in_which_no_row_needs_a_solve(monkeypatch):
+    # every estimate lies outside the ellipsoid (depth 0) and inside the ball
+    # whose complement is scored (reach 0): no SVD and no secular equation
+    cov, _, _ = _block_case(3)
+    ell = Ellipsoid([10.0, 0.0, 0.0], np.eye(3), [1.0, 2.0, 3.0])
+    ball = Ball(center=[0.0, 0.0, 0.0], radius=1.0)
+    xs = 0.5 * np.random.default_rng(95).uniform(-1.0, 1.0, (50, 3))
+    rule = gaussian_region_rule(cov)
+    references = {prop: _row_beliefs(cov, xs, prop)
+                  for prop in (EllipsoidSet(ell), Complement(ball))}
+
+    def unreachable(*args):
+        raise AssertionError("no row needs a frame or a secular solve")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setattr(ellipsoids, "_secular_roots", unreachable)
+    for prop, reference in references.items():
+        beliefs = rule.belief(xs, prop)
+        assert np.array_equal(beliefs, reference)
+        assert not beliefs.any()
+
+
+def test_last_block_of_one_row_equals_its_row_beliefs():
+    # 65536 + 1 trials: the second substream block holds a single row
+    cov, props, _ = _block_case(3)
+    blocks = []
+
+    class Recorded(ConfidenceRegionRule):
+        def belief(self, xs, proposition):
+            beliefs = super().belief(xs, proposition)
+            blocks.append((xs, proposition, beliefs))
+            return beliefs
+
+    theta = props[3].center
+    family = [p for p in props if not contains_point(p, theta)]
+    assert len(family) >= 4
+    validity_check(Recorded(cov), gaussian_sampling_model(theta, cov), theta, family,
+                   alpha_grid=[0.05], n_trials=65536 + 1, seed=96)
+    assert [len(xs) for xs, _, _ in blocks] == [65536] * len(family) + [1] * len(family)
+    sample = np.random.default_rng(97).choice(65536, 100, replace=False)
+    for xs, prop, beliefs in blocks:
+        rows = sample if len(xs) > 1 else [0]
+        reference = _row_beliefs(cov, xs[rows], prop)
+        assert np.all(np.abs(beliefs[rows] - reference) <= 1e-12)
+        assert np.array_equal(beliefs[rows] >= 0.95, reference >= 0.95)

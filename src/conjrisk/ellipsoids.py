@@ -286,17 +286,15 @@ def _ball_nearest(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     # an overflowing ratio is ``inf``, so the origin does not pass as inside;
     # the ``w / 0`` of a left-out axis is masked
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = w / sigma
-        ratio[~active] = 0.0
+        ratio = np.where(active, w / sigma, 0.0)
         far = (ratio * ratio).sum(axis=1) > 1.0
     nearest = np.where(active, 0.0, w)
     if far.any():
         rows = slice(None) if far.all() else far  # a pair of bodies: no copies
         w, sigma, active = w[rows], sigma[rows], active[rows]
-        mu = _secular_roots(sigma * w, sigma * sigma)[:, None]
-        nearest[rows] = np.divide(
-            w * mu, sigma * sigma + mu, out=nearest[rows], where=active
-        )
+        sig2 = sigma * sigma
+        mu = _secular_roots(sigma * w, sig2)[:, None]
+        nearest[rows] = np.divide(w * mu, sig2 + mu, out=nearest[rows], where=active)
     return nearest.reshape(shape)
 
 

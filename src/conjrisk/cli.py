@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .detection import (
@@ -69,14 +70,15 @@ def _floats(flag: str, spec: str) -> list[float]:
         ) from None
 
 
-def _emit(args, config: Config, doc: dict, rows: list[dict]) -> None:
-    """Write a result to ``--output``: ``doc`` as JSON or ``rows`` as CSV."""
+def _emit(args, config: Config, doc: Callable[[], dict], rows: Callable[[], list]) -> None:
+    """Write a result to ``--output``: ``doc()`` as JSON or ``rows()`` as CSV.
+    Both are callables, so only the one ``--format`` selects is built."""
     if args.output is None:
         return
     if args.format == "json":
-        write_text(json_text(doc), args.output)
+        write_text(json_text(doc()), args.output)
     else:
-        write_text(csv_text(rows, config.output_precision), args.output)
+        write_text(csv_text(rows(), config.output_precision), args.output)
 
 
 def _cmd_pc(args, config: Config) -> int:
@@ -84,7 +86,7 @@ def _cmd_pc(args, config: Config) -> int:
     enc = standardized_encounter(cf.to_joint_state())
     result = pc_contour(enc)
     print(format_cell(result.pc, config.output_precision))
-    _emit(args, config, result.to_json_dict(), result.csv_rows())
+    _emit(args, config, result.to_json_dict, result.csv_rows)
     return 0
 
 
@@ -94,7 +96,7 @@ def _cmd_dilution_curve(args, config: Config) -> int:
     if args.output is None:
         sys.stdout.write(csv_text(curve.csv_rows(), prec))
     else:
-        _emit(args, config, curve.to_json_dict(), curve.csv_rows())
+        _emit(args, config, curve.to_json_dict, curve.csv_rows)
         print(
             f"peak_s_over_r={format_cell(curve.peak_s_over_r, prec)} "
             f"peak_pc={format_cell(curve.peak_pc, prec)}"
@@ -121,7 +123,7 @@ def _cmd_detection_curve(args, config: Config) -> int:
     if args.output is None:
         sys.stdout.write(csv_text(curve.csv_rows(), config.output_precision))
     else:
-        _emit(args, config, curve.to_json_dict(), curve.csv_rows())
+        _emit(args, config, curve.to_json_dict, curve.csv_rows)
         print(f"wrote {len(curve.points)} thresholds to {args.output}")
     return 0
 
@@ -145,7 +147,7 @@ def _cmd_boundary(args, config: Config) -> int:
     print(format_cell(boundary, prec))
     if radius is not None:
         print(format_cell(doc["uncertainty_m"], prec))
-    _emit(args, config, doc, [doc])
+    _emit(args, config, lambda: doc, lambda: [doc])
     return 0
 
 
@@ -154,7 +156,7 @@ def _cmd_screen(args, config: Config) -> int:
     decision = screen_conjunction(cf.to_joint_state(), args.k_sigma)
     doc = decision.to_json_dict()
     sys.stdout.write(json_text(doc))
-    _emit(args, config, doc, decision.csv_rows())
+    _emit(args, config, lambda: doc, decision.csv_rows)
     return 0
 
 
@@ -179,7 +181,7 @@ def _cmd_validity(args, config: Config) -> int:
     if args.output is None:
         sys.stdout.write(csv_text(report.csv_rows(), config.output_precision))
     else:
-        _emit(args, config, report.to_json_dict(), report.csv_rows())
+        _emit(args, config, report.to_json_dict, report.csv_rows)
         print("pass" if report.passed() else "fail")
     return 0
 
@@ -202,7 +204,7 @@ def _cmd_false_confidence(args, config: Config) -> int:
         f"p_target={format_cell(report.p_target, prec)} "
         f"halfwidth={format_cell(report.neighborhood_halfwidth, prec)}"
     )
-    _emit(args, config, report.to_json_dict(), report.csv_rows())
+    _emit(args, config, report.to_json_dict, report.csv_rows)
     return 0
 
 

@@ -21,7 +21,8 @@ from scipy import special
 
 from . import rng as rngmod
 from .errors import InputValidationError, NumericalError
-from .probability import max_pc_head_on, ncx2_cdf, pc_circular
+# ``pc_circular`` is unused here; benchmarks/selftest.py traces it under this module
+from .probability import max_pc_head_on, ncx2_cdf, pc_circular, pc_circular_batch  # noqa: F401
 from .propositions import Ball, Complement
 from .validity import (
     AdditiveGaussianRule,
@@ -30,7 +31,8 @@ from .validity import (
     validity_check,
 )
 
-#: Most Pc evaluations one critical-displacement solve may take.
+#: Most Newton steps, each one batched Pc evaluation, a critical-displacement
+#: solve may take.
 _NEWTON_MAX_ITERS = 100
 _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
@@ -57,7 +59,7 @@ class DetectionCurve:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "points": self.csv_rows()}
+        return {**vars(self), "points": self.csv_rows()}
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -90,71 +92,79 @@ class FalseConfidenceReport:
         return [asdict(self)]
 
 
-def critical_displacement(threshold: float, s_over_r: float) -> float | None:
-    """Displacement-to-uncertainty ratio at which the threshold is hit.
+def critical_displacement(threshold, s_over_r: float):
+    """Displacement-to-uncertainty ratio at which each threshold is hit.
 
-    Returns the unique ``u >= 0`` (``D/S``, the displacement in units of the
-    uncertainty) with ``pc_circular(u * s_over_r, s_over_r) == threshold``,
-    to ``1e-12`` relative. Returns ``None`` when the threshold exceeds the
-    head-on maximum, i.e. the encounter is fully diluted and the threshold
-    is unreachable, and ``0.0`` when it equals that maximum.
+    For each threshold returns the unique ``u >= 0`` (``D/S``, the
+    displacement in units of the uncertainty) with
+    ``pc_circular(u * s_over_r, s_over_r) == threshold``, to ``1e-12``
+    relative; ``0.0`` where the threshold equals the head-on maximum, and
+    no root where it exceeds it (the encounter is fully diluted and the
+    threshold unreachable). A scalar threshold returns a float, or
+    ``None`` when unreachable; an array returns an array of its shape,
+    with NaN where unreachable.
 
-    Solved by safeguarded Newton steps on ``log Pc`` in ``u``, each
-    evaluating ``Pc`` through ``pc_circular``. With ``Pc = F_2(u^2)``, where
-    ``F_k`` is ``ncx2_cdf`` as a function of its noncentrality ``lam``, the
-    slope is ``dF_k/dlam = (F_{k+2} - F_k) / 2``; for ``k = 2`` that is the
-    Rice density, ``dPc/du = -b exp(-(u - b)^2/2) ive(1, u b)`` with
+    All thresholds are solved together by safeguarded Newton steps on
+    ``log Pc`` in ``u``: each step makes one ``pc_circular_batch`` call over
+    the rows not yet converged. With ``Pc = F_2(u^2)``, where ``F_k`` is
+    ``ncx2_cdf`` as a function of its noncentrality ``lam``, the slope is
+    ``dF_k/dlam = (F_{k+2} - F_k) / 2``; for ``k = 2`` that is the Rice
+    density, ``dPc/du = -b exp(-(u - b)^2/2) ive(1, u b)`` with
     ``b = 1/s_over_r``. ``Pc`` is log-concave in ``u``, so a step from above
-    the root stays above it and a step from below crosses it. While no
-    point with ``Pc < threshold`` is known, steps are limited to doubling
-    ``u``; after, a step that leaves the bracket ``[lo, hi]``
+    the root stays above it and a step from below crosses it. While a row
+    knows no point with ``Pc < threshold``, its steps are limited to
+    doubling ``u``; after, a step that leaves its bracket ``[lo, hi]``
     (``Pc(lo) >= threshold > Pc(hi)``), or one from where ``Pc``
     underflows, is replaced by bisection. Raises ``NumericalError`` with
-    the bracket reached if ``_NEWTON_MAX_ITERS`` evaluations do not
-    converge.
+    the bracket of an unconverged row if ``_NEWTON_MAX_ITERS`` steps do
+    not converge every row.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
+    t = np.asarray(threshold, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    if not np.all(inside):
+        bad = float(t[~inside].flat[0])
+        raise InputValidationError(f"threshold must be in (0, 1), got {bad}")
     if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
     if math.isinf(1.0 / s_over_r / s_over_r):
         raise NumericalError(f"1 / s_over_r^2 overflows at s_over_r = {s_over_r!r}")
     peak = max_pc_head_on(s_over_r)
-    if threshold > peak:
-        return None
-    if threshold >= peak * (1.0 - 1e-15):
-        return 0.0
+    flat = t.ravel()
+    below_peak = flat < peak * (1.0 - 1e-15)
+    u_crit = np.where(below_peak | (flat > peak), math.nan, 0.0)
+    rows = np.flatnonzero(below_peak)
     b = 1.0 / s_over_r
-    log_threshold = math.log(threshold)
-    # beyond u = b, Pc falls off about like peak * exp(-(u - b)^2 / 2)
-    u = b + math.sqrt(2.0 * (math.log(peak) - log_threshold))
-    lo, hi = 0.0, math.inf
+    t_rows = flat[rows]
+    # beyond u = b, Pc falls off about like peak * exp(-(u - b)^2 / 2); a
+    # peak that underflows to 0 leaves no row below it
+    u = b + np.sqrt(2.0 * (math.log(peak or 1.0) - np.log(t_rows)))
+    lo, hi = np.zeros(rows.size), np.full(rows.size, math.inf)
     for _ in range(_NEWTON_MAX_ITERS):
-        pc = pc_circular(u * s_over_r, s_over_r)
-        if pc >= threshold:
-            lo = u
-        else:
-            hi = u
-        nxt = math.nan
-        if pc > 0.0:
+        if not rows.size:
+            break
+        pc = pc_circular_batch(u * s_over_r, s_over_r)
+        reached = pc >= t_rows
+        lo, hi = np.where(reached, u, lo), np.where(reached, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # -dlog(Pc)/du = b exp(-(u - b)^2 / 2) ive(1, u b) / Pc
-            log_rate = (
-                math.log(b * float(special.ive(1, u * b)))
-                - 0.5 * (u - b) ** 2
-                - math.log(pc)
-            )
-            nxt = u + (math.log(pc) - log_threshold) * math.exp(min(-log_rate, 700.0))
-        if hi == math.inf:
-            nxt = min(2.0 * u, nxt)
-        elif not lo <= nxt <= hi:  # also catches NaN
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 1e-12 * nxt:
-            return nxt
-        u = nxt
-    raise NumericalError(
-        f"critical displacement did not converge in {_NEWTON_MAX_ITERS} steps: "
-        f"the root is bracketed by D/S in [{lo!r}, {hi!r}]"
-    )
+            log_rate = np.log(b * special.ive(1, u * b)) - 0.5 * (u - b) ** 2 - np.log(pc)
+            nxt = u + (np.log(pc) - np.log(t_rows)) * np.exp(np.minimum(-log_rate, 700.0))
+        nxt[pc <= 0.0] = math.nan
+        open_ = hi == math.inf
+        nxt[open_] = np.fmin(2.0 * u[open_], nxt[open_])
+        stray = ~open_ & ~((lo <= nxt) & (nxt <= hi))  # also catches NaN
+        nxt[stray] = 0.5 * (lo[stray] + hi[stray])
+        done = np.abs(nxt - u) <= 1e-12 * nxt
+        u_crit[rows[done]] = nxt[done]
+        rows, t_rows, u, lo, hi = (a[~done] for a in (rows, t_rows, nxt, lo, hi))
+    if rows.size:
+        raise NumericalError(
+            f"critical displacement did not converge in {_NEWTON_MAX_ITERS} steps: "
+            f"the root is bracketed by D/S in [{float(lo[0])!r}, {float(hi[0])!r}]"
+        )
+    if t.ndim == 0:
+        return None if math.isnan(u_crit[0]) else float(u_crit[0])
+    return u_crit.reshape(t.shape)
 
 
 def default_threshold_grid() -> np.ndarray:
@@ -178,6 +188,9 @@ def detection_curve(
     the combined radius; values ``<= 1`` describe an impending collision, so
     the rate is then the detection rate and its complement the failure rate.
 
+    Both paths take the critical displacements of the whole grid from one
+    array call of ``critical_displacement``; an unreachable threshold (NaN
+    there) and one reached only by a head-on estimate (0) have rate 0.
     The semi-analytic path evaluates the noncentral chi-squared CDF at the
     critical displacement of each threshold. The Monte Carlo path redraws
     the estimated displacement from its sampling law and counts the draws at
@@ -215,9 +228,8 @@ def detection_curve(
             f"{d_true_over_r!r}, s_over_r = {s_over_r!r}"
         )
     # Pc is strictly decreasing in the displacement, so Pc >= t exactly
-    # where D/S <= u_crit(t); an unreachable threshold (None) and one
-    # reached only by a head-on estimate (0) have rate 0
-    u_crit = np.array([critical_displacement(t, s_over_r) or 0.0 for t in thresholds])
+    # where D/S <= u_crit(t)
+    u_crit = np.nan_to_num(critical_displacement(thresholds, s_over_r))
     if method == _SEMI_ANALYTIC:
         rates = ncx2_cdf(2, ratio**2, u_crit * u_crit)
     else:

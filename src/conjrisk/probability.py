@@ -454,7 +454,7 @@ class DilutionCurve:
     peak_pc: float
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "grid": [list(point) for point in self.grid]}
+        return {**vars(self), "grid": [list(point) for point in self.grid]}
 
     def csv_rows(self) -> list[dict]:
         return [{"s_over_r": s, "pc": p} for s, p in self.grid]

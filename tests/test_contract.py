@@ -124,6 +124,40 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
 
 
+@seed(2034)
+@settings(max_examples=100, deadline=None)
+@given(
+    s_over_r=magnitudes | _log_uniform(-3.0, 3.0),
+    d_true=st.just(0.0) | magnitudes | _log_uniform(-3.0, 3.0),
+    thresholds=st.none() | st.lists(levels | _log_uniform(-300.0, 0.0), min_size=1,
+                                    max_size=4),
+    method=st.sampled_from(["semi-analytic", "monte-carlo"]),
+    run_seed=st.integers(0, 2**31),
+)
+def test_detection_curve_contract(s_over_r, d_true, thresholds, method, run_seed):
+    argv = ["detection-curve", "--s-over-r", repr(s_over_r), "--d-true", repr(d_true),
+            "--method", method, "--n-trials", "1000", "--seed", str(run_seed)]
+    if thresholds is not None:
+        argv += ["--threshold-grid", ",".join(map(repr, thresholds))]
+    _check_contract(argv)
+
+
+@seed(2035)
+@settings(max_examples=100, deadline=None)
+@given(
+    d_over_r=st.just(0.0) | magnitudes | _log_uniform(-3.0, 3.0),
+    s_min=magnitudes | _log_uniform(-3.0, 3.0),
+    span=st.sampled_from([0.5, 1.0]) | _log_uniform(0.1, 12.0),
+    n_points=st.integers(8, 48),
+)
+def test_dilution_curve_contract(d_over_r, s_min, span, n_points):
+    # a span of at most 1, or an s_max past the float range, is a usage error
+    _check_contract(
+        ["dilution-curve", "--d-over-r", repr(d_over_r), "--s-min", repr(s_min),
+         "--s-max", repr(s_min * span), "--n-points", str(n_points)]
+    )
+
+
 @st.composite
 def _state_root(draw):
     """Symmetric square root of a 6x6 state covariance: a unit velocity

@@ -13,6 +13,7 @@ from conjrisk import (
     InputValidationError,
     NumericalError,
     critical_displacement,
+    default_threshold_grid,
     detection_curve,
     dilution_boundary,
     false_confidence_demo,
@@ -155,6 +156,9 @@ class TestCriticalDisplacement:
 
     def test_unreachable_threshold(self):
         assert critical_displacement(4.4e-4, 40.0) is None
+        # past s = 1.3e154 the head-on maximum underflows to 0
+        assert critical_displacement(1e-300, 1e160) is None
+        assert np.isnan(critical_displacement(np.array([1e-300, 0.5]), 1e160)).all()
 
     def test_bisection_tolerance(self):
         for s, t in ((3.0, 1e-3), (15.0, 1e-5), (25.0, 1e-4)):
@@ -174,19 +178,19 @@ class TestCriticalDisplacement:
             assert mp_pc_circular(below * s, s) >= t >= mp_pc_circular(above * s, s)
 
     def test_few_pc_evaluations(self, monkeypatch):
-        calls = []
+        rows = []
 
         def counted(d_over_r, s_over_r):
-            calls.append(d_over_r)
-            return pc_circular(d_over_r, s_over_r)
+            rows.append(np.size(d_over_r))
+            return pc_circular_batch(d_over_r, s_over_r)
 
-        monkeypatch.setattr(detection_module, "pc_circular", counted)
+        monkeypatch.setattr(detection_module, "pc_circular_batch", counted)
         solves = 0
         for s in (0.01, 0.1, 1.0, 5.0, 20.0):
             for t in np.geomspace(1e-8, 0.1, 15):
                 solves += critical_displacement(float(t), s) is not None
         # about 40 per solve with the former bisection
-        assert len(calls) <= 8 * solves
+        assert sum(rows) <= 8 * solves
 
     def test_failed_newton_run_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(detection_module, "_NEWTON_MAX_ITERS", 1)
@@ -197,9 +201,44 @@ class TestCriticalDisplacement:
         assert lo <= CRITICAL_D_UPPER_10 <= hi
 
     def test_failed_bracket_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(detection_module, "pc_circular", lambda d, s: 1.0)
+        monkeypatch.setattr(detection_module, "pc_circular_batch",
+                            lambda d, s: np.ones_like(d))
         with pytest.raises(NumericalError, match=r"inf\]"):
             critical_displacement(4.4e-4, 10.0)
+
+    @pytest.mark.parametrize("s", [0.01, 0.1, 1.0, 10.0, 30.0])
+    def test_one_batched_solve_per_curve(self, s, monkeypatch):
+        batches = []
+
+        def counted(d_over_r, s_over_r):
+            batches.append(d_over_r)
+            return pc_circular_batch(d_over_r, s_over_r)
+
+        monkeypatch.setattr(detection_module, "pc_circular_batch", counted)
+        # the head-on maximum rounds to 1.0, which no threshold may equal,
+        # for s <= 0.1; elsewhere add it and the next float above it
+        peak = max_pc_head_on(s)
+        edges = [peak, math.nextafter(peak, 1.0)] if peak < 0.5 else []
+        n_grid = default_threshold_grid().size
+        grid = np.append(default_threshold_grid(), edges)
+        u_crit = critical_displacement(grid, s)
+        assert len(batches) <= 10
+        assert u_crit.shape == grid.shape
+        assert np.array_equal(np.isnan(u_crit[:n_grid]), grid[:n_grid] > peak)
+        if edges:
+            assert u_crit[n_grid] == 0.0
+            assert math.isnan(u_crit[n_grid + 1])
+        monkeypatch.undo()
+        for t, u in zip(grid, u_crit):
+            one = critical_displacement(float(t), s)
+            if math.isnan(u):
+                assert one is None
+                continue
+            assert u == pytest.approx(one, rel=1e-12, abs=0.0)
+            if u > 0.0:
+                # 40-digit values either side bracket the root
+                below, beyond = u * (1.0 - 1e-12), u * (1.0 + 1e-12)
+                assert mp_pc_circular(below * s, s) >= t >= mp_pc_circular(beyond * s, s)
 
 
 def _rate(threshold, s_over_r, d_true_over_r, **kwargs):

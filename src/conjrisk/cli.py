@@ -5,6 +5,10 @@ invalid parameters, unsupported propositions), 3 on numerical failures.
 Stochastic commands require a seed, either via ``--seed`` or the ``seed``
 key of the config file; given identical flags, config, and seed, every
 command is byte-deterministic in its outputs.
+
+Each handler imports the library modules it uses when it runs, so that a
+process pays only for its own command: ``pc``, ``screen`` and ``boundary``
+load numpy but not scipy.
 """
 
 from __future__ import annotations
@@ -15,12 +19,6 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .detection import (
-    detection_curve,
-    dilution_boundary,
-    false_confidence_demo,
-    proof_halfwidth,
-)
 from .errors import ConjunctionAnalysisError, InputValidationError, NumericalError
 from .fileio import (
     Config,
@@ -30,17 +28,6 @@ from .fileio import (
     load_config,
     parse_conjunction,
     write_text,
-)
-from .probability import dilution_curve, pc_contour
-from .geometry import standardized_encounter
-from .propositions import Ball, Complement
-from .screening import screen_conjunction
-from .validity import (
-    AdditiveGaussianRule,
-    gaussian_region_rule,
-    gaussian_sampling_model,
-    halfwidth_in_sigmas,
-    validity_check,
 )
 
 _STOCHASTIC_HINT = "provide --seed or set 'seed' in the config file"
@@ -82,6 +69,9 @@ def _emit(args, config: Config, doc: Callable[[], dict], rows: Callable[[], list
 
 
 def _cmd_pc(args, config: Config) -> int:
+    from .geometry import standardized_encounter
+    from .probability import pc_contour
+
     cf = _read_conjunction(args)
     enc = standardized_encounter(cf.to_joint_state())
     result = pc_contour(enc)
@@ -91,6 +81,8 @@ def _cmd_pc(args, config: Config) -> int:
 
 
 def _cmd_dilution_curve(args, config: Config) -> int:
+    from .probability import dilution_curve
+
     curve = dilution_curve(args.d_over_r, args.s_min, args.s_max, args.n_points)
     prec = config.output_precision
     if args.output is None:
@@ -105,6 +97,8 @@ def _cmd_dilution_curve(args, config: Config) -> int:
 
 
 def _cmd_detection_curve(args, config: Config) -> int:
+    from .detection import detection_curve
+
     seed = None
     n_trials = args.n_trials if args.n_trials is not None else config.mc_trials
     if args.method == "monte-carlo":
@@ -129,6 +123,8 @@ def _cmd_detection_curve(args, config: Config) -> int:
 
 
 def _cmd_boundary(args, config: Config) -> int:
+    from .probability import dilution_boundary
+
     radius = args.combined_radius
     if radius is not None and not (radius > 0.0 and math.isfinite(radius)):
         raise InputValidationError(
@@ -152,6 +148,8 @@ def _cmd_boundary(args, config: Config) -> int:
 
 
 def _cmd_screen(args, config: Config) -> int:
+    from .screening import screen_conjunction
+
     cf = _read_conjunction(args)
     decision = screen_conjunction(cf.to_joint_state(), args.k_sigma)
     doc = decision.to_json_dict()
@@ -161,6 +159,15 @@ def _cmd_screen(args, config: Config) -> int:
 
 
 def _cmd_validity(args, config: Config) -> int:
+    from .propositions import Ball, Complement
+    from .validity import (
+        AdditiveGaussianRule,
+        gaussian_region_rule,
+        gaussian_sampling_model,
+        halfwidth_in_sigmas,
+        validity_check,
+    )
+
     seed = _resolve_seed(args, config)
     # in units of sigma: only halfwidth / sigma reaches the rule
     radius = halfwidth_in_sigmas(args.halfwidth, args.sigma)
@@ -187,6 +194,8 @@ def _cmd_validity(args, config: Config) -> int:
 
 
 def _cmd_false_confidence(args, config: Config) -> int:
+    from .detection import false_confidence_demo, proof_halfwidth
+
     seed = _resolve_seed(args, config)
     halfwidth = args.halfwidth
     if halfwidth is None:

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special
 
+from . import probability
 from . import rng as rngmod
 from .errors import InputValidationError, NumericalError
-# ``pc_circular`` is unused here; benchmarks/selftest.py traces it under this module
-from .probability import max_pc_head_on, ncx2_cdf, pc_circular, pc_circular_batch  # noqa: F401
+from .ncx2 import ncx2_cdf
 from .propositions import Ball, Complement
 from .validity import (
     AdditiveGaussianRule,
@@ -30,6 +30,19 @@ from .validity import (
     halfwidth_in_sigmas,
     validity_check,
 )
+
+#: ``probability`` functions that are also importable from this module. They
+#: are read from ``probability`` on each access, and this module calls its
+#: kernels through it, so it never keeps a copy of a function that has been
+#: replaced there, whichever of the two modules was imported first.
+_REEXPORTED = ("dilution_boundary", "pc_circular")
+
+
+def __getattr__(name: str):
+    if name in _REEXPORTED:
+        return getattr(probability, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Most Newton steps, each one batched Pc evaluation, a critical-displacement
 #: solve may take.
@@ -128,7 +141,7 @@ def critical_displacement(threshold, s_over_r: float):
         raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
     if math.isinf(1.0 / s_over_r / s_over_r):
         raise NumericalError(f"1 / s_over_r^2 overflows at s_over_r = {s_over_r!r}")
-    peak = max_pc_head_on(s_over_r)
+    peak = probability.max_pc_head_on(s_over_r)
     flat = t.ravel()
     below_peak = flat < peak * (1.0 - 1e-15)
     u_crit = np.where(below_peak | (flat > peak), math.nan, 0.0)
@@ -142,7 +155,7 @@ def critical_displacement(threshold, s_over_r: float):
     for _ in range(_NEWTON_MAX_ITERS):
         if not rows.size:
             break
-        pc = pc_circular_batch(u * s_over_r, s_over_r)
+        pc = probability.pc_circular_batch(u * s_over_r, s_over_r)
         reached = pc >= t_rows
         lo, hi = np.where(reached, u, lo), np.where(reached, hi, u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -251,18 +264,6 @@ def detection_curve(
     )
 
 
-def dilution_boundary(threshold: float) -> float:
-    """Uncertainty ratio beyond which the threshold is unreachable.
-
-    Solves ``max_pc_head_on(s) == threshold`` in closed form:
-    ``s = (-2 ln(1 - threshold))^(-1/2)``. The detection rate is exactly
-    zero for ``s_over_r`` above the returned value and positive below it.
-    """
-    if not (0.0 < threshold < 1.0):
-        raise InputValidationError(f"threshold must be in (0, 1), got {threshold}")
-    return 1.0 / math.sqrt(-2.0 * math.log1p(-threshold))
-
-
 def proof_halfwidth(sigma: float, alpha: float) -> float:
     """Neighborhood halfwidth guaranteeing maximal false confidence.
 
@@ -270,20 +271,22 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
     is ``1 / (sigma sqrt(2 pi))`` for every realization, so a neighborhood
     of total measure ``alpha * sigma * sqrt(2 pi)`` (halfwidth = half that)
     can never receive belief above ``alpha``; its complement, a false
-    proposition, then always receives belief at least ``1 - alpha``.
+    proposition, then always receives belief at least ``1 - alpha``. The
+    halfwidth is computed as ``alpha * sigma * sqrt(pi / 2)``, so that no
+    intermediate product overflows before it does.
 
     Raises:
-        NumericalError: if the halfwidth overflows, which a ``sigma`` near
-            the largest float allows.
+        NumericalError: if the halfwidth itself overflows, which a ``sigma``
+            near the largest float allows.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InputValidationError(f"sigma must be positive, got {sigma}")
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    halfwidth = alpha * sigma * math.sqrt(2.0 * math.pi) / 2.0
+    halfwidth = alpha * sigma * math.sqrt(math.pi / 2.0)
     if math.isinf(halfwidth):
         raise NumericalError(
-            f"proof halfwidth alpha * sigma * sqrt(2 pi) / 2 overflows at "
+            f"proof halfwidth alpha * sigma * sqrt(pi / 2) overflows at "
             f"sigma = {sigma!r}, alpha = {alpha!r}"
         )
     return halfwidth

@@ -3,7 +3,8 @@
 Each object's position uncertainty is rendered as a K-sigma ellipsoid; a
 maneuver is indicated when the minimum distance between the two ellipsoids
 is at most the combined hard-body radius. The per-object confidence is the
-chi-squared mass inside radius K; joint confidence combines the two objects
+chi-squared mass inside radius K, in closed form for three dimensions, so
+that a screen needs numpy alone; joint confidence combines the two objects
 under independence and, dependence-free, under the Frechet bound. Screening
 on overlap then caps the long-run rate of missed collisions at twice the
 per-object miss level.
@@ -15,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .ellipsoids import Ellipsoid, build_ellipsoid, min_distance
+# through the module, so that a kernel replaced there is the one called
+from . import ellipsoids
+from .ellipsoids import Ellipsoid
 from .errors import InputValidationError
 from .geometry import JointState
 
@@ -29,17 +31,44 @@ __all__ = [
 ]
 
 
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _chi3_cdf(k: float) -> float:
+    """Chi-squared CDF with three degrees of freedom at ``k^2``, in closed
+    form: ``erf(k / sqrt(2)) - sqrt(2 / pi) k exp(-k^2 / 2)``. Below
+    ``k = 1.5``, where that difference cancels (by 1.6e-12 relative at
+    ``k = 0.015``), it is the series ``sqrt(2 / pi) k^3 / 3 exp(-k^2 / 2)
+    sum_n x^n / ((5/2)(7/2) ... (3/2 + n))`` in ``x = k^2 / 2``, whose terms
+    are all positive."""
+    x = 0.5 * k * k
+    if k >= 1.5:
+        return math.erf(k * math.sqrt(0.5)) - _SQRT_2_OVER_PI * k * math.exp(-x)
+    term = total = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (1.5 + n)
+        total += term
+    return _SQRT_2_OVER_PI * k**3 / 3.0 * math.exp(-x) * total
+
+
 def ksigma_confidence(k: float, dim: int) -> float:
     """Coverage probability of a K-sigma ellipsoid in ``dim`` dimensions.
 
     The chi-squared CDF with ``dim`` degrees of freedom evaluated at
     ``k**2``; strictly increasing in ``k``. For ``dim == 2`` this equals
-    ``1 - exp(-k^2 / 2)``.
+    ``1 - exp(-k^2 / 2)``. ``dim == 3``, the screen's, is a closed form;
+    other dimensions import scipy's incomplete gamma function.
     """
     if not (k > 0.0 and math.isfinite(k)):
         raise InputValidationError(f"k must be positive, got {k}")
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
         raise InputValidationError(f"dim must be an integer >= 1, got {dim}")
+    if dim == 3:
+        return _chi3_cdf(float(k))
+    from scipy import special
+
     return float(special.gammainc(dim / 2.0, k * k / 2.0))
 
 
@@ -101,15 +130,15 @@ def position_ellipsoids(js: JointState, k: float) -> tuple[Ellipsoid, Ellipsoid]
     block; cross-covariance between the objects is not used for region
     construction (the Frechet bound covers arbitrary dependence).
     """
-    ellipsoids = []
+    bodies = []
     for label, rows in (("object 1", slice(0, 3)), ("object 2", slice(6, 9))):
         try:
-            ellipsoids.append(
-                build_ellipsoid(js.theta_hat[rows], js.c_theta[rows, rows], k)
+            bodies.append(
+                ellipsoids.build_ellipsoid(js.theta_hat[rows], js.c_theta[rows, rows], k)
             )
         except InputValidationError as exc:
             raise InputValidationError(f"{label} position ellipsoid: {exc}") from exc
-    e1, e2 = ellipsoids
+    e1, e2 = bodies
     return e1, e2
 
 
@@ -121,7 +150,7 @@ def screen_conjunction(js: JointState, k: float) -> ScreeningDecision:
     combined hard-body radius.
     """
     e1, e2 = position_ellipsoids(js, k)
-    gap = min_distance(e1, e2)
+    gap = ellipsoids.min_distance(e1, e2)
     confidence = ksigma_confidence(k, 3)
     alpha = 1.0 - confidence
     independent, frechet = joint_confidence(alpha)

@@ -30,7 +30,7 @@ from . import rng as rngmod
 from .ellipsoids import Ellipsoid, build_ellipsoid
 from .errors import InputValidationError, NumericalError, UnsupportedPropositionError
 from .geometry import covariance_eigh
-from .probability import ncx2_cdf
+from .ncx2 import ncx2_cdf
 from .propositions import (
     Ball,
     Complement,

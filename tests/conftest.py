@@ -312,9 +312,11 @@ def mp_pc_circular(d_over_r, s_over_r, dps: int = 40):
     from its Bessel series ``exp(-(a^2 + b^2)/2) sum_k (b/a)^k I_k(ab)``
     over ``k >= 1`` when ``a > b`` (no cancellation in the tail), and as one
     minus ``exp(-(a^2 + b^2)/2) sum_k (a/b)^k I_k(ab)`` over ``k >= 0``
-    otherwise. ``I_k(z)`` comes from Miller's downward recurrence, started
-    far above where it matters and normalized by
-    ``I_0 + 2 sum_k I_k = exp(z)``.
+    otherwise. ``I_k(z)`` comes from Miller's downward recurrence,
+    normalized by ``I_0 + 2 sum_k I_k = exp(z)``. It starts where the
+    product of the ratio bounds ``I_k / I_(k-1) < z / (k - 1 + sqrt((k -
+    1)^2 + z^2))``, over ``I_1 / I_0`` at least, falls below the working
+    precision; the powers of ``b/a`` or ``a/b`` are carried term by term.
     """
     with mpmath.workdps(dps + 20):
         a = mpmath.mpf(d_over_r) / s_over_r
@@ -322,7 +324,12 @@ def mp_pc_circular(d_over_r, s_over_r, dps: int = 40):
         z = a * b
         if z == 0:
             return -mpmath.expm1(-b * b / 2)
-        top = int(40 * mpmath.sqrt(z) + 40)
+        zf = max(float(z), 1e-300)  # a smaller z only loosens the bounds
+        budget = (dps + 20) * math.log(10.0) - min(0.0, math.log(zf / 2.0))
+        top, log_bound = 0, 0.0
+        while log_bound < budget:
+            top += 1
+            log_bound += math.log((top - 1 + math.hypot(top - 1, zf)) / zf)
         upper, current = mpmath.mpf(0), mpmath.mpf(1)
         bessel = [current]
         for k in range(top, 0, -1):
@@ -331,11 +338,14 @@ def mp_pc_circular(d_over_r, s_over_r, dps: int = 40):
         bessel.reverse()  # proportional to I_0 .. I_top
         # exp(-(a^2 + b^2)/2) I_k(z) = exp(-(a - b)^2 / 2) B_k / sum
         scale = mpmath.exp(-(a - b) ** 2 / 2) / (bessel[0] + 2 * mpmath.fsum(bessel[1:]))
+        r = b / a if a > b else a / b
+        terms, power = [], mpmath.mpf(1)
+        for value in bessel:
+            terms.append(power * value)
+            power *= r
         if a > b:
-            r = b / a
-            return +(scale * mpmath.fsum(r**k * bessel[k] for k in range(1, top + 1)))
-        r = a / b
-        return 1 - scale * mpmath.fsum(r**k * bessel[k] for k in range(top + 1))
+            return +(scale * mpmath.fsum(terms[1:]))
+        return 1 - scale * mpmath.fsum(terms)
 
 
 def mp_pc(u, v, s1, s2, r, dps: int = 40):

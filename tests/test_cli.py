@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjrisk import cli
+from conjrisk import cli, probability
 from conjrisk.cli import run_command
 from conjrisk.errors import ConjunctionAnalysisError, NumericalError
 
@@ -630,7 +630,7 @@ class TestErrorPaths:
         def boom(threshold):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(cli, "dilution_boundary", boom)
+        monkeypatch.setattr(probability, "dilution_boundary", boom)
         assert run_command(["boundary", "--threshold", "0.1"]) == 3
 
     @pytest.mark.parametrize(
@@ -641,7 +641,7 @@ class TestErrorPaths:
         def boom(threshold):
             raise error("synthetic failure")
 
-        monkeypatch.setattr(cli, "dilution_boundary", boom)
+        monkeypatch.setattr(probability, "dilution_boundary", boom)
         status = run_command(["boundary", "--threshold", "0.1"])
         numerical = issubclass(error, NumericalError)
         assert status == (3 if numerical else 2)
@@ -708,6 +708,40 @@ def test_screen_and_validity_leave_scipy_optimize_unimported():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_import_surface():
+    # in a fresh interpreter: the package imports nothing, and pc, screen
+    # and boundary on every golden case leave scipy unimported
+    from test_golden import CASES, _argv
+
+    light = [_argv(case) for case in sorted(CASES)
+             if case.startswith(("pc_", "screen_", "boundary"))]
+    heavy = [["false-confidence", "--n-trials", "2000", "--seed", "8"],
+             ["validity", "--halfwidth", "0.1", "--n-trials", "1000", "--seed", "3"]]
+    script = (
+        "import io, json, sys, contextlib\n"
+        "import conjrisk\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('conjrisk.', 'scipy'))))\n"
+        "from conjrisk.cli import run_command\n"
+        "light, heavy = json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    light = [run_command(argv) for argv in light]\n"
+        "print(light, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    heavy = [run_command(argv) for argv in heavy]\n"
+        "print(heavy)\n"
+    )
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([light, heavy])],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    imported, after_light, after_heavy = done.stdout.splitlines()
+    assert len(light) == 9
+    assert imported == "[]"
+    assert after_light == f"{[0] * len(light)} []"
+    assert after_heavy == "[0, 0]"
 
 
 class TestDeterminism:

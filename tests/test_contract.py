@@ -95,9 +95,9 @@ def test_false_confidence_contract(sigma, halfwidth, alpha, run_seed):
     _check_contract(argv)
 
 
-@pytest.mark.parametrize("sigma, alpha", [(1.5e308, 0.9), (1.7e308, 0.5)])
+@pytest.mark.parametrize("sigma, alpha", [(1.7e308, 0.9), (1.6e308, 0.99)])
 def test_false_confidence_default_halfwidth_overflow_is_numerical(sigma, alpha):
-    # the default halfwidth alpha * sigma * sqrt(2 pi) / 2 overflows: a
+    # the default halfwidth alpha * sigma * sqrt(pi / 2) itself overflows: a
     # numerical failure naming it and sigma, not a halfwidth of ``inf``
     # blamed on the user
     argv = ["false-confidence", "--sigma", repr(sigma), "--alpha", repr(alpha),
@@ -107,6 +107,20 @@ def test_false_confidence_default_halfwidth_overflow_is_numerical(sigma, alpha):
     assert (status, out) == (3, "")
     assert err.startswith("numerical failure: proof halfwidth")
     assert f"sigma = {sigma!r}" in err
+
+
+@pytest.mark.parametrize("sigma, alpha, halfwidth", [
+    (1.5e308, 0.9, 1.6919740853759252e308),
+    (1.7e308, 0.5, 1.065317016718175e308),
+])
+def test_false_confidence_default_halfwidth_near_float_max_runs(sigma, alpha, halfwidth):
+    # alpha * sigma * sqrt(2 pi) overflows here, but the halfwidth does not
+    argv = ["false-confidence", "--sigma", repr(sigma), "--alpha", repr(alpha),
+            "--n-trials", "1000", "--seed", "1"]
+    _check_contract(argv)
+    status, out, err = _run(argv)
+    assert (status, err) == (0, "")
+    assert out.endswith(f" halfwidth={halfwidth:.9g}\n")
 
 
 @seed(2028)

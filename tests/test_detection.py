@@ -9,6 +9,7 @@ import pytest
 from scipy import special, stats
 
 import conjrisk.detection as detection_module
+import conjrisk.probability as probability_module
 from conjrisk import (
     InputValidationError,
     NumericalError,
@@ -22,7 +23,8 @@ from conjrisk import (
     pc_circular,
     proof_halfwidth,
 )
-from conjrisk.probability import _ncx2_scalar, _ncx2_terms, pc_circular_batch
+from conjrisk.ncx2 import _ncx2_scalar, _ncx2_terms
+from conjrisk.probability import pc_circular_batch
 
 from conftest import mp_ncx2_cdf, mp_pc_circular
 
@@ -184,7 +186,7 @@ class TestCriticalDisplacement:
             rows.append(np.size(d_over_r))
             return pc_circular_batch(d_over_r, s_over_r)
 
-        monkeypatch.setattr(detection_module, "pc_circular_batch", counted)
+        monkeypatch.setattr(probability_module, "pc_circular_batch", counted)
         solves = 0
         for s in (0.01, 0.1, 1.0, 5.0, 20.0):
             for t in np.geomspace(1e-8, 0.1, 15):
@@ -201,7 +203,7 @@ class TestCriticalDisplacement:
         assert lo <= CRITICAL_D_UPPER_10 <= hi
 
     def test_failed_bracket_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(detection_module, "pc_circular_batch",
+        monkeypatch.setattr(probability_module, "pc_circular_batch",
                             lambda d, s: np.ones_like(d))
         with pytest.raises(NumericalError, match=r"inf\]"):
             critical_displacement(4.4e-4, 10.0)
@@ -214,7 +216,7 @@ class TestCriticalDisplacement:
             batches.append(d_over_r)
             return pc_circular_batch(d_over_r, s_over_r)
 
-        monkeypatch.setattr(detection_module, "pc_circular_batch", counted)
+        monkeypatch.setattr(probability_module, "pc_circular_batch", counted)
         # the head-on maximum rounds to 1.0, which no threshold may equal,
         # for s <= 0.1; elsewhere add it and the next float above it
         peak = max_pc_head_on(s)

@@ -4,10 +4,12 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from conjrisk import (
     InputValidationError,
@@ -196,6 +198,65 @@ MPMATH_CASES = [
     (0.5, 0.8660254037844386, 0.01, 1e-5),
     (1.0, 0.0, 0.1, 1e-4),
 ]
+
+
+#: x from -1e150 to 40, with both sides of the switches at -37 and 0
+LOG_NDTR_POINTS = sorted({
+    *(-np.geomspace(1e-3, 1e150, 50)).tolist(), *np.linspace(-40.0, 40.0, 81).tolist(),
+    -37.0 - 1e-9, -37.0 + 1e-9, -20.0 - 1e-9, -20.0 + 1e-9,
+    -1e-12, -1e-300, 0.0, 1e-300, 1e-12,
+})
+
+
+class TestLogNdtr:
+    # The argument's own rounding moves log Phi(x) by about x^2 * 1.1e-16, and
+    # the log's rounding by its ulp, so the bound is 1e-15 absolute where
+    # |log Phi| <= 1 and relative beyond; scipy's log_ndtr is off by 5.4e-14
+    # at x = -19.9.
+    @staticmethod
+    def _bound(reference):
+        return 1e-15 * np.maximum(1.0, np.abs(reference))
+
+    @pytest.mark.parametrize("x", LOG_NDTR_POINTS)
+    def test_against_mpmath(self, x):
+        with mpmath.workdps(40):
+            reference = mpmath.log(mpmath.ncdf(mpmath.mpf(x)))
+            error = abs(float(probability.log_ndtr(x)) - reference)
+        assert error <= self._bound(float(reference))
+
+    def test_against_scipy(self):
+        x = np.concatenate([-np.geomspace(1e-3, 1e150, 400), np.linspace(-40.0, 40.0, 801)])
+        theirs = special.log_ndtr(x)
+        ours = probability.log_ndtr(x)
+        assert np.all(np.abs(ours - theirs) <= self._bound(theirs))
+
+    def test_shape_kept(self):
+        x = np.array([[1.0, -50.0], [0.0, -3.0]])
+        assert np.array_equal(probability.log_ndtr(x), [[float(probability.log_ndtr(v)) for v in row]
+                                                        for row in x])
+
+    def test_end_of_float_range(self):
+        # x^2 / 2 reaches the float range at x = -1.9e154; the other terms are
+        # below 1e-300 of it there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near, past = probability.log_ndtr([-1.8e154, -1.9e154])[:2], probability.log_ndtr(
+                [-1e300, -1.7976931348623157e308])
+        with mpmath.workdps(40):
+            x = mpmath.mpf(-1.8e154)
+            reference = -x * x / 2 - mpmath.log(-x * mpmath.sqrt(2 * mpmath.pi))
+        assert abs(near[0] - float(reference)) <= 1e-15 * abs(float(reference))
+        assert near[1] == -math.inf and np.all(past == -math.inf)
+
+    def test_smallest_deviation_ratio_runs_quietly(self):
+        # at s2/r = 1e-300, just above where _strip_integral raises, with
+        # arguments of log_ndtr near 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, v, inside in ((0.0, 0.0, 1.0), (0.5, 0.3, 1.0), (0.999, 0.0, 1.0),
+                                 (1.001, 0.0, 0.0)):
+                pc = pc_contour(_encounter(u, v, 2e-300, 1e-300)).pc
+                assert pc == pytest.approx(inside, rel=1e-10, abs=0.0)
 
 
 class TestQuadrature:

@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -52,6 +53,15 @@ class TestKsigmaConfidence:
         for k in (0.5, 1.0, 1.96, 3.0):
             expected = 2.0 * float(special.ndtr(k)) - 1.0
             assert ksigma_confidence(k, 1) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [*np.geomspace(1e-8, 40.0, 61), 0.015, 1.5, 1.5 - 1e-12])
+    def test_three_dimensional_against_mpmath(self, k):
+        # the closed form erf(k/sqrt 2) - sqrt(2/pi) k exp(-k^2/2) alone
+        # cancels: 1.6e-12 relative at k = 0.015
+        k = float(k)
+        reference = mpmath.gammainc(mpmath.mpf(1.5), 0, mpmath.mpf(k) ** 2 / 2,
+                                    regularized=True)
+        assert abs(ksigma_confidence(k, 3) - reference) <= 1e-14 * reference
 
     def test_strictly_increasing_in_k(self):
         values = [ksigma_confidence(k, 3) for k in np.linspace(0.1, 6.0, 50)]

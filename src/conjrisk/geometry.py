@@ -67,7 +67,7 @@ def covariance_eigh(mat, name: str = "covariance"):
             f"{name} is asymmetric beyond tolerance: max|C - C^T| = {asym:.3e} "
             f"vs scale {scale:.3e}"
         )
-    sym = 0.5 * (mat + mat.T)
+    sym = 0.5 * mat + 0.5 * mat.T  # 0.5 * (mat + mat.T) overflows past 9e307
     eigvals, eigvecs = np.linalg.eigh(sym)
     floor = -_PSD_TRACE_RTOL * max(float(np.trace(sym)), 0.0)
     lowest = float(eigvals[0])
@@ -143,7 +143,7 @@ class RelativeState:
     @property
     def speed(self) -> float:
         """Relative speed (m/s)."""
-        return float(np.linalg.norm(self.delta_v_hat))
+        return math.hypot(*self.delta_v_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,16 +229,16 @@ def encounter_frame(rs: RelativeState) -> np.ndarray:
         )
     i_dv = rs.delta_v_hat / speed
     dpos = rs.delta_pos_hat
-    dpos_norm = float(np.linalg.norm(dpos))
+    dpos_norm = math.hypot(*dpos)
     cross = np.cross(i_dv, dpos)
-    cross_norm = float(np.linalg.norm(cross))
+    cross_norm = math.hypot(*cross)
     if dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm:
         i_u = cross / cross_norm
     else:
         canonical = np.zeros(3)
         canonical[int(np.argmin(np.abs(i_dv)))] = 1.0
         fallback = np.cross(i_dv, canonical)
-        i_u = fallback / float(np.linalg.norm(fallback))
+        i_u = fallback / math.hypot(*fallback)
     i_v = np.cross(i_dv, i_u)
     return np.vstack((i_u, i_v, i_dv))
 
@@ -256,7 +256,8 @@ def encounter_projection(rs: RelativeState) -> tuple[np.ndarray, np.ndarray]:
     rot = encounter_frame(rs)
     mean3 = rot @ rs.delta_pos_hat
     cov3 = rot @ rs.c_delta @ rot.T
-    return mean3[:2].copy(), 0.5 * (cov3[:2, :2] + cov3[:2, :2].T)
+    cov2 = cov3[:2, :2]
+    return mean3[:2].copy(), 0.5 * cov2 + 0.5 * cov2.T
 
 
 def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:

@@ -185,38 +185,39 @@ def pc_circular(d_over_r: float, s_over_r: float) -> float:
     """Collision probability for the equal-deviation special case.
 
     With ``s1 == s2`` the probability depends only on the displacement ratio
-    ``d_over_r`` and the uncertainty ratio ``s_over_r``; it is the validated
-    scalar form of ``pc_circular_batch``.
+    ``d_over_r`` and the uncertainty ratio ``s_over_r``; it is the scalar
+    form of ``pc_circular_batch``.
     """
-    if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
-        raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
-    if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
-        raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
     return float(pc_circular_batch(d_over_r, s_over_r))
 
 
-def pc_circular_batch(d_over_r, s_over_r: float) -> np.ndarray:
-    """Circular-encounter collision probability over displacement ratios.
+def pc_circular_batch(d_over_r, s_over_r) -> np.ndarray:
+    """Circular-encounter collision probability over displacement and
+    uncertainty ratios, broadcast against each other.
 
-    ``ncx2_cdf(2, (d/s)^2, 1/s^2)`` with ``s = s_over_r`` for every ``d`` of
-    the array (a 0-d array for a scalar). Raises ``NumericalError`` if
-    ``1 / s_over_r^2`` or ``(d_over_r / s_over_r)^2`` overflows.
+    ``ncx2_cdf(2, (d/s)^2, 1/s^2)`` for every pair (a 0-d array for two
+    scalars); 0 where ``s^2`` overflows, the limit ``1/s^2`` tends to.
+    Raises ``NumericalError`` if ``1 / s_over_r^2`` or
+    ``(d_over_r / s_over_r)^2`` overflows, naming the smallest ``s_over_r``
+    at which it does.
     """
     d = np.asarray(d_over_r, dtype=float)
-    if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0.0)):
-        raise InputValidationError("d_over_r values must be finite and >= 0")
-    if not (s_over_r > 0.0 and math.isfinite(s_over_r)):
-        raise InputValidationError(f"s_over_r must be positive, got {s_over_r}")
-    s = float(s_over_r)
-    # Python float division gives inf past the float range, not a warning
-    x = 1.0 / (s * s) if s * s > 0.0 else math.inf
-    ratio = float(d.max(initial=0.0)) / s
-    if math.isinf(x) or math.isinf(ratio * ratio):
-        name = "1 / s_over_r^2" if math.isinf(x) else "(d_over_r / s_over_r)^2"
-        raise NumericalError(f"{name} overflows at s_over_r = {s!r}")
+    s = np.asarray(s_over_r, dtype=float)
+    if not np.all(np.isfinite(d) & (d >= 0.0)):
+        raise InputValidationError(f"d_over_r must be finite and >= 0, got {d_over_r}")
+    if not np.all(np.isfinite(s) & (s > 0.0)):
+        raise InputValidationError(f"s_over_r must be finite and positive, got {s_over_r}")
+    with np.errstate(over="ignore", divide="ignore"):
+        x = 1.0 / s**2
+        lam = (d / s) ** 2
+    for name, value in (("1 / s_over_r^2", x), ("(d_over_r / s_over_r)^2", lam)):
+        over = np.isinf(value)
+        if over.any():
+            s_over = float(np.broadcast_to(s, over.shape)[over].min())
+            raise NumericalError(f"{name} overflows at s_over_r = {s_over!r}")
     from .ncx2 import ncx2_cdf  # imports scipy, which pc, screen and boundary never need
 
-    return np.asarray(ncx2_cdf(2, (d / s) ** 2, x))
+    return np.asarray(ncx2_cdf(2, lam, x))
 
 
 def max_pc_head_on(s_over_r: float) -> float:
@@ -251,8 +252,9 @@ def dilution_boundary(threshold: float) -> float:
 class DilutionCurve:
     """Collision probability versus uncertainty ratio at fixed displacement.
 
-    ``grid`` is an ascending sequence of ``(s_over_r, pc)`` pairs; the peak
-    is refined beyond the grid by golden-section search.
+    ``grid`` is an ascending sequence of ``(s_over_r, pc)`` pairs. The peak
+    is where ``dPc/ds = 0``, ``I1(z) / I0(z) = r / d`` with ``z = d r / s^2``,
+    clipped to the grid's ends; for ``d <= r`` it is at ``s_over_r_min``.
     """
 
     d_over_r: float
@@ -267,23 +269,37 @@ class DilutionCurve:
         return [{"s_over_r": s, "pc": p} for s, p in self.grid]
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Abscissa of the maximum of a unimodal ``fn`` on ``[lo, hi]``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
+def _peak_s_over_r(d: float) -> float:
+    """Uncertainty ratio of the largest circular Pc at ``d = d_over_r``; 0
+    where Pc falls as ``s_over_r`` grows (``d <= 1``).
+
+    With lengths in units of r, Pc is ``F2(x, lam)`` at ``x = 1/s^2``,
+    ``lam = d^2/s^2``; since ``dF2/dx = f2`` and ``dF2/dlam = -f4``,
+    ``dPc/ds = 0`` exactly where ``R(z) = I1(z) / I0(z) = 1/d`` with
+    ``z = d / s^2``. ``R`` is increasing, concave and at most ``z/2``, so
+    Newton from ``z = 2/d`` climbs to the root without overshooting. Where
+    ``1 - 1/d < 1e-6`` the root is past ``z = 5e5`` and the two-term
+    expansion ``1 - R = 1/(2z) + 1/(8z^2)`` is good to ``1e-12``.
+    """
+    if d <= 1.0:
+        return 0.0
+    gap = (d - 1.0) / d
+    if gap < 1e-6:  # the larger root of 8 gap z^2 - 4 z - 1 = 0
+        z = (1.0 + math.sqrt(1.0 + 2.0 * gap)) / (4.0 * gap)
+    else:
+        # i0e and i1e keep full precision where ive(1, z) underflows, below 1e-300
+        from scipy.special import i0e, i1e  # dilution-curve has loaded scipy.special
+
+        z = 2.0 / d
+        for _ in range(64):
+            ratio = float(i1e(z) / i0e(z))
+            step = (1.0 / d - ratio) / (1.0 - ratio / z - ratio * ratio)
+            z += step
+            if step <= 1e-9 * z:  # the next step would be below 1e-18 z
+                break
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            raise NumericalError(f"dilution peak solve at d_over_r = {d!r} did not converge")
+    return math.sqrt(d) / math.sqrt(z)
 
 
 def dilution_curve(
@@ -294,12 +310,14 @@ def dilution_curve(
 ) -> DilutionCurve:
     """Probability-dilution curve over a logarithmic uncertainty-ratio grid.
 
-    The peak is located by a grid scan followed by golden-section refinement
-    to ``1e-6`` relative in ``s_over_r``. At zero displacement the curve is
-    monotone decreasing and the peak is reported at ``s_over_r_min``.
-    ``n_points`` must lie in ``[16, MAX_CURVE_POINTS]``.
-    Raises ``NumericalError`` if ``(d_over_r / s_over_r)^2`` or
-    ``1 / s_over_r^2`` overflows at ``s_over_r_min``.
+    The peak is at the root of the stationarity condition
+    ``I1(d r / s^2) / I0(d r / s^2) = r / d``, clipped to
+    ``[s_over_r_min, s_over_r_max]``, and does not depend on the grid. For
+    ``d_over_r <= 1`` there is no root: the curve falls as ``s_over_r``
+    grows and the peak is reported at ``s_over_r_min``. ``n_points`` must
+    lie in ``[16, MAX_CURVE_POINTS]``. Raises ``NumericalError`` if
+    ``(d_over_r / s_over_r)^2`` or ``1 / s_over_r^2`` overflows at
+    ``s_over_r_min``.
     """
     if not (0.0 < s_over_r_min < s_over_r_max < math.inf):
         raise InputValidationError(
@@ -310,36 +328,12 @@ def dilution_curve(
         raise InputValidationError(
             f"n_points must be in [16, {MAX_CURVE_POINTS}], got {n_points}"
         )
-    if not (d_over_r >= 0.0 and math.isfinite(d_over_r)):
-        raise InputValidationError(f"d_over_r must be >= 0, got {d_over_r}")
     s_grid = np.geomspace(s_over_r_min, s_over_r_max, int(n_points))
-    with np.errstate(over="ignore", divide="ignore"):
-        lam = (d_over_r / s_grid) ** 2
-        x = 1.0 / s_grid**2  # 0 where s^2 overflows, the limit 1/s^2 tends to
-    if not math.isfinite(lam[0] + x[0]):  # both fall as s_over_r grows
-        ratio = "1 / s_over_r^2" if math.isinf(x[0]) else "(d_over_r / s_over_r)^2"
-        raise NumericalError(f"{ratio} overflows at s_over_r = {s_over_r_min!r}")
-    from .ncx2 import ncx2_cdf
-
-    pc_grid = ncx2_cdf(2, lam, x)
-    grid = tuple((float(s), float(p)) for s, p in zip(s_grid, pc_grid))
-    imax = int(np.argmax(pc_grid))
-    if imax == 0:
-        peak_s = float(s_grid[0])
-    elif imax == len(s_grid) - 1:
-        peak_s = float(s_grid[-1])
-    else:
-        # refine in log space: absolute log tolerance 1e-6 is relative in s
-        log_peak = _golden_section_max(
-            lambda t: pc_circular(d_over_r, math.exp(t)),
-            math.log(s_grid[imax - 1]),
-            math.log(s_grid[imax + 1]),
-            1e-6,
-        )
-        peak_s = math.exp(log_peak)
+    pc_grid = pc_circular_batch(d_over_r, s_grid)
+    peak_s = min(max(_peak_s_over_r(float(d_over_r)), float(s_grid[0])), float(s_grid[-1]))
     return DilutionCurve(
         d_over_r=float(d_over_r),
-        grid=grid,
+        grid=tuple((float(s), float(p)) for s, p in zip(s_grid, pc_grid)),
         peak_s_over_r=peak_s,
         peak_pc=pc_circular(d_over_r, peak_s),
     )

@@ -14,10 +14,11 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conjrisk.cli import run_command
@@ -282,3 +283,66 @@ def test_false_confidence_independent_of_length_unit(
         return out.rsplit(" halfwidth=", 1)[0]
 
     assert rates(10.0**exponent) == rates(1.0)
+
+
+_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _scaled_input(name: str, exponent: int) -> str:
+    """Golden input ``name`` with every length multiplied by ``10**exponent``:
+    positions, velocities and radii once, covariance entries twice."""
+    scale = 10.0**exponent
+    text = (_INPUTS / name).read_text(encoding="utf-8")
+    if name.endswith(".kvn"):
+        def rescale(match):
+            factor = scale * scale if "**2" in match[3] else scale
+            return f"{match[1]}= {float(match[2]) * factor!r} [{match[3]}]"
+
+        return re.sub(r"^(.*?)= (\S+) \[(.*)\]$", rescale, text, flags=re.M)
+    doc = json.loads(text)
+    for body in (doc["object1"], doc["object2"]):
+        for key in ("position_m", "velocity_mps"):
+            body[key] = [v * scale for v in body[key]]
+        body["radius_m"] *= scale
+    doc["covariance"] = {
+        key: [v * scale * scale for v in values] for key, values in doc["covariance"].items()
+    }
+    return json.dumps(doc)
+
+
+def _pc_and_screen(name: str, text: str, tmp_path_factory) -> tuple[str, dict]:
+    path = tmp_path_factory.getbasetemp() / f"scaled_{name}"
+    path.write_text(text, encoding="utf-8")
+    (pc_status, pc_out, _), (screen_status, screen_out, _) = (
+        _run([command, "--input", str(path)]) for command in ("pc", "screen")
+    )
+    assert (pc_status, screen_status) == (0, 0)
+    return pc_out, json.loads(screen_out)
+
+
+@seed(2036)
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(["head_on.json", "offset.kvn", "full12.json"]),
+       exponent=st.integers(-150, 150))
+@example(name="full12.json", exponent=150)  # np.linalg.norm overflowed here
+@example(name="full12.json", exponent=-150)
+def test_pc_and_screen_independent_of_length_unit(name, exponent, tmp_path_factory):
+    pc, screen = _pc_and_screen(name, _scaled_input(name, exponent), tmp_path_factory)
+    pc_1, screen_1 = _pc_and_screen(name, _scaled_input(name, 0), tmp_path_factory)
+    assert pc == pc_1
+    assert screen["overlap"] == screen_1["overlap"]
+    assert screen["min_distance_m"] / 10.0**exponent == pytest.approx(
+        screen_1["min_distance_m"], rel=1e-12, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("command", ["pc", "screen"])
+def test_variance_near_float_max_runs_quietly(command, tmp_path):
+    # 0.5 * (C + C^T) overflowed past 9e307 when the covariance was symmetrized
+    doc = json.loads((_INPUTS / "head_on.json").read_text(encoding="utf-8"))
+    doc["covariance"]["object1_cov6"][0] = 1.5e308
+    path = tmp_path / "huge_variance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status, out, err = _run([command, "--input", str(path)])
+    assert status == 0, err
+    assert err == "warning: cross-covariance missing, defaulting to zero\n"

@@ -8,13 +8,15 @@ output path echoed in a stdout line is replaced by ``<OUTPUT>`` first, so
 the goldens do not depend on the temporary directory.
 
 Regenerate the goldens (only when an output change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [CASE ...]``: the named cases,
+or every case when none is named.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -106,7 +108,10 @@ def test_output_matches_golden(case, tmp_path):
 
 
 if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             for name, data in outputs(case, Path(tmp)).items():
                 (GOLDEN / name).write_bytes(data)

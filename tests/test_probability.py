@@ -27,6 +27,27 @@ from conjrisk.probability import MAX_CURVE_POINTS, _strip_integral, pc_circular_
 
 from conftest import mc_pc_oracle, mp_pc, mp_pc_circular
 
+
+def mp_peak_s_over_r(d_over_r: float):
+    """``s/r`` of the dilution peak at 40 digits: the root of
+    ``I1(z) / I0(z) = 1/d`` with ``z = d / s^2``, found in ``w = z d / 2``
+    (near 1 for large ``d``) or from the asymptotic root near ``d = 1``."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d_over_r)
+        gap = (d - 1) / d
+        if gap < 0.1:
+            z = mpmath.findroot(
+                lambda z: mpmath.besseli(1, z) / mpmath.besseli(0, z) - 1 / d,
+                (1 + mpmath.sqrt(1 + 2 * gap)) / (4 * gap),
+            )
+        else:
+            w = mpmath.findroot(
+                lambda w: d * mpmath.besseli(1, 2 * w / d) / mpmath.besseli(0, 2 * w / d) - 1,
+                1,
+            )
+            z = 2 * w / d
+        return mpmath.sqrt(d / z)
+
 # frozen 1e7-sample oracle values (seed 20240101), fraction and standard error
 FIG2_ORACLE = {
     1.6: (2.07570000e-03, 1.44e-05),
@@ -114,6 +135,26 @@ class TestCircularSeries:
             batch = pc_circular_batch(d, s)
             for d_i, p_i in zip(d, batch):
                 assert p_i == pytest.approx(pc_circular(float(d_i), s), rel=1e-13, abs=1e-300)
+
+    def test_batch_broadcasts_over_both_ratios(self):
+        d = np.array([0.0, 0.8, 3.0])[:, None]
+        s = np.array([0.05, 0.7, 4.0, 60.0, 1e200])
+        batch = pc_circular_batch(d, s)
+        assert batch.shape == (3, 5)
+        for (i, j), p in np.ndenumerate(batch):
+            assert p == pytest.approx(pc_circular(float(d[i, 0]), s[j]), rel=1e-13, abs=1e-300)
+        assert np.all(batch[:, -1] == 0.0)  # where s^2 overflows
+
+    @pytest.mark.parametrize("d, message", [
+        (1.0, "1 / s_over_r^2 overflows at s_over_r = 1e-160"),
+        (1e200, "(d_over_r / s_over_r)^2 overflows at s_over_r = 1e-120"),
+    ])
+    def test_batch_overflow_names_the_smallest_ratio(self, d, message):
+        s = [1.0, 1e-100, 1e-120] if d > 1.0 else [1.0, 1e-160, 1e-155]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                pc_circular_batch(d, s)
 
 
     @pytest.mark.parametrize(
@@ -354,6 +395,51 @@ class TestDilutionCurve:
         fine = np.geomspace(0.5, 500.0, 10**4)
         brute = float(np.max([pc_circular(5.0, s) for s in fine]))
         assert curve.peak_pc == pytest.approx(brute, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [
+        1.0 + 2.0**-40, 1.0 + 1e-9, 1.0 + 0.99e-6, 1.0 + 1.01e-6, 1.001, 1.01, 1.5,
+        2.0, 5.0, 10.0, 1e4, 1e8, 1e150,
+    ])
+    def test_peak_against_mpmath(self, d):
+        # 1 + 0.99e-6 takes the asymptotic root, 1 + 1.01e-6 the Newton solve
+        reference = mp_peak_s_over_r(d)
+        peak = probability._peak_s_over_r(d)
+        assert peak == pytest.approx(float(reference), rel=1e-13 if d >= 1.01 else 1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.floats(0.0, 1.7976931348623157e308) | st.floats(1.0, 1.001))
+    def test_peak_solve_is_quiet(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peak = probability._peak_s_over_r(d)
+        assert peak == 0.0 if d <= 1.0 else 0.0 < peak < math.inf
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, 5.0, 10.0, 1e4])
+    def test_peak_is_the_top_of_the_curve(self, d):
+        s_star = probability._peak_s_over_r(d)
+        curve = dilution_curve(d, s_star / 20.0, s_star * 20.0, 200)
+        assert curve.peak_s_over_r == s_star
+        assert curve.peak_pc >= max(p for _, p in curve.grid)
+        for s in (s_star * (1.0 - 1e-6), s_star * (1.0 + 1e-6)):
+            assert curve.peak_pc >= pc_circular(d, s)
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
+    def test_no_peak_at_or_inside_the_radius(self, d):
+        curve = dilution_curve(d, 0.3, 30.0, 16)
+        assert curve.peak_s_over_r == 0.3
+        assert curve.peak_pc == pc_circular(d, 0.3)
+
+    def test_peak_outside_the_grid_is_clipped(self):
+        # the peak at d/r = 5 is at s/r = 3.4995115
+        assert dilution_curve(5.0, 0.5, 2.0, 16).peak_s_over_r == 2.0
+        assert dilution_curve(5.0, 5.0, 50.0, 16).peak_s_over_r == 5.0
+
+    def test_peak_independent_of_grid_size(self):
+        peaks = {
+            (curve.peak_s_over_r, curve.peak_pc)
+            for curve in (dilution_curve(5.0, 0.5, 1000.0, n) for n in (16, 200, 100000))
+        }
+        assert len(peaks) == 1
 
     def test_grid_shape_and_validation(self):
         curve = dilution_curve(2.0, 1.0, 50.0, 16)

@@ -110,6 +110,7 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
     Raises:
         InputValidationError: if ``cov`` is not positive definite (degenerate
             region) or ``k`` is not positive.
+        NumericalError: if a semi-axis length overflows.
     """
     if not (k > 0.0 and math.isfinite(k)):
         raise InputValidationError(f"k must be positive, got {k}")
@@ -128,11 +129,14 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
             f"{eigvals[0]:.6e}): uncertainty region is degenerate"
         )
     order = np.argsort(eigvals)[::-1]
-    return Ellipsoid(
-        center=center,
-        axes=eigvecs[:, order],
-        semi_lengths=k * np.sqrt(eigvals[order]),
-    )
+    with np.errstate(over="ignore"):
+        semi_lengths = k * np.sqrt(eigvals[order])
+    if math.isinf(semi_lengths[0]):
+        raise NumericalError(
+            f"semi-axis k * sqrt(eigenvalue) overflows at k = {k!r}, "
+            f"eigenvalue = {float(eigvals[order[0]])!r}"
+        )
+    return Ellipsoid(center=center, axes=eigvecs[:, order], semi_lengths=semi_lengths)
 
 
 def _secular_root(c, d) -> float:
@@ -433,9 +437,10 @@ def _probe(shapes, delta: np.ndarray, direction: np.ndarray) -> _Probe:
     function is ``h(n) = n.c + ||M n||``. Gives the lower bound
     ``g(n) = n.delta - ||M1 n|| - ||M2 n||`` on the distance, its gradient
     ``q - p`` (the gap between the two support points, whose norm is an
-    upper bound) and its Hessian, all taken in the ambient space. The
-    Hessian uses the support point's offset ``tip``, a length: ``M^T M n``
-    squared overflows once the semi-axes pass 1e77.
+    upper bound) and its Hessian, all taken in the ambient space. Each
+    product is divided by ``||M n||`` as it is formed, so that none exceeds
+    the Hessian's own scale ``a^2 / ||M n||`` for semi-axes ``a``: ``M^T M``
+    alone overflows once a semi-axis passes 1.3e154.
     """
     n = direction / float(np.linalg.norm(direction))
     g = float(n @ delta)
@@ -443,11 +448,11 @@ def _probe(shapes, delta: np.ndarray, direction: np.ndarray) -> _Probe:
     hess = np.zeros((n.size, n.size))
     for mat in shapes:
         u = mat @ n
-        radius = float(np.linalg.norm(u))
-        tip = mat.T @ u / radius
+        radius = math.hypot(*u)
+        tip = mat.T @ (u / radius)
         g -= radius
         grad -= tip
-        hess -= (mat.T @ mat - np.outer(tip, tip)) / radius
+        hess -= mat.T @ (mat / radius) - np.outer(tip, tip / radius)
     return _Probe(n, g, grad, hess)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEncounterError, InputValidationError
+from .errors import DegenerateEncounterError, InputValidationError, NumericalError
 
 _SYMMETRY_RTOL = 1e-9
 _PSD_TRACE_RTOL = 1e-9
@@ -306,5 +306,8 @@ def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
 
 
 def standardized_encounter(js: JointState) -> StandardizedEncounter:
-    """Full reduction from joint state to standardized encounter plane."""
+    """Full reduction from joint state to standardized encounter plane.
+    Raises ``NumericalError`` if ``r1 + r2`` overflows."""
+    if math.isinf(js.r_combined):
+        raise NumericalError(f"r1 + r2 overflows at r1 = {js.r1!r}, r2 = {js.r2!r}")
     return standardize(*encounter_projection(relative_covariance(js)), js.r_combined)

@@ -183,47 +183,11 @@ def _ncx2_terms(a: float, mu: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, in
         return _ncx2_series(a, mu, y, centre, half)
 
 
-def _ncx2_scalar(a: float, mu: float, y: float) -> tuple[float, int]:
-    """``_ncx2_terms`` for one evaluation. Where the first window would lie
-    within the first ``2 _BLOCK`` terms, they are summed one by one from
-    ``j = 0`` in Python floats, which costs less than numpy's per-call
-    overhead."""
-    centre = min(mu, math.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
-    if centre + 8.0 * math.sqrt(centre + 1.0) + 8.0 > 2 * _BLOCK:
-        values, n_terms = _ncx2_terms(a, np.array([mu]), np.array([y]))
-        return float(values[0]), n_terms
-    log_w, log_mu = -mu, math.log(mu)
-    total = before = 0.0
-    for j in range(2 * _BLOCK):
-        if j:
-            log_w += log_mu - math.log(j)
-        term = math.exp(log_w) * float(gammainc(a + j, y))
-        total += term
-        if before > term and term * (term / (before - term)) <= _SERIES_TOL * total:
-            return total, j + 1
-        before = term
-    values, n_terms = _ncx2_terms(a, np.array([mu]), np.array([y]))
-    return float(values[0]), 2 * _BLOCK + n_terms
-
-
 def _finite_nonnegative(name: str, value) -> np.ndarray:
     values = np.asarray(value, dtype=float)
-    valid = (
-        math.isfinite(float(values)) and float(values) >= 0.0
-        if values.ndim == 0
-        else bool(np.all(np.isfinite(values) & (values >= 0.0)))
-    )
-    if not valid:
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
         raise InputValidationError(f"{name} must be finite and >= 0, got {value}")
     return values
-
-
-def _central_cdf(dof: int, y):
-    """Chi-squared CDF at ``x = 2 y``: ``1 - exp(-y)`` for two degrees of
-    freedom (as ``max_pc_head_on`` computes the head-on circular Pc)."""
-    if dof != 2:
-        return gammainc(0.5 * dof, y)
-    return -math.expm1(-y) if np.ndim(y) == 0 else -np.expm1(-y)
 
 
 def ncx2_cdf(dof: int, noncentrality, x):
@@ -249,17 +213,15 @@ def ncx2_cdf(dof: int, noncentrality, x):
         raise InputValidationError(f"dof must be an integer >= 1, got {dof!r}")
     lam = _finite_nonnegative("noncentrality", noncentrality)
     xs = _finite_nonnegative("x", x)
-    if lam.ndim == 0 and xs.ndim == 0:
-        mu, y = 0.5 * float(lam), 0.5 * float(xs)
-        if mu == 0.0 or y == 0.0:
-            return float(_central_cdf(dof, y))
-        return min(_ncx2_scalar(0.5 * dof, mu, y)[0], 1.0)
     shape = np.broadcast_shapes(lam.shape, xs.shape)
     mu = np.broadcast_to(0.5 * lam, shape).ravel()
     y = np.broadcast_to(0.5 * xs, shape).ravel()
-    # the central law, and 0 at x = 0, where the series has a single term
-    values = _central_cdf(dof, y)
+    # the central law (1 - exp(-y) for two degrees of freedom, as
+    # max_pc_head_on computes the head-on circular Pc), and 0 at x = 0,
+    # where the series has a single term
+    values = -np.expm1(-y) if dof == 2 else gammainc(0.5 * dof, y)
     rows = (mu > 0.0) & (y > 0.0)
     if np.count_nonzero(rows):
         values[rows] = _ncx2_terms(0.5 * dof, mu[rows], y[rows])[0]
-    return np.minimum(values, 1.0).reshape(shape)
+    values = np.minimum(values, 1.0).reshape(shape)
+    return float(values) if shape == () else values

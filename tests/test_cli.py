@@ -179,6 +179,36 @@ class TestScreenCommand:
             "joint_confidence", "frechet_bound", "risk_cap",
         }
 
+    def test_semi_axis_overflow_exits_three(self, head_on_file, capsys):
+        # 1e308 * sqrt(50) is beyond the float range
+        status = _run_warning_free(
+            ["screen", "--input", str(head_on_file), "--k-sigma", "1e308"]
+        )
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == KVN_WARNING + (
+            "numerical failure: semi-axis k * sqrt(eigenvalue) overflows at "
+            "k = 1e+308, eigenvalue = 50.0\n"
+        )
+
+
+def test_combined_radius_overflow(tmp_path, capsys):
+    # r1 + r2 overflows: pc has no finite radius to integrate over, while
+    # the screen's gap is still within r1 + r2
+    doc = _head_on_doc()
+    doc["object1"]["radius_m"] = doc["object2"]["radius_m"] = 1.5e308
+    path = tmp_path / "huge_radii.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run_warning_free(["pc", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == KVN_WARNING + (
+        "numerical failure: r1 + r2 overflows at r1 = 1.5e+308, r2 = 1.5e+308\n"
+    )
+    assert _run_warning_free(["screen", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["overlap"] is True
+
 
 class TestDetectionCurveCommand:
     def test_default_grid_upper_threshold_rate(self, capsys):

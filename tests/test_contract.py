@@ -336,13 +336,30 @@ def test_pc_and_screen_independent_of_length_unit(name, exponent, tmp_path_facto
     )
 
 
-@pytest.mark.parametrize("command", ["pc", "screen"])
-def test_variance_near_float_max_runs_quietly(command, tmp_path):
-    # 0.5 * (C + C^T) overflowed past 9e307 when the covariance was symmetrized
-    doc = json.loads((_INPUTS / "head_on.json").read_text(encoding="utf-8"))
-    doc["covariance"]["object1_cov6"][0] = 1.5e308
+_MISSING_CROSS = "warning: cross-covariance missing, defaulting to zero\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, field, index, warning",
+    [
+        pytest.param("pc", "head_on.json", "object1_cov6", 0, _MISSING_CROSS, id="pc"),
+        pytest.param("screen", "head_on.json", "object1_cov6", 0, _MISSING_CROSS,
+                     id="screen"),
+        pytest.param("pc", "full12.json", "cov12_row_major", 0, "", id="pc-full12-xx"),
+        pytest.param("screen", "full12.json", "cov12_row_major", 0, "",
+                     id="screen-full12-xx"),
+        pytest.param("screen", "full12.json", "cov12_row_major", 13, "",
+                     id="screen-full12-yy"),
+    ],
+)
+def test_variance_near_float_max_runs_quietly(command, name, field, index, warning,
+                                              tmp_path):
+    # 0.5 * (C + C^T) overflowed past 9e307 when the covariance was
+    # symmetrized, and M^T M in the screen's Newton probe past 1.3e154 m
+    doc = json.loads((_INPUTS / name).read_text(encoding="utf-8"))
+    doc["covariance"][field][index] = 1.5e308
     path = tmp_path / "huge_variance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     status, out, err = _run([command, "--input", str(path)])
     assert status == 0, err
-    assert err == "warning: cross-covariance missing, defaulting to zero\n"
+    assert err == warning

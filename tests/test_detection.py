@@ -23,7 +23,7 @@ from conjrisk import (
     pc_circular,
     proof_halfwidth,
 )
-from conjrisk.ncx2 import _ncx2_scalar, _ncx2_terms
+from conjrisk.ncx2 import _ncx2_terms
 from conjrisk.probability import pc_circular_batch
 
 from conftest import mp_ncx2_cdf, mp_pc_circular
@@ -115,6 +115,22 @@ class TestNcx2Cdf:
                     ncx2_cdf(3, float(lam[k]), float(x[i, 0])), rel=1e-13, abs=1e-300
                 )
 
+    def test_scalar_call_is_the_one_element_array_call(self):
+        # one evaluation path: scalar arguments give a float, bitwise equal
+        # to the element of the one-element array call
+        rng = np.random.default_rng(1706)
+        for _ in range(200):
+            dof = int(rng.integers(1, 4))
+            lam, x = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+            value = ncx2_cdf(dof, lam, x)
+            assert type(value) is float
+            assert value == ncx2_cdf(dof, np.array([lam]), np.array([x]))[0]
+            s = 1.0 / math.sqrt(x)
+            d = math.sqrt(lam) * s
+            value = pc_circular(d, s)
+            assert type(value) is float
+            assert value == pc_circular_batch(np.array([d]), np.array([s]))[0]
+
     def test_series_beyond_term_budget_is_numerical_error(self):
         with pytest.raises(NumericalError, match="terms"):
             ncx2_cdf(2, 1e15, 1e15)
@@ -125,7 +141,7 @@ class TestNcx2Cdf:
         # would take lam / 2 = 4.5e6 of them here
         lam = 9e6
         for x in (lam, (math.sqrt(lam) - 20.0) ** 2, 1e6):
-            value, n_terms = _ncx2_scalar(1.0, lam / 2.0, x / 2.0)
+            (value,), n_terms = _ncx2_terms(1.0, np.array([lam / 2.0]), np.array([x / 2.0]))
             assert n_terms <= 6 * (math.sqrt(lam) + math.sqrt(x)) + 128
             # scipy's incomplete gamma, under both, is good to about 1e-6
             # relative at shape 4.5e6 in the tail
@@ -138,7 +154,7 @@ class TestNcx2Cdf:
         mu = np.array([4.5e6] + [3.0] * 199)
         y = np.array([4.5e6] + [4.0] * 199)
         values, n_terms = _ncx2_terms(1.0, mu, y)
-        assert n_terms <= _ncx2_scalar(1.0, 4.5e6, 4.5e6)[1] + 199 * 128
+        assert n_terms <= _ncx2_terms(1.0, mu[:1], y[:1])[1] + 199 * 128
         assert values[1] == pytest.approx(ncx2_cdf(2, 6.0, 8.0), rel=1e-13)
 
 

@@ -49,8 +49,6 @@ def __getattr__(name: str):
 _NEWTON_MAX_ITERS = 100
 _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
-#: ``special.ndtr(-z)`` is exactly 0 from this ``z`` on.
-_NDTR_ZERO = 38.0
 #: Operational triage thresholds on Pc: conjunctions below the first are
 #: ignored, those above the second are treated as high risk.
 POLICY_THRESHOLDS = (1e-7, 4.4e-4)
@@ -117,20 +115,30 @@ def critical_displacement(threshold, s_over_r: float):
     ``None`` when unreachable; an array returns an array of its shape,
     with NaN where unreachable.
 
-    All thresholds are solved together by safeguarded Newton steps on
-    ``log Pc`` in ``u``: each step makes one ``pc_circular_batch`` call over
-    the rows not yet converged. With ``Pc = F_2(u^2)``, where ``F_k`` is
-    ``ncx2_cdf`` as a function of its noncentrality ``lam``, the slope is
-    ``dF_k/dlam = (F_{k+2} - F_k) / 2``; for ``k = 2`` that is the Rice
-    density, ``dPc/du = -b exp(-(u - b)^2/2) ive(1, u b)`` with
-    ``b = 1/s_over_r``. ``Pc`` is log-concave in ``u``, so a step from above
-    the root stays above it and a step from below crosses it. While a row
-    knows no point with ``Pc < threshold``, its steps are limited to
-    doubling ``u``; after, a step that leaves its bracket ``[lo, hi]``
-    (``Pc(lo) >= threshold > Pc(hi)``), or one from where ``Pc``
-    underflows, is replaced by bisection. Raises ``NumericalError`` with
-    the bracket of an unconverged row if ``_NEWTON_MAX_ITERS`` steps do
-    not converge every row.
+    All thresholds are solved together by safeguarded Newton steps, each
+    one ``pc_circular_batch`` call over the rows not yet converged. The
+    steps are on ``h(u) = sqrt(2 (log peak - log Pc(u)))`` rather than on
+    ``log Pc``: beyond ``u = b = 1/s_over_r``, ``log Pc`` falls off about
+    like ``log peak - (u - b)^2 / 2``, and near ``u = 0`` like ``log peak``
+    less a multiple of ``u^2``, so ``h`` is close to linear in ``u`` and the
+    step ``u + (h_t - h) h / rate``, with ``h_t`` the threshold's ``h`` and
+    ``rate = -dlog Pc/du``, lands close to the root. With
+    ``Pc = F_2(u^2)``, where ``F_k`` is ``ncx2_cdf`` as a function of its
+    noncentrality ``lam``, the slope is ``dF_k/dlam = (F_{k+2} - F_k) / 2``;
+    for ``k = 2`` that is the Rice density, ``dPc/du = -b exp(-(u - b)^2/2)
+    ive(1, u b)``. Where ``Pc`` rounds to the peak or above, ``h`` is 0 and
+    the step would be 0, a false convergence, so those rows step on
+    ``log Pc``.
+
+    The safeguard does not rest on the shape of ``h``: while a row knows no
+    point with ``Pc < threshold``, its steps are limited to doubling ``u``;
+    after, a step that leaves its bracket ``[lo, hi]`` (``Pc(lo) >=
+    threshold > Pc(hi)``) or lands on one of its ends, or one from where
+    ``Pc`` underflows, is replaced by bisection, which halves the bracket.
+    Near the peak, and where ``Pc`` is near 1, the rounding of ``Pc`` rather
+    than the ``1e-12`` step bounds how well the root is known. Raises
+    ``NumericalError`` with the bracket of an unconverged row if
+    ``_NEWTON_MAX_ITERS`` steps do not converge every row.
     """
     t = np.asarray(threshold, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
@@ -148,9 +156,19 @@ def critical_displacement(threshold, s_over_r: float):
     rows = np.flatnonzero(below_peak)
     b = 1.0 / s_over_r
     t_rows = flat[rows]
-    # beyond u = b, Pc falls off about like peak * exp(-(u - b)^2 / 2); a
-    # peak that underflows to 0 leaves no row below it
-    u = b + np.sqrt(2.0 * (math.log(peak or 1.0) - np.log(t_rows)))
+    # a peak that underflows to 0 leaves no row below it
+    log_peak = math.log(peak or 1.0)
+
+    def h(p):
+        # sqrt(2 (log peak - log p)), from the exact p - peak near the peak:
+        # there log p carries an absolute rounding of up to 16 ulps of p
+        with np.errstate(divide="ignore"):
+            drop = np.where(p > 0.5 * peak, -np.log1p((p - peak) / peak),
+                            log_peak - np.log(p))
+        return np.sqrt(np.maximum(2.0 * drop, 0.0))
+
+    h_t = h(t_rows)
+    u = b + h_t
     lo, hi = np.zeros(rows.size), np.full(rows.size, math.inf)
     for _ in range(_NEWTON_MAX_ITERS):
         if not rows.size:
@@ -161,15 +179,22 @@ def critical_displacement(threshold, s_over_r: float):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # -dlog(Pc)/du = b exp(-(u - b)^2 / 2) ive(1, u b) / Pc
             log_rate = np.log(b * special.ive(1, u * b)) - 0.5 * (u - b) ** 2 - np.log(pc)
-            nxt = u + (np.log(pc) - np.log(t_rows)) * np.exp(np.minimum(-log_rate, 700.0))
+            h_pc = h(pc)
+            # where Pc reaches the peak, h says nothing: a step on log Pc,
+            # whose rise log Pc - log t is (h_t^2 - h_pc^2) / 2
+            rise = np.where(h_pc > 0.0, (h_t - h_pc) * h_pc, 0.5 * h_t * h_t)
+            nxt = u + rise * np.exp(np.minimum(-log_rate, 700.0))
         nxt[pc <= 0.0] = math.nan
         open_ = hi == math.inf
         nxt[open_] = np.fmin(2.0 * u[open_], nxt[open_])
-        stray = ~open_ & ~((lo <= nxt) & (nxt <= hi))  # also catches NaN
+        # a step out of the bracket or onto one of its ends (rounding can
+        # hold Newton in a cycle between them), or a NaN one, bisects; a
+        # zero step has converged
+        stray = ~open_ & ~((lo < nxt) & (nxt < hi)) & (nxt != u)
         nxt[stray] = 0.5 * (lo[stray] + hi[stray])
         done = np.abs(nxt - u) <= 1e-12 * nxt
         u_crit[rows[done]] = nxt[done]
-        rows, t_rows, u, lo, hi = (a[~done] for a in (rows, t_rows, nxt, lo, hi))
+        rows, t_rows, h_t, u, lo, hi = (a[~done] for a in (rows, t_rows, h_t, nxt, lo, hi))
     if rows.size:
         raise NumericalError(
             f"critical displacement did not converge in {_NEWTON_MAX_ITERS} steps: "
@@ -292,6 +317,50 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
     return halfwidth
 
 
+def _band_rate(w: float, alpha: float) -> float:
+    """``P(|Z| >= z*)`` for a standard normal ``Z``, where ``z*`` is the
+    observation at which the unit normal's mass on ``[z - w, z + w]`` falls
+    to ``alpha``; 1 where it is ``<= alpha`` already at ``z = 0``.
+
+    The mass comes from ``probability._log_interval_mass``, free of
+    cancellation. Its log is concave and decreasing in ``z > 0``, with slope
+    ``-phi(z - w) (1 - exp(-2 z w)) / mass``, so Newton steps on it from
+    ``w + sqrt(-2 log alpha)``, where ``Phi(w - z) <= alpha / 2`` bounds the
+    mass below ``alpha``, fall monotonically to ``z*``; a step that rounding
+    takes out of the bracket, or onto one of its ends, is replaced by
+    bisection. The rate is ``erfc(z*/sqrt 2)``, subnormal for ``z*`` from
+    about 37.5 to 38.5.
+    """
+    band = np.array([w])
+    log_alpha = math.log(alpha)
+    if probability._log_interval_mass(0.0, band)[0] <= log_alpha:
+        return 1.0
+    lo, hi = 0.0, w + math.sqrt(-2.0 * log_alpha)
+    z = hi
+    for _ in range(_NEWTON_MAX_ITERS):
+        log_mass = float(probability._log_interval_mass(z, band)[0])
+        if log_mass > log_alpha:
+            lo = z
+        else:
+            hi = z
+        log_slope = (
+            math.log(-math.expm1(-2.0 * z * w)) - 0.5 * (z - w) ** 2
+            - probability._HALF_LOG_2PI - log_mass
+        )
+        nxt = z + (log_mass - log_alpha) * math.exp(min(-log_slope, 700.0))
+        # as in critical_displacement, a step onto an end of the bracket
+        # bisects: rounding can hold Newton in a cycle between its ends
+        if not lo < nxt < hi and nxt != z:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - z) <= 1e-15 * nxt:
+            return math.erfc(nxt / math.sqrt(2.0))
+        z = nxt
+    raise NumericalError(
+        f"false-confidence band edge did not converge in {_NEWTON_MAX_ITERS} "
+        f"steps: it is bracketed by z in [{lo!r}, {hi!r}]"
+    )
+
+
 def false_confidence_demo(
     sigma: float,
     halfwidth: float,
@@ -325,28 +394,9 @@ def false_confidence_demo(
         rule, gaussian_sampling_model([0.0], [[1.0]]), [0.0], [Complement(near)],
         [alpha], n_trials, seed,
     )
-
-    def mass(z: float) -> float:
-        return float(rule.belief(np.array([[z]]), near)[0])
-
-    # analytic rate: the interval mass decreases in |z|, so the belief in
-    # the complement reaches 1 - alpha outside a band |z| >= z_star
-    if mass(0.0) <= alpha:
-        p_target = 1.0
-    elif mass(_NDTR_ZERO) > alpha:
-        # z_star lies beyond _NDTR_ZERO, where 2 ndtr(-z_star) is 0
-        p_target = 0.0
-    else:
-        from scipy import optimize  # imported on first use: slow to import
-
-        z_star = optimize.brentq(
-            lambda z: mass(z) - alpha, 0.0, radius + 50.0, xtol=1e-14, rtol=8.9e-16
-        )
-        p_target = 2.0 * float(special.ndtr(-z_star))
-
     return FalseConfidenceReport(
         alpha=float(alpha),
-        p_target=p_target,
+        p_target=_band_rate(radius, alpha),
         neighborhood_halfwidth=float(halfwidth),
         empirical_rate=report.rates[0],
         n_trials=report.n_trials,

@@ -103,19 +103,25 @@ def _gamma_blocks(a: float, blocks: np.ndarray, y) -> np.ndarray:
     return np.where((x < y_col) | _FIRST_OF_BLOCK, up, down)
 
 
-def _window_width(half) -> int:
-    """Terms in the whole blocks that cover a window of ``2 half`` terms."""
-    return (-(-2 * int(half) // _BLOCK) + 1) * _BLOCK
+def _window_width(centre, half) -> int:
+    """Terms per row in the whole blocks that cover
+    ``centre - half <= j < centre + half`` in every row, the first block
+    clipped at ``j = 0``: the widest row's blocks, so that a window clipped
+    at ``j = 0`` (small ``mu`` and ``y``) costs only the blocks it touches."""
+    first = np.maximum(np.floor((centre - half) / _BLOCK), 0.0)
+    return int((np.ceil((centre + half) / _BLOCK) - first).max()) * _BLOCK
 
 
 def _series_window(a: float, mu: np.ndarray, y: np.ndarray, centre, half: int):
-    """Sum ``Pois(j; mu) P(a + j, y)`` over the whole blocks of terms that
-    cover ``centre - half <= j < centre + half`` in each row. Returns the
-    sums and, per row, whether the geometric bound on the terms left out
-    on either side is within ``_SERIES_TOL`` of the sum.
+    """Sum ``Pois(j; mu) P(a + j, y)`` from the whole block holding
+    ``j = centre - half`` (or from ``j = 0``) over ``_window_width`` terms in
+    each row, so that every row covers ``centre - half <= j < centre + half``.
+    Returns the sums, per row whether the geometric bound on the terms left
+    out on either side is within ``_SERIES_TOL`` of the sum, and the number
+    of terms evaluated.
     """
     first = np.maximum(np.floor((centre - half) / _BLOCK), 0.0)
-    blocks = first[:, None] + np.arange(_window_width(half) // _BLOCK)
+    blocks = first[:, None] + np.arange(_window_width(centre, half) // _BLOCK)
     weights = _poisson_blocks(
         blocks[:, :, None] * _BLOCK + np.arange(_BLOCK), mu[:, None, None]
     )
@@ -132,17 +138,18 @@ def _series_window(a: float, mu: np.ndarray, y: np.ndarray, centre, half: int):
     bounded = (edge == 0.0) | (
         (gap > 0.0) & (edge * (edge / gap) <= (_SERIES_TOL * total)[:, None])
     )
-    return total, bounded.all(axis=1)
+    return total, bounded.all(axis=1), terms.size
 
 
 def _ncx2_series(a: float, mu: np.ndarray, y: np.ndarray, centre, half):
     """``_series_window`` over all rows, each with at least its own
     ``half``: rows whose windows are within a factor of two of each other
-    share one, in chunks of at most ``_MAX_TERMS`` terms, and rows whose
-    tail bound is not met are evaluated again with twice the window.
-    Returns the sums and the number of terms evaluated.
+    share one, in chunks sized so that each holds at most ``_MAX_TERMS``
+    terms, and rows whose tail bound is not met are evaluated again with
+    twice the window. Returns the sums and the number of terms evaluated.
     """
-    if _window_width(half.max()) > _MAX_TERMS:
+    # no window takes more than ceil(2 half / 64) + 1 blocks
+    if (-(-2 * int(half.max()) // _BLOCK) + 1) * _BLOCK > _MAX_TERMS:
         raise NumericalError(
             f"ncx2 series needs more than {_MAX_TERMS} terms "
             f"(noncentrality/2 up to {mu.max():.6g})"
@@ -153,12 +160,11 @@ def _ncx2_series(a: float, mu: np.ndarray, y: np.ndarray, centre, half):
     for g in np.unique(group):
         rows = np.flatnonzero(group == g)
         h = int(half[rows].max())
-        width = _window_width(h)
-        chunk = _MAX_TERMS // width
+        chunk = _MAX_TERMS // _window_width(centre[rows], h)
         for i in range(0, rows.size, chunk):
             r = rows[i : i + chunk]
-            total[r], done = _series_window(a, mu[r], y[r], centre[r], h)
-            n_terms += r.size * width
+            total[r], done, evaluated = _series_window(a, mu[r], y[r], centre[r], h)
+            n_terms += evaluated
             if not done.all():
                 r = r[~done]
                 total[r], more = _ncx2_series(a, mu[r], y[r], centre[r], 2 * half[r])

@@ -741,13 +741,16 @@ def test_screen_and_validity_leave_scipy_optimize_unimported():
 
 
 def test_import_surface():
-    # in a fresh interpreter: the package imports nothing, and pc, screen
-    # and boundary on every golden case leave scipy unimported
+    # in a fresh interpreter: the package imports nothing, pc, screen and
+    # boundary on every golden case leave scipy unimported, and no command
+    # imports scipy.optimize, not even false-confidence with a halfwidth
+    # wider than the proof halfwidth, which solves for its band edge
     from test_golden import CASES, _argv
 
     light = [_argv(case) for case in sorted(CASES)
              if case.startswith(("pc_", "screen_", "boundary"))]
     heavy = [["false-confidence", "--n-trials", "2000", "--seed", "8"],
+             ["false-confidence", "--halfwidth", "0.5", "--n-trials", "2000", "--seed", "8"],
              ["validity", "--halfwidth", "0.1", "--n-trials", "1000", "--seed", "3"]]
     script = (
         "import io, json, sys, contextlib\n"
@@ -760,7 +763,7 @@ def test_import_surface():
         "print(light, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    heavy = [run_command(argv) for argv in heavy]\n"
-        "print(heavy)\n"
+        "print(heavy, 'scipy.optimize' in sys.modules)\n"
     )
     src = Path(__file__).parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -771,7 +774,7 @@ def test_import_surface():
     assert len(light) == 9
     assert imported == "[]"
     assert after_light == f"{[0] * len(light)} []"
-    assert after_heavy == "[0, 0]"
+    assert after_heavy == "[0, 0, 0] False"
 
 
 class TestDeterminism:

@@ -157,6 +157,40 @@ class TestNcx2Cdf:
         assert n_terms <= _ncx2_terms(1.0, mu[:1], y[:1])[1] + 199 * 128
         assert values[1] == pytest.approx(ncx2_cdf(2, 6.0, 8.0), rel=1e-13)
 
+    def test_window_clipped_at_zero_costs_one_block(self):
+        # centre about 1e-6 and half 16: only the first 64-term block is
+        # touched; a uniform 2 half + 1 block window would take two
+        mu = y = np.full(10, 1e-3)
+        values, n_terms = _ncx2_terms(1.0, mu, y)
+        assert n_terms == 10 * 64
+        assert values[0] == pytest.approx(float(mp_ncx2_cdf(2, 2e-3, 2e-3)), rel=1e-13)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3])
+    def test_windows_at_block_edges_against_mpmath(self, dof):
+        # the first window is centre +- half, centre = min(mu, sqrt(mu y +
+        # a^2/4) - a/2) and half = ceil(8 sqrt(centre + 1) + 8); pick windows
+        # whose ends fall just either side of j = 0 and of multiples of 64
+        a = 0.5 * dof
+        mu = np.geomspace(1e-2, 400.0, 4000)
+        rows = []
+        for ratio in (0.05, 1.0, 4.0):  # y / mu: P near 0, near 1/2, near 1
+            y = ratio * mu
+            centre = np.minimum(mu, np.sqrt(mu * y + 0.25 * a * a) - 0.5 * a)
+            half = np.ceil(8.0 * np.sqrt(centre + 1.0) + 8.0)
+            for end in (centre - half, centre + half):
+                for edge in (0.0, 64.0, 128.0, 192.0, 256.0):
+                    for side in (-1.0, 1.0):
+                        gap = side * (end - edge)
+                        near = np.flatnonzero((gap > 0.0) & (gap < 0.5))
+                        if near.size:
+                            rows.append((mu[near[0]], y[near[0]]))
+        assert len(rows) >= 30
+        for m, yy in rows:
+            ref = mp_ncx2_cdf(dof, 2.0 * m, 2.0 * yy)
+            assert ncx2_cdf(dof, 2.0 * m, 2.0 * yy) == pytest.approx(
+                float(ref), rel=1e-13, abs=0.0
+            )
+
 
 class TestCriticalDisplacement:
     def test_threshold_at_head_on_maximum(self):
@@ -184,7 +218,7 @@ class TestCriticalDisplacement:
             assert d is not None
             assert pc_circular(d * s, s) == pytest.approx(t, rel=1e-8)
 
-    @pytest.mark.parametrize("s", [0.01, 0.1, 1.0, 10.0, 30.0])
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 0.1, 1.0, 10.0, 30.0, 1e3])
     def test_newton_against_mpmath_root(self, s):
         # D/S is the Rice variable, so Pc(u) = 1 - Q1(u, 1/s); 40-digit
         # values either side of u bracket the root to 1e-12 relative
@@ -207,8 +241,34 @@ class TestCriticalDisplacement:
         for s in (0.01, 0.1, 1.0, 5.0, 20.0):
             for t in np.geomspace(1e-8, 0.1, 15):
                 solves += critical_displacement(float(t), s) is not None
-        # about 40 per solve with the former bisection
-        assert sum(rows) <= 8 * solves
+        # about 40 per solve with the former bisection, 4.7 with Newton steps
+        # on log Pc; 3.67 with steps on h
+        assert sum(rows) <= 3.7 * solves
+
+    @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 10.0, 1e3])
+    def test_thresholds_next_to_the_head_on_maximum(self, s):
+        # Pc(u) within 2^-k of the peak: iterates where Pc rounds to the
+        # peak, and roots known only as well as the rounding of Pc there
+        peak = max_pc_head_on(s)
+        k = np.arange(40.0, 51.0)
+        grid = peak * (1.0 - 2.0**-k)
+        u_crit = critical_displacement(grid, s)
+        # 2^-50 is within the 1e-15 of the peak that reads as head-on
+        assert u_crit[-1] == 0.0
+        assert np.all(np.diff(u_crit) < 0.0)
+        ulp = peak * 2.0**-52
+        for t, u in zip(grid[:-1], u_crit[:-1]):
+            assert abs(mp_pc_circular(u * s, s) - t) <= 20 * ulp
+
+    @pytest.mark.parametrize("s, t", [(0.001, 0.9999999925494194),
+                                      (0.0012589254117941675, 0.9999999990686774),
+                                      (0.0017782794100389228, 0.9999999403953552)])
+    def test_threshold_near_one_at_small_ratio(self, s, t):
+        # Newton steps cycled between the ends of the bracket, which held
+        # its width 1e-10 relative, until the solve raised NumericalError;
+        # Pc's rounding there leaves the root known to a few ulps of Pc
+        u = critical_displacement(t, s)
+        assert abs(mp_pc_circular(u * s, s) - t) <= 8 * 2.0**-52
 
     def test_failed_newton_run_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(detection_module, "_NEWTON_MAX_ITERS", 1)
@@ -219,6 +279,9 @@ class TestCriticalDisplacement:
         assert lo <= CRITICAL_D_UPPER_10 <= hi
 
     def test_failed_bracket_is_numerical_error(self, monkeypatch):
+        # Pc reads 1, above the peak, everywhere: h = 0, and a step on h
+        # would be 0, a false convergence; steps on log Pc double u until
+        # the solve gives up
         monkeypatch.setattr(probability_module, "pc_circular_batch",
                             lambda d, s: np.ones_like(d))
         with pytest.raises(NumericalError, match=r"inf\]"):
@@ -240,7 +303,8 @@ class TestCriticalDisplacement:
         n_grid = default_threshold_grid().size
         grid = np.append(default_threshold_grid(), edges)
         u_crit = critical_displacement(grid, s)
-        assert len(batches) <= 10
+        # up to 6 with Newton steps on log Pc
+        assert len(batches) <= 5
         assert u_crit.shape == grid.shape
         assert np.array_equal(np.isnan(u_crit[:n_grid]), grid[:n_grid] > peak)
         if edges:
@@ -430,6 +494,22 @@ class TestDilutionBoundary:
             assert max_pc_head_on(s) == pytest.approx(t, rel=1e-12)
 
 
+def _mp_band_rate(w, alpha):
+    # 2 Phi(-z*) with mass(z*) = alpha for the mass of normal(z, 1) on
+    # [-w, w], at 40 digits
+    with mpmath.workdps(40):
+        w, alpha = mpmath.mpf(w), mpmath.mpf(alpha)
+
+        def log_excess(z):
+            return mpmath.log(mpmath.ncdf(w - z) - mpmath.ncdf(-w - z)) - mpmath.log(alpha)
+
+        if log_excess(0) <= 0:
+            return mpmath.mpf(1)
+        z = mpmath.findroot(log_excess, (0, w + mpmath.sqrt(-2 * mpmath.log(alpha))),
+                            solver="anderson")
+        return mpmath.erfc(z / mpmath.sqrt(2))
+
+
 def _resimulated_rate(sigma, halfwidth, alpha, n, seed):
     # independent re-simulation with plain numpy, no shared stream logic
     rng = np.random.default_rng(seed)
@@ -463,6 +543,46 @@ class TestFalseConfidenceDemo:
         assert report.empirical_rate == pytest.approx(
             report.p_target, abs=3.0 * math.sqrt(report.p_target / 10**5)
         )
+
+    def test_p_target_against_mpmath(self):
+        # the interval mass from the log-domain kernel: its difference of two
+        # ndtr values put alpha = 0.001, halfwidth 0.0025 at 9.5e-14
+        checked = 0
+        for alpha in (1e-6, 0.001, 0.05, 0.3):
+            for halfwidth in (1e-4, 0.0025, 0.05, 0.3, 1.0, 3.0):
+                report = false_confidence_demo(1.0, halfwidth, alpha, 1000, seed=5)
+                ref = _mp_band_rate(halfwidth, alpha)
+                if ref == 1:
+                    assert report.p_target == 1.0
+                    continue
+                assert report.p_target == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+                checked += 1
+        assert checked >= 15
+
+    def test_p_target_where_newton_steps_cycle(self):
+        # rounding held the Newton steps in a cycle between the ends of a
+        # bracket 4 ulps wide, until the solve gave up
+        sigma, halfwidth, alpha = 8.41158858880702, 0.5488831898800788, 0.042894893261744296
+        report = false_confidence_demo(sigma, halfwidth, alpha, 1000, seed=5)
+        ref = _mp_band_rate(halfwidth / sigma, alpha)
+        assert report.p_target == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("z_star", [37.5, 37.75, 38.0, 38.4])
+    def test_p_target_subnormal_edge(self, z_star):
+        # erfc(z*/sqrt 2) is subnormal from z* of about 37.5 to 38.5; scipy's
+        # ndtr flushed it to 0 from about 37.65 on
+        with mpmath.workdps(40):
+            alpha = float(mpmath.ncdf(30 - z_star) - mpmath.ncdf(-30 - z_star))
+        p_target = false_confidence_demo(1.0, 30.0, alpha, 1000, seed=5).p_target
+        ref = float(_mp_band_rate(30.0, alpha))
+        assert 0.0 < p_target < 1e-307
+        # a subnormal keeps fewer digits; z* carries its rounding times z*^2
+        assert p_target == pytest.approx(ref, rel=1e-11, abs=2 * 5e-324)
+
+    def test_p_target_zero_beyond_erfc_range(self):
+        with mpmath.workdps(40):
+            alpha = float(mpmath.ncdf(30 - 39) - mpmath.ncdf(-30 - 39))
+        assert false_confidence_demo(1.0, 30.0, alpha, 1000, seed=5).p_target == 0.0
 
     def test_reports_carry_seed_and_size(self):
         report = false_confidence_demo(2.0, 0.1, 0.1, 10**3, seed=7)

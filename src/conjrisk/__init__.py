@@ -19,12 +19,12 @@ _MODULE_NAMES = {
     "detection": """DetectionCurve FalseConfidenceReport critical_displacement
         default_threshold_grid detection_curve false_confidence_demo
         proof_halfwidth""",
-    "ellipsoids": "Ellipsoid build_ellipsoid ellipsoids_intersect min_distance project_point",
+    "ellipsoids": "Ellipsoid build_ellipsoid min_distance project_point",
     "errors": """ConjunctionAnalysisError DegenerateEncounterError InputValidationError
         NumericalError ParseError UnsupportedPropositionError""",
     "fileio": "Config ConjunctionFile load_config parse_config parse_conjunction",
-    "geometry": """JointState RelativeState StandardizedEncounter encounter_frame
-        encounter_projection relative_covariance standardize standardized_encounter""",
+    "geometry": """JointState StandardizedEncounter encounter_frame relative_covariance
+        standardize standardized_encounter""",
     "ncx2": "ncx2_cdf",
     "probability": """DilutionCurve PcResult dilution_boundary dilution_curve
         max_pc_head_on pc_circular pc_contour""",

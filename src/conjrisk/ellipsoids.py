@@ -399,11 +399,6 @@ def _separating_normal(e1: Ellipsoid, e2: Ellipsoid):
     return axes @ (inv / inv[0] * (u @ nearest))  # inv[0] is the largest
 
 
-def ellipsoids_intersect(e1: Ellipsoid, e2: Ellipsoid) -> bool:
-    """Exact solid-intersection test."""
-    return _separating_normal(e1, e2) is None
-
-
 def project_point(ell: Ellipsoid, point) -> np.ndarray:
     """Euclidean projection of a point onto the solid ellipsoid.
 

@@ -61,15 +61,16 @@ def covariance_eigh(mat, name: str = "covariance"):
     if not np.all(np.isfinite(mat)):
         raise InputValidationError(f"{name} contains non-finite entries")
     scale = float(np.max(np.abs(mat)))
+    unit = max(scale, 1e-300)  # the trace of ``sym / unit``, unlike sym's, cannot overflow
     asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
+    if asym > _SYMMETRY_RTOL * unit:
         raise InputValidationError(
             f"{name} is asymmetric beyond tolerance: max|C - C^T| = {asym:.3e} "
             f"vs scale {scale:.3e}"
         )
     sym = 0.5 * mat + 0.5 * mat.T  # 0.5 * (mat + mat.T) overflows past 9e307
     eigvals, eigvecs = np.linalg.eigh(sym)
-    floor = -_PSD_TRACE_RTOL * max(float(np.trace(sym)), 0.0)
+    floor = -(_PSD_TRACE_RTOL * max(float(np.trace(sym / unit)), 0.0)) * unit
     lowest = float(eigvals[0])
     if lowest < floor:
         raise InputValidationError(
@@ -79,12 +80,6 @@ def covariance_eigh(mat, name: str = "covariance"):
     if lowest < 0.0:
         eigvals = np.maximum(eigvals, 0.0)
     return sym, eigvals, eigvecs
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,48 +97,22 @@ class JointState:
     r2: float
 
     def __post_init__(self):
-        theta = _as_finite_array(self.theta_hat, (12,), "theta_hat")
-        cov = covariance_eigh(self.c_theta, "c_theta")[0]
+        theta = _as_finite_array(self.theta_hat, (12,), "theta_hat").copy()
+        cov = covariance_eigh(self.c_theta, "c_theta")[0]  # a new array
         if cov.shape != (12, 12):
-            raise InputValidationError(
-                f"c_theta must be 12x12, got shape {cov.shape}"
-            )
+            raise InputValidationError(f"c_theta must be 12x12, got shape {cov.shape}")
         for label, radius in (("r1", self.r1), ("r2", self.r2)):
             if not (math.isfinite(radius) and radius > 0.0):
                 raise InputValidationError(f"{label} must be positive, got {radius}")
-        object.__setattr__(self, "theta_hat", _freeze(theta))
-        object.__setattr__(self, "c_theta", _freeze(cov))
-        object.__setattr__(self, "r1", float(self.r1))
-        object.__setattr__(self, "r2", float(self.r2))
+            object.__setattr__(self, label, float(radius))
+        for label, arr in (("theta_hat", theta), ("c_theta", cov)):
+            arr.setflags(write=False)
+            object.__setattr__(self, label, arr)
 
     @property
     def r_combined(self) -> float:
         """Combined hard-body radius in meters."""
         return self.r1 + self.r2
-
-
-@dataclass(frozen=True, eq=False)
-class RelativeState:
-    """Relative offset estimate (object 2 minus object 1) with covariance."""
-
-    delta_pos_hat: np.ndarray  # m
-    c_delta: np.ndarray        # m^2, 3x3
-    delta_v_hat: np.ndarray    # m/s
-
-    def __post_init__(self):
-        dpos = _as_finite_array(self.delta_pos_hat, (3,), "delta_pos_hat")
-        dvel = _as_finite_array(self.delta_v_hat, (3,), "delta_v_hat")
-        cov = covariance_eigh(self.c_delta, "c_delta")[0]
-        if cov.shape != (3, 3):
-            raise InputValidationError(f"c_delta must be 3x3, got shape {cov.shape}")
-        object.__setattr__(self, "delta_pos_hat", _freeze(dpos))
-        object.__setattr__(self, "c_delta", _freeze(cov))
-        object.__setattr__(self, "delta_v_hat", _freeze(dvel))
-
-    @property
-    def speed(self) -> float:
-        """Relative speed (m/s)."""
-        return math.hypot(*self.delta_v_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +144,8 @@ class StandardizedEncounter:
             raise InputValidationError(
                 f"r_combined must be positive, got {self.r_combined}"
             )
-        object.__setattr__(self, "u_hat", float(self.u_hat))
-        object.__setattr__(self, "v_hat", float(self.v_hat))
-        object.__setattr__(self, "s1", float(self.s1))
-        object.__setattr__(self, "s2", float(self.s2))
-        object.__setattr__(self, "r_combined", float(self.r_combined))
+        for label in ("u_hat", "v_hat", "s1", "s2", "r_combined"):
+            object.__setattr__(self, label, float(getattr(self, label)))
 
     @property
     def d(self) -> float:
@@ -187,28 +153,41 @@ class StandardizedEncounter:
         return math.hypot(self.u_hat, self.v_hat)
 
 
-def relative_covariance(js: JointState) -> RelativeState:
+def relative_covariance(js: JointState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce a joint 12-dim state to the relative offset and its covariance.
 
     The relative position covariance is the sum of the two per-object
-    position covariance blocks minus twice the (symmetrized) cross block.
-
-    Args:
-        js: validated joint state.
+    position covariance blocks minus the cross block and its transpose.
 
     Returns:
-        RelativeState with object-2-minus-object-1 differences.
+        ``(delta_pos, c_delta, delta_v)``: object-2-minus-object-1 position
+        (m), its 3x3 covariance (m^2) and velocity (m/s).
+
+    Raises:
+        NumericalError: if a difference, or the norm of one, overflows.
     """
-    theta = js.theta_hat
-    cov = js.c_theta
-    delta_pos = theta[6:9] - theta[0:3]
-    delta_v = theta[9:12] - theta[3:6]
+    theta, cov = js.theta_hat, js.c_theta
     cross = cov[0:3, 6:9]
-    c_delta = cov[0:3, 0:3] + cov[6:9, 6:9] - cross - cross.T
-    return RelativeState(delta_pos_hat=delta_pos, c_delta=c_delta, delta_v_hat=delta_v)
+    with np.errstate(over="ignore"):
+        delta_pos = theta[6:9] - theta[0:3]
+        delta_v = theta[9:12] - theta[3:6]
+        c_delta = cov[0:3, 0:3] + cov[6:9, 6:9] - cross - cross.T
+    for label, first, diff in (("position", 0, delta_pos), ("velocity", 3, delta_v)):
+        if math.isinf(math.hypot(*diff)):
+            raise NumericalError(
+                f"relative {label} overflows at object 1 {label} "
+                f"{theta[first:first + 3].tolist()}, object 2 {label} "
+                f"{theta[first + 6:first + 9].tolist()}"
+            )
+    if not np.all(np.isfinite(c_delta)):
+        largest = float(np.max(np.diag(cov)[[0, 1, 2, 6, 7, 8]]))
+        raise NumericalError(
+            f"relative position covariance overflows at largest position variance {largest!r}"
+        )
+    return delta_pos, c_delta, delta_v
 
 
-def encounter_frame(rs: RelativeState) -> np.ndarray:
+def encounter_frame(delta_pos: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
     """Rotation matrix into the encounter frame.
 
     Rows are the first in-plane axis, the second in-plane axis, and the
@@ -222,42 +201,22 @@ def encounter_frame(rs: RelativeState) -> np.ndarray:
     Raises:
         DegenerateEncounterError: if the relative speed is zero.
     """
-    speed = rs.speed
+    speed = math.hypot(*delta_v)
     if speed == 0.0:
         raise DegenerateEncounterError(
             "relative velocity is zero: no closest-approach plane exists"
         )
-    i_dv = rs.delta_v_hat / speed
-    dpos = rs.delta_pos_hat
-    dpos_norm = math.hypot(*dpos)
-    cross = np.cross(i_dv, dpos)
+    i_dv = delta_v / speed
+    dpos_norm = math.hypot(*delta_pos)
+    cross = np.cross(i_dv, delta_pos)
     cross_norm = math.hypot(*cross)
     if dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm:
         i_u = cross / cross_norm
     else:
-        canonical = np.zeros(3)
-        canonical[int(np.argmin(np.abs(i_dv)))] = 1.0
-        fallback = np.cross(i_dv, canonical)
+        fallback = np.cross(i_dv, np.eye(3)[np.argmin(np.abs(i_dv))])
         i_u = fallback / math.hypot(*fallback)
     i_v = np.cross(i_dv, i_u)
     return np.vstack((i_u, i_v, i_dv))
-
-
-def encounter_projection(rs: RelativeState) -> tuple[np.ndarray, np.ndarray]:
-    """Project the relative state onto the encounter plane.
-
-    Rotates into the encounter frame and drops the along-velocity
-    coordinate, integrating that direction out of the covariance.
-
-    Returns:
-        ``(mean2, cov2)``: 2-vector displacement estimate (m) and 2x2
-        covariance (m^2) in the encounter plane.
-    """
-    rot = encounter_frame(rs)
-    mean3 = rot @ rs.delta_pos_hat
-    cov3 = rot @ rs.c_delta @ rot.T
-    cov2 = cov3[:2, :2]
-    return mean3[:2].copy(), 0.5 * cov2 + 0.5 * cov2.T
 
 
 def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
@@ -295,19 +254,28 @@ def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
         lead = int(np.argmax(np.abs(eigvecs[:, col])))
         if eigvecs[lead, col] < 0.0:
             eigvecs[:, col] = -eigvecs[:, col]
-    uv = eigvecs.T @ mean2
+    u_hat, v_hat = eigvecs.T @ mean2
     return StandardizedEncounter(
-        u_hat=float(uv[0]),
-        v_hat=float(uv[1]),
-        s1=float(math.sqrt(eigvals[0])),
-        s2=float(math.sqrt(eigvals[1])),
-        r_combined=float(r_combined),
+        u_hat, v_hat, math.sqrt(eigvals[0]), math.sqrt(eigvals[1]), r_combined
     )
 
 
 def standardized_encounter(js: JointState) -> StandardizedEncounter:
-    """Full reduction from joint state to standardized encounter plane.
-    Raises ``NumericalError`` if ``r1 + r2`` overflows."""
+    """Full reduction from joint state to standardized encounter plane: the
+    relative state is projected onto the plane perpendicular to the relative
+    velocity, which integrates that direction out of the covariance. Raises
+    ``NumericalError`` if ``r1 + r2``, the relative state or the plane overflows."""
     if math.isinf(js.r_combined):
         raise NumericalError(f"r1 + r2 overflows at r1 = {js.r1!r}, r2 = {js.r2!r}")
-    return standardize(*encounter_projection(relative_covariance(js)), js.r_combined)
+    delta_pos, c_delta, delta_v = relative_covariance(js)
+    # rounding can carry a projection of finite inputs past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        plane = encounter_frame(delta_pos, delta_v)[:2]
+        mean2 = plane @ delta_pos
+        cov2 = plane @ c_delta @ plane.T
+        cov2 = 0.5 * cov2 + 0.5 * cov2.T
+    if not math.isfinite(math.hypot(*mean2)):
+        raise NumericalError("encounter-plane mean overflows")
+    if not np.all(np.isfinite(cov2)):
+        raise NumericalError("encounter-plane covariance overflows")
+    return standardize(mean2, cov2, js.r_combined)

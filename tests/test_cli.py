@@ -210,6 +210,58 @@ def test_combined_radius_overflow(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["overlap"] is True
 
 
+def _edited_full12(tmp_path, edit) -> str:
+    doc = json.loads((Path(__file__).parent / "golden" / "inputs" / "full12.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _opposite(doc, key, axis):
+    doc["object1"][key][axis], doc["object2"][key][axis] = -1.7e308, 1.7e308
+
+
+def _huge_x_variances(doc):
+    cov = doc["covariance"]["cov12_row_major"]
+    cov[0] = cov[6 * 12 + 6] = 1.7e308
+
+
+class TestRelativeOverflow:
+    """A relative state beyond the float range is a numerical failure of
+    ``pc``; ``screen``, which never forms it, still runs."""
+
+    def test_positions(self, tmp_path, capsys):
+        path = _edited_full12(tmp_path, lambda doc: _opposite(doc, "position_m", 0))
+        assert _run_warning_free(["pc", "--input", path]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: relative position overflows at object 1 position "
+            "[-1.7e+308, -40.0, 0.0], object 2 position [1.7e+308, 300.0, -700.0]\n"
+        )
+
+    def test_velocities(self, tmp_path, capsys):
+        path = _edited_full12(tmp_path, lambda doc: _opposite(doc, "velocity_mps", 1))
+        assert _run_warning_free(["pc", "--input", path]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: relative velocity overflows at object 1 velocity "
+            "[10.0, -1.7e+308, 3.0], object 2 velocity [-20.0, 1.7e+308, 500.0]\n"
+        )
+        assert _run_warning_free(["screen", "--input", path]) == 0
+
+    def test_position_variances(self, tmp_path, capsys):
+        # the trace of the 12x12 covariance overflows too
+        path = _edited_full12(tmp_path, _huge_x_variances)
+        assert _run_warning_free(["pc", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: relative position covariance overflows at largest "
+            "position variance 1.7e+308\n"
+        )
+        assert _run_warning_free(["screen", "--input", path]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestDetectionCurveCommand:
     def test_default_grid_upper_threshold_rate(self, capsys):
         status = run_command(
@@ -775,6 +827,13 @@ def test_import_surface():
     assert imported == "[]"
     assert after_light == f"{[0] * len(light)} []"
     assert after_heavy == "[0, 0, 0] False"
+
+
+def test_every_exported_name_resolves():
+    # the lazy map must not keep a name its module no longer defines
+    import conjrisk
+
+    assert [name for name in conjrisk.__all__ if not hasattr(conjrisk, name)] == []
 
 
 class TestDeterminism:

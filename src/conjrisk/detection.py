@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from . import probability
 from . import rng as rngmod
@@ -140,6 +139,8 @@ def critical_displacement(threshold, s_over_r: float):
     ``NumericalError`` with the bracket of an unconverged row if
     ``_NEWTON_MAX_ITERS`` steps do not converge every row.
     """
+    from scipy.special import ive
+
     t = np.asarray(threshold, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     if not np.all(inside):
@@ -178,7 +179,7 @@ def critical_displacement(threshold, s_over_r: float):
         lo, hi = np.where(reached, u, lo), np.where(reached, hi, u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # -dlog(Pc)/du = b exp(-(u - b)^2 / 2) ive(1, u b) / Pc
-            log_rate = np.log(b * special.ive(1, u * b)) - 0.5 * (u - b) ** 2 - np.log(pc)
+            log_rate = np.log(b * ive(1, u * b)) - 0.5 * (u - b) ** 2 - np.log(pc)
             h_pc = h(pc)
             # where Pc reaches the peak, h says nothing: a step on log Pc,
             # whose rise log Pc - log t is (h_t^2 - h_pc^2) / 2
@@ -317,50 +318,6 @@ def proof_halfwidth(sigma: float, alpha: float) -> float:
     return halfwidth
 
 
-def _band_rate(w: float, alpha: float) -> float:
-    """``P(|Z| >= z*)`` for a standard normal ``Z``, where ``z*`` is the
-    observation at which the unit normal's mass on ``[z - w, z + w]`` falls
-    to ``alpha``; 1 where it is ``<= alpha`` already at ``z = 0``.
-
-    The mass comes from ``probability._log_interval_mass``, free of
-    cancellation. Its log is concave and decreasing in ``z > 0``, with slope
-    ``-phi(z - w) (1 - exp(-2 z w)) / mass``, so Newton steps on it from
-    ``w + sqrt(-2 log alpha)``, where ``Phi(w - z) <= alpha / 2`` bounds the
-    mass below ``alpha``, fall monotonically to ``z*``; a step that rounding
-    takes out of the bracket, or onto one of its ends, is replaced by
-    bisection. The rate is ``erfc(z*/sqrt 2)``, subnormal for ``z*`` from
-    about 37.5 to 38.5.
-    """
-    band = np.array([w])
-    log_alpha = math.log(alpha)
-    if probability._log_interval_mass(0.0, band)[0] <= log_alpha:
-        return 1.0
-    lo, hi = 0.0, w + math.sqrt(-2.0 * log_alpha)
-    z = hi
-    for _ in range(_NEWTON_MAX_ITERS):
-        log_mass = float(probability._log_interval_mass(z, band)[0])
-        if log_mass > log_alpha:
-            lo = z
-        else:
-            hi = z
-        log_slope = (
-            math.log(-math.expm1(-2.0 * z * w)) - 0.5 * (z - w) ** 2
-            - probability._HALF_LOG_2PI - log_mass
-        )
-        nxt = z + (log_mass - log_alpha) * math.exp(min(-log_slope, 700.0))
-        # as in critical_displacement, a step onto an end of the bracket
-        # bisects: rounding can hold Newton in a cycle between its ends
-        if not lo < nxt < hi and nxt != z:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - z) <= 1e-15 * nxt:
-            return math.erfc(nxt / math.sqrt(2.0))
-        z = nxt
-    raise NumericalError(
-        f"false-confidence band edge did not converge in {_NEWTON_MAX_ITERS} "
-        f"steps: it is bracketed by z in [{lo!r}, {hi!r}]"
-    )
-
-
 def false_confidence_demo(
     sigma: float,
     halfwidth: float,
@@ -381,9 +338,13 @@ def false_confidence_demo(
     This is ``validity_check`` of the additive rule at the level ``alpha``,
     run in units of ``sigma``, so the answer depends on ``halfwidth /
     sigma`` alone; a ratio outside the float range raises
-    ``NumericalError``. With ``halfwidth <= proof_halfwidth(sigma, alpha)``
-    the rate is exactly one: the false proposition is always believed at
-    level ``1 - alpha``.
+    ``NumericalError``. The rule counts the draws at or beyond its band
+    edge ``z*``, where the mass on the neighborhood falls to ``alpha``, and
+    ``p_target = erfc(z* / sqrt 2)`` is the normal tail beyond that same
+    edge (subnormal for ``z*`` from about 37.5 to 38.5). With ``halfwidth
+    <= proof_halfwidth(sigma, alpha)`` the edge is 0 and the rate is
+    exactly one: the false proposition is always believed at level
+    ``1 - alpha``.
     """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
@@ -396,7 +357,7 @@ def false_confidence_demo(
     )
     return FalseConfidenceReport(
         alpha=float(alpha),
-        p_target=_band_rate(radius, alpha),
+        p_target=math.erfc(rule._edge(radius, float(alpha)) / math.sqrt(2.0)),
         neighborhood_halfwidth=float(halfwidth),
         empirical_rate=report.rates[0],
         n_trials=report.n_trials,

@@ -7,10 +7,11 @@ function. The terms are log-concave in ``j`` and are summed outward from
 the largest one, which keeps full relative precision in the far tail at a
 cost that grows like the square roots of the arguments.
 
-This is the package's only importer of ``scipy.special`` on the collision
-probability path (for ``gammainc``); ``probability`` imports it only when a
-circular Pc or a dilution curve is evaluated, so that ``pc``, ``screen``
-and ``boundary`` start without scipy.
+The series is the package's only user of ``scipy.special`` on the
+collision probability path (for ``gammainc``). Its functions import it when
+they run, so that importing this module, as ``detection`` and ``validity``
+do, loads numpy alone, and ``false-confidence`` and ``validity --rule
+additive`` start without scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlog1py, xlogy
 
 from .errors import InputValidationError, NumericalError
 
@@ -50,6 +50,8 @@ def _log_poisson(x: np.ndarray, mean) -> np.ndarray:
     ``x log(mean) - mean - log Gamma(x + 1)`` carries the rounding of its
     large parts: 5e-12 relative in circular Pc at s/r 0.01.)
     """
+    from scipy.special import gammaln, xlog1py, xlogy
+
     d = x - mean
     # d / mean overflows only where mean < x / 1.8e308; bd0 = inf then
     # flushes the weight to 0, for x >= 1 a value below the smallest normal
@@ -95,6 +97,8 @@ def _gamma_blocks(a: float, blocks: np.ndarray, y) -> np.ndarray:
     makes ``ncx2_cdf(2, 1e5, 9e4)`` 8 times slower.) ``y`` broadcasts
     against ``blocks``; the result has a trailing axis of length ``_BLOCK``.
     """
+    from scipy.special import gammainc
+
     x = a + (blocks[..., None] * _BLOCK + np.arange(_BLOCK))
     y_col = np.asarray(y)[..., None]
     g = _poisson_blocks(x, y_col)
@@ -215,6 +219,8 @@ def ncx2_cdf(dof: int, noncentrality, x):
     Returns:
         A float for scalar arguments, else an array of the broadcast shape.
     """
+    from scipy.special import gammainc
+
     if isinstance(dof, bool) or not (isinstance(dof, (int, np.integer)) and dof >= 1):
         raise InputValidationError(f"dof must be an integer >= 1, got {dof!r}")
     lam = _finite_nonnegative("noncentrality", noncentrality)

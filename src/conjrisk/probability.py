@@ -14,8 +14,8 @@ underflow limit. The normal tails come from this module's own
 For a circular encounter (``s1 == s2 == s``, ``pc_circular``) the squared
 displacement over ``s`` is noncentral chi-squared with two degrees of
 freedom, so the probability is exactly ``ncx2_cdf(2, (d/s)^2, (r/s)^2)``,
-one minus a Marcum Q function, from the series in ``ncx2``. That module
-imports scipy, so it is imported only when a circular Pc is evaluated.
+one minus a Marcum Q function, from the series in ``ncx2``, which uses
+scipy; it is imported only when a circular Pc is evaluated.
 """
 
 from __future__ import annotations
@@ -72,21 +72,25 @@ def log_ndtr(x) -> np.ndarray:
     return out
 
 
-def _log_interval_mass(m: float, w: np.ndarray) -> np.ndarray:
+def _log_interval_mass(m, w: np.ndarray) -> np.ndarray:
     """``log P(|Z - m| <= w)`` for a standard normal ``Z``, ``m >= 0`` and
-    ``w >= 0``, without cancellation. Where ``w max(w, m) <= 1/2`` it is
-    ``phi(m)`` times 8-point Gauss-Legendre on ``exp(-m s - s^2/2)`` over
-    ``|s| <= w``; elsewhere ``log(Phi(w - m) - Phi(-w - m))`` from one
-    ``log_ndtr`` call."""
+    ``w >= 0``, without cancellation; ``m`` is a float or an array of the
+    shape of ``w``. Where ``w max(w, m) <= 1/2`` it is ``phi(m)`` times
+    8-point Gauss-Legendre on ``exp(-m s - s^2/2)`` over ``|s| <= w``;
+    elsewhere ``log(Phi(w - m) - Phi(-w - m))`` from one ``log_ndtr`` call."""
     near = w <= 0.5 / np.maximum(w, m)
+    if np.ndim(m):
+        m_near, m_far, m_col = m[near], m[~near], m[near, None]
+    else:
+        m_near = m_far = m_col = m
     out = np.empty_like(w)
     s = w[near, None] * _MASS_X
-    out[near] = np.log(w[near] * (np.exp(-s * (m + 0.5 * s)) @ _MASS_W))
-    out[near] -= 0.5 * m * m + _HALF_LOG_2PI
+    out[near] = np.log(w[near] * (np.exp(-s * (m_col + 0.5 * s)) @ _MASS_W))
+    out[near] -= 0.5 * m_near * m_near + _HALF_LOG_2PI
     far = w[~near]
     if not far.size:  # log_ndtr costs some microseconds even on no elements
         return out
-    tails = log_ndtr(np.concatenate([far - m, -far - m]))
+    tails = log_ndtr(np.concatenate([far - m_far, -far - m_far]))
     lo, hi = tails[: far.size], tails[far.size :]
     out[~near] = lo + np.log(-np.expm1(hi - lo))
     return out
@@ -215,7 +219,7 @@ def pc_circular_batch(d_over_r, s_over_r) -> np.ndarray:
         if over.any():
             s_over = float(np.broadcast_to(s, over.shape)[over].min())
             raise NumericalError(f"{name} overflows at s_over_r = {s_over!r}")
-    from .ncx2 import ncx2_cdf  # imports scipy, which pc, screen and boundary never need
+    from .ncx2 import ncx2_cdf  # uses scipy, which pc, screen and boundary never need
 
     return np.asarray(ncx2_cdf(2, lam, x))
 

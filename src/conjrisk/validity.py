@@ -8,12 +8,16 @@ confidence ellipsoid inside the proposition, is consonant and, by the
 coverage property, valid.
 
 The harness in this module tests that criterion empirically for arbitrary
-belief rules: simulate data at a known truth, score each block of
-realizations with one call of the rule per false proposition of a family,
-and compare the observed rates of belief ``>= 1 - alpha`` against every
-level of a grid. Additive rules (posterior mass) fail the test
-spectacularly for suitably small excluded neighborhoods; confidence-region
-rules pass.
+belief rules: simulate data at a known truth, count each block's
+realizations whose belief in each false proposition of a family reaches
+``1 - alpha``, with one call of the rule per block and proposition, and
+compare the observed rates against every level of a grid. Additive rules
+(posterior mass) fail the test spectacularly for suitably small excluded
+neighborhoods; confidence-region rules pass.
+
+Only ``ConfidenceRegionRule.belief`` and some of the additive masses need
+``scipy.special``, and they import it when they run: ``validity --rule
+additive`` and ``false-confidence`` start without scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import probability
 from . import rng as rngmod
 from .ellipsoids import Ellipsoid, build_ellipsoid
 from .errors import InputValidationError, NumericalError, UnsupportedPropositionError
@@ -71,15 +75,34 @@ class BeliefRule(ABC):
     """A data-conditional belief assignment: one number per realization and
     proposition, tested against every level at once.
 
-    A rule scores a whole block of realizations per call. ``plausibility``
-    is derived from belief of the complement, so the complementarity
-    identity holds for every rule by construction.
+    A rule scores a whole block of realizations per call. ``hits`` counts
+    the rows whose belief reaches each level; a rule that can decide that
+    without evaluating every belief overrides it, and ``belief`` stays the
+    reference it must agree with. ``plausibility`` is derived from belief
+    of the complement, so the complementarity identity holds for every rule
+    by construction.
     """
 
     @abstractmethod
     def belief(self, xs: np.ndarray, proposition: Proposition) -> np.ndarray:
         """Belief in the proposition given each row of ``xs``, an ``(n, dim)``
         block of data realizations; an ``(n,)`` array."""
+
+    def hits(self, xs: np.ndarray, proposition: Proposition, alphas: np.ndarray) -> np.ndarray:
+        """For each level of ``alphas``, how many rows of ``xs`` give the
+        proposition belief ``>= 1 - alpha``; an integer array of the shape of
+        ``alphas``.
+
+        Raises:
+            InputValidationError: if ``belief`` does not return one number
+                per row.
+        """
+        beliefs = np.asarray(self.belief(xs, proposition))
+        if beliefs.shape != (len(xs),):
+            raise InputValidationError(
+                "rule.belief must return one belief per realization of the block"
+            )
+        return np.count_nonzero(beliefs >= 1.0 - alphas[:, None], axis=1)
 
     def plausibility(self, xs: np.ndarray, proposition: Proposition) -> np.ndarray:
         return 1.0 - self.belief(xs, Complement(proposition))
@@ -102,8 +125,10 @@ class ConfidenceRegionRule(BeliefRule):
         self._unit = build_ellipsoid(np.zeros(cov.shape[0]), cov, 1.0)
 
     def belief(self, xs, proposition):
+        from scipy.special import gammainc
+
         k = depth(proposition, self._unit, xs)
-        return special.gammainc(self._unit.dim / 2.0, 0.5 * k * k)
+        return gammainc(self._unit.dim / 2.0, 0.5 * k * k)
 
 
 def gaussian_region_rule(cov) -> ConfidenceRegionRule:
@@ -125,12 +150,69 @@ def _definite_covariance(cov) -> np.ndarray:
     return cov
 
 
+#: Most Newton steps a band-edge solve may take.
+_EDGE_MAX_ITERS = 100
+
+
+def _band_edge(w: float, alpha: float) -> float:
+    """The band edge ``z*``: the distance of an observation ``z`` from the
+    centre of ``[-w, w]`` at which the unit normal about it puts mass
+    ``alpha`` on the interval, for a finite ``w``. It is 0 where that mass
+    is ``<= alpha`` already at ``z = 0``, and infinite at ``alpha = 0``,
+    where the mass stays above ``alpha`` at every finite ``z``.
+
+    The mass comes from ``probability._log_interval_mass``, free of
+    cancellation. Its log is concave and decreasing in ``z > 0``, with slope
+    ``-phi(z - w) (1 - exp(-2 z w)) / mass``, so Newton steps on it from
+    ``w + sqrt(-2 log alpha)``, where ``Phi(w - z) <= alpha / 2`` bounds the
+    mass below ``alpha``, fall monotonically to ``z*``; a step that rounding
+    takes out of the bracket, or onto one of its ends, is replaced by
+    bisection. Converged to ``1e-15`` relative; ``NumericalError`` with the
+    bracket if ``_EDGE_MAX_ITERS`` steps do not get there.
+    """
+    band = np.array([w])
+    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
+    with np.errstate(divide="ignore"):  # w underflowed to 0: log mass -inf
+        if probability._log_interval_mass(0.0, band)[0] <= log_alpha:
+            return 0.0
+    if alpha == 0.0:
+        return math.inf
+    lo, hi = 0.0, w + math.sqrt(-2.0 * log_alpha)
+    z = hi
+    for _ in range(_EDGE_MAX_ITERS):
+        log_mass = float(probability._log_interval_mass(z, band)[0])
+        if log_mass > log_alpha:
+            lo = z
+        else:
+            hi = z
+        log_slope = (
+            math.log(-math.expm1(-2.0 * z * w)) - 0.5 * (z - w) ** 2
+            - probability._HALF_LOG_2PI - log_mass
+        )
+        nxt = z + (log_mass - log_alpha) * math.exp(min(-log_slope, 700.0))
+        # a step onto an end of the bracket bisects: rounding can hold
+        # Newton in a cycle between its ends
+        if not lo < nxt < hi and nxt != z:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - z) <= 1e-15 * nxt:
+            return nxt
+        z = nxt
+    raise NumericalError(
+        f"band edge did not converge in {_EDGE_MAX_ITERS} steps: it is "
+        f"bracketed by z in [{lo!r}, {hi!r}]"
+    )
+
+
 class AdditiveGaussianRule(BeliefRule):
     """Additive epistemic rule: belief is the posterior Gaussian mass.
 
     Supports full space, half-spaces (any covariance), balls under isotropic
     covariance, and complements thereof. Mass of other shapes is not
     implemented and raises an unsupported-shape error.
+
+    ``hits`` decides the complement of a one-dimensional ball at its band
+    edge instead of from the masses; the edge of each radius and level is
+    solved once per rule.
     """
 
     def __init__(self, cov):
@@ -142,9 +224,40 @@ class AdditiveGaussianRule(BeliefRule):
         tol = 1e-15 * diag.max()
         isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
         self._isotropic_var = float(diag[0]) if isotropic else None
+        self._edges: dict[tuple[float, float], float] = {}
 
     def belief(self, xs, proposition):
         return self._mass(np.asarray(xs, dtype=float), proposition)
+
+    def hits(self, xs, proposition, alphas):
+        """Per level, the rows that believe the proposition at ``1 - alpha``.
+
+        On the complement of a 1-D ball of centre ``c`` and radius ``r``
+        that is ``|x - c| >= sigma z*``: the ball's mass falls as the
+        estimate ``x`` moves away from ``c``, and reaches ``alpha`` at the
+        band edge ``z* = _band_edge(r / sigma, alpha)``. At ``alpha = 0``
+        the edge is infinite and no estimate counts, where ``1 - mass``
+        rounds to 1 once the mass is below ``2^-54`` (beyond 7.8 deviations
+        for ``r >= 1e-3 sigma``). Every other proposition, and a radius
+        beyond ``1.8e308`` sigma, is counted from ``belief``.
+        """
+        if (self.dim == 1 and isinstance(proposition, Complement)
+                and isinstance(proposition.inner, Ball)):
+            ball = proposition.inner
+            sigma = math.sqrt(self._isotropic_var)
+            w = ball.radius / sigma
+            if math.isfinite(w):  # else only belief's (r - |x - c|) / sigma decides
+                edges = np.array([self._edge(w, float(a)) for a in alphas])
+                dist = np.abs(np.asarray(xs, dtype=float)[:, 0] - ball.center[0])
+                return np.count_nonzero(dist >= sigma * edges[:, None], axis=1)
+        return super().hits(xs, proposition, alphas)
+
+    def _edge(self, w: float, alpha: float) -> float:
+        """``_band_edge(w, alpha)``, solved on this rule's first call only."""
+        key = (w, alpha)
+        if key not in self._edges:
+            self._edges[key] = _band_edge(w, alpha)
+        return self._edges[key]
 
     def _mass(self, xs: np.ndarray, prop: Proposition) -> np.ndarray:
         if isinstance(prop, FullSpace):
@@ -152,25 +265,33 @@ class AdditiveGaussianRule(BeliefRule):
         if isinstance(prop, Complement):
             return 1.0 - self._mass(xs, prop.inner)
         if isinstance(prop, HalfSpace):
+            from scipy.special import ndtr
+
             spread = math.sqrt(float(prop.normal @ self.cov @ prop.normal))
-            return special.ndtr((prop.offset - xs @ prop.normal) / spread)
+            return ndtr((prop.offset - xs @ prop.normal) / spread)
         if isinstance(prop, Ball):
             if self._isotropic_var is None:
                 raise UnsupportedPropositionError(
                     "ball mass implemented only for isotropic covariance"
                 )
             sigma = math.sqrt(self._isotropic_var)
-            if self.dim == 1:  # an interval: the difference of two normal CDFs
-                x, center = xs[:, 0], float(prop.center[0])
-                with np.errstate(over="ignore"):  # ndtr(+-inf) is the exact limit
-                    upper = (center + prop.radius - x) / sigma
-                    lower = (center - prop.radius - x) / sigma
-                return special.ndtr(upper) - special.ndtr(lower)
+            if self.dim == 1:  # an interval: P(|Z - m| <= w), as hits decides it
+                d = np.abs(xs[:, 0] - prop.center[0])
+                w = prop.radius / sigma
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    if math.isinf(w):  # only Phi((r - d) / sigma) can fall short of 1
+                        return np.exp(probability.log_ndtr((prop.radius - d) / sigma))
+                    m = d / sigma
+                    mass = np.exp(probability._log_interval_mass(m, np.full_like(m, w)))
+                # both log tails are -inf (a NaN) only where the mass is 0
+                return np.where(m - w > 1e154, 0.0, mass)
             shift = np.linalg.norm(xs - prop.center, axis=1) / sigma
             try:
                 reach = (prop.radius / sigma) ** 2
             except OverflowError:  # radius over 1e154 sigma: a half-space's mass
-                return special.ndtr(prop.radius / sigma - shift)
+                from scipy.special import ndtr
+
+                return ndtr(prop.radius / sigma - shift)
             return ncx2_cdf(self.dim, shift * shift, reach)
         raise UnsupportedPropositionError(
             f"Gaussian mass not implemented for {type(prop).__name__}"
@@ -227,10 +348,11 @@ def validity_check(
 ) -> ValidityReport:
     """Empirically test a belief rule against the validity criterion.
 
-    Simulates blocks of data realizations at the true parameter, scores
-    each block's belief in each (false) proposition with one call of the
-    rule, and records how often belief reaches ``1 - alpha`` for each level
-    in the grid. A valid rule keeps every such rate at or below its level.
+    Simulates blocks of data realizations at the true parameter, counts
+    with one ``rule.hits`` call per block and (false) proposition how many
+    realizations give it belief ``>= 1 - alpha`` at each level of the grid,
+    and records the rates. A valid rule keeps every such rate at or below
+    its level.
 
     Args:
         rule: belief rule under test.
@@ -244,7 +366,8 @@ def validity_check(
 
     Raises:
         InputValidationError: if a proposition contains the true parameter
-            (the criterion quantifies over false propositions only).
+            (the criterion quantifies over false propositions only), or if
+            the sampling model or the rule's beliefs have the wrong shape.
     """
     theta_true = np.atleast_1d(np.asarray(theta_true, dtype=float))
     if n_trials < 10**3:
@@ -267,19 +390,15 @@ def validity_check(
             )
 
     hits = np.zeros((len(alphas), len(props)), dtype=np.int64)
-    floors = 1.0 - np.array(alphas)[:, None, None]
+    levels = np.array(alphas)
     for gen, count in rngmod.blocks(seed, n_trials):
         xs = np.asarray(sampling_model(gen, count), dtype=float)
         if xs.shape[0] != count:
             raise InputValidationError(
                 "sampling_model returned wrong number of realizations"
             )
-        beliefs = np.array([rule.belief(xs, prop) for prop in props])
-        if beliefs.shape != (len(props), count):
-            raise InputValidationError(
-                "rule.belief must return one belief per realization of the block"
-            )
-        hits += np.count_nonzero(beliefs >= floors, axis=2)
+        for j, prop in enumerate(props):
+            hits[:, j] += rule.hits(xs, prop, levels)
 
     rate_matrix = hits / n_trials
     worst_per_alpha = rate_matrix.max(axis=1)

@@ -10,7 +10,9 @@ every Poisson term from zero at 40 digits, and the circular collision
 probability is also taken from the Bessel series of the Marcum Q function.
 The anisotropic collision probability is the same strip integral as the
 kernel's, in mpmath, where the working precision rather than the formulation
-absorbs cancellation. Secular-equation roots are bisected at 40 digits.
+absorbs cancellation. Secular-equation roots are bisected at 40 digits,
+and the false-confidence band edge is a 40-digit root of the log of a
+difference of two normal CDFs.
 """
 
 from __future__ import annotations
@@ -371,3 +373,27 @@ def mp_pc(u, v, s1, s2, r, dps: int = 40):
         ends = mpmath.linspace(mpmath.asin(lo / r), mpmath.asin(hi / r), 9)
         scale = max(f(t) for t in ends)
         return scale * mpmath.quad(lambda t: f(t) / scale, ends, method="gauss-legendre")
+
+
+def mp_band_edge(w, alpha, dps: int = 40):
+    """Band edge ``z*`` and its two-sided normal tail ``erfc(z*/sqrt 2)``
+    at ``dps`` digits (mpmath numbers).
+
+    ``z*`` is where the mass of ``normal(z, 1)`` on ``[-w, w]``, the
+    difference of two normal CDFs, falls to ``alpha``: 0 (tail 1) where it
+    is at most ``alpha`` already at ``z = 0``, infinite (tail 0) at
+    ``alpha = 0``.
+    """
+    with mpmath.workdps(dps):
+        w, alpha = mpmath.mpf(w), mpmath.mpf(alpha)
+        if alpha == 0:
+            return mpmath.inf, mpmath.mpf(0)
+
+        def log_excess(z):
+            return mpmath.log(mpmath.ncdf(w - z) - mpmath.ncdf(-w - z)) - mpmath.log(alpha)
+
+        if log_excess(0) <= 0:
+            return mpmath.mpf(0), mpmath.mpf(1)
+        z = mpmath.findroot(log_excess, (0, w + mpmath.sqrt(-2 * mpmath.log(alpha))),
+                            solver="anderson")
+        return z, mpmath.erfc(z / mpmath.sqrt(2))

@@ -581,6 +581,14 @@ class TestFalseConfidenceCommand:
         out = capsys.readouterr().out
         assert "empirical_rate=1" in out
 
+    def test_proof_halfwidth_rate_one_at_alpha_1e_9(self, capsys):
+        # the theorem's "exactly one": 0.99992 when the beliefs lost the
+        # interval mass to cancellation
+        status = run_command(["false-confidence", "--sigma", "1", "--alpha", "1e-9",
+                              "--n-trials", "100000", "--seed", "3"])
+        assert status == 0
+        assert capsys.readouterr().out.startswith("empirical_rate=1 p_target=1 ")
+
     def test_halfwidth_far_beyond_sigma(self, capsys):
         # halfwidth + 50 sigma rounds to halfwidth; the rate is exactly 0
         status = run_command(
@@ -793,17 +801,20 @@ def test_screen_and_validity_leave_scipy_optimize_unimported():
 
 
 def test_import_surface():
-    # in a fresh interpreter: the package imports nothing, pc, screen and
-    # boundary on every golden case leave scipy unimported, and no command
-    # imports scipy.optimize, not even false-confidence with a halfwidth
-    # wider than the proof halfwidth, which solves for its band edge
+    # in a fresh interpreter: the package imports nothing; pc, screen and
+    # boundary on every golden case, false-confidence (also with a halfwidth
+    # wider than the proof halfwidth, which solves for its band edge) and
+    # validity --rule additive leave scipy unimported; and no command
+    # imports scipy.optimize, not even the K-sigma validity rule
     from test_golden import CASES, _argv
 
     light = [_argv(case) for case in sorted(CASES)
              if case.startswith(("pc_", "screen_", "boundary"))]
-    heavy = [["false-confidence", "--n-trials", "2000", "--seed", "8"],
-             ["false-confidence", "--halfwidth", "0.5", "--n-trials", "2000", "--seed", "8"],
-             ["validity", "--halfwidth", "0.1", "--n-trials", "1000", "--seed", "3"]]
+    light += [["false-confidence", "--n-trials", "2000", "--seed", "8"],
+              ["false-confidence", "--halfwidth", "0.5", "--n-trials", "2000", "--seed", "8"],
+              ["validity", "--rule", "additive", "--halfwidth", "0.1", "--n-trials", "1000",
+               "--seed", "3"]]
+    heavy = [["validity", "--halfwidth", "0.1", "--n-trials", "1000", "--seed", "3"]]
     script = (
         "import io, json, sys, contextlib\n"
         "import conjrisk\n"
@@ -823,10 +834,10 @@ def test_import_surface():
     done = subprocess.run([sys.executable, "-c", script, json.dumps([light, heavy])],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     imported, after_light, after_heavy = done.stdout.splitlines()
-    assert len(light) == 9
+    assert len(light) == 12
     assert imported == "[]"
     assert after_light == f"{[0] * len(light)} []"
-    assert after_heavy == "[0, 0, 0] False"
+    assert after_heavy == "[0] False"
 
 
 def test_every_exported_name_resolves():

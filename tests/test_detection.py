@@ -10,6 +10,7 @@ from scipy import special, stats
 
 import conjrisk.detection as detection_module
 import conjrisk.probability as probability_module
+import conjrisk.validity as validity_module
 from conjrisk import (
     InputValidationError,
     NumericalError,
@@ -26,7 +27,7 @@ from conjrisk import (
 from conjrisk.ncx2 import _ncx2_terms
 from conjrisk.probability import pc_circular_batch
 
-from conftest import mp_ncx2_cdf, mp_pc_circular
+from conftest import mp_band_edge, mp_ncx2_cdf, mp_pc_circular
 
 # frozen 1e7-sample oracle (seed 77): sum of two shifted squared normals
 NCX2_ORACLE_VALUE = 0.5851047
@@ -494,22 +495,6 @@ class TestDilutionBoundary:
             assert max_pc_head_on(s) == pytest.approx(t, rel=1e-12)
 
 
-def _mp_band_rate(w, alpha):
-    # 2 Phi(-z*) with mass(z*) = alpha for the mass of normal(z, 1) on
-    # [-w, w], at 40 digits
-    with mpmath.workdps(40):
-        w, alpha = mpmath.mpf(w), mpmath.mpf(alpha)
-
-        def log_excess(z):
-            return mpmath.log(mpmath.ncdf(w - z) - mpmath.ncdf(-w - z)) - mpmath.log(alpha)
-
-        if log_excess(0) <= 0:
-            return mpmath.mpf(1)
-        z = mpmath.findroot(log_excess, (0, w + mpmath.sqrt(-2 * mpmath.log(alpha))),
-                            solver="anderson")
-        return mpmath.erfc(z / mpmath.sqrt(2))
-
-
 def _resimulated_rate(sigma, halfwidth, alpha, n, seed):
     # independent re-simulation with plain numpy, no shared stream logic
     rng = np.random.default_rng(seed)
@@ -527,6 +512,35 @@ class TestFalseConfidenceDemo:
         report = false_confidence_demo(1.0, h, 0.05, 10**4, seed=101)
         assert report.empirical_rate == 1.0
         assert report.p_target == 1.0
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-5])
+    def test_proof_halfwidth_rate_is_exactly_one_at_small_levels(self, alpha):
+        # a difference of two ndtr values near 1/2 lost the mass in
+        # cancellation here: 0.99992 at alpha 1e-9
+        report = false_confidence_demo(1.0, proof_halfwidth(1.0, alpha), alpha, 10**5, seed=3)
+        assert report.empirical_rate == 1.0
+        assert report.p_target == 1.0
+
+    def test_decided_at_the_band_edge(self, monkeypatch):
+        # no belief is evaluated, and the one level's edge is solved once,
+        # for the counts and p_target alike
+        solved = []
+
+        def counted(w, alpha):
+            solved.append((w, alpha))
+            return band_edge(w, alpha)
+
+        def unreachable(*args):
+            raise AssertionError("the additive rule evaluated a mass")
+
+        band_edge = validity_module._band_edge
+        monkeypatch.setattr(validity_module, "_band_edge", counted)
+        monkeypatch.setattr(validity_module.AdditiveGaussianRule, "_mass", unreachable)
+        report = false_confidence_demo(2.0, 0.9, 0.05, 2 * 10**5, seed=11)
+        assert solved == [(0.45, 0.05)]
+        rate = float(mp_band_edge(0.45, 0.05)[1])
+        assert report.p_target == pytest.approx(rate, rel=1e-14)
+        assert report.empirical_rate == pytest.approx(rate, abs=4.0 * math.sqrt(rate / (2 * 10**5)))
 
     def test_huge_neighborhood_rate_zero(self):
         report = false_confidence_demo(1.0, 1000.0, 0.05, 10**3, seed=102)
@@ -551,7 +565,7 @@ class TestFalseConfidenceDemo:
         for alpha in (1e-6, 0.001, 0.05, 0.3):
             for halfwidth in (1e-4, 0.0025, 0.05, 0.3, 1.0, 3.0):
                 report = false_confidence_demo(1.0, halfwidth, alpha, 1000, seed=5)
-                ref = _mp_band_rate(halfwidth, alpha)
+                ref = mp_band_edge(halfwidth, alpha)[1]
                 if ref == 1:
                     assert report.p_target == 1.0
                     continue
@@ -564,7 +578,7 @@ class TestFalseConfidenceDemo:
         # bracket 4 ulps wide, until the solve gave up
         sigma, halfwidth, alpha = 8.41158858880702, 0.5488831898800788, 0.042894893261744296
         report = false_confidence_demo(sigma, halfwidth, alpha, 1000, seed=5)
-        ref = _mp_band_rate(halfwidth / sigma, alpha)
+        ref = mp_band_edge(halfwidth / sigma, alpha)[1]
         assert report.p_target == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("z_star", [37.5, 37.75, 38.0, 38.4])
@@ -574,7 +588,7 @@ class TestFalseConfidenceDemo:
         with mpmath.workdps(40):
             alpha = float(mpmath.ncdf(30 - z_star) - mpmath.ncdf(-30 - z_star))
         p_target = false_confidence_demo(1.0, 30.0, alpha, 1000, seed=5).p_target
-        ref = float(_mp_band_rate(30.0, alpha))
+        ref = float(mp_band_edge(30.0, alpha)[1])
         assert 0.0 < p_target < 1e-307
         # a subnormal keeps fewer digits; z* carries its rounding times z*^2
         assert p_target == pytest.approx(ref, rel=1e-11, abs=2 * 5e-324)

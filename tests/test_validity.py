@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -11,6 +12,7 @@ from scipy import special
 from conjrisk import (
     AdditiveGaussianRule,
     Ball,
+    BeliefRule,
     ConfidenceRegionRule,
     Complement,
     Ellipsoid,
@@ -36,6 +38,8 @@ from conjrisk.propositions import (
     intersects_region,
     reach,
 )
+
+from conftest import mp_band_edge
 
 
 def _ksigma(alpha, dim):
@@ -265,6 +269,45 @@ class TestAdditiveGaussianRule:
         expected = ncx2_cdf(1, (x - center) ** 2, radius**2)
         assert np.max(np.abs(mass - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("radius, x", [
+        (1e-12, 0.5), (1e-9, 0.0), (1e-9, 3.0), (1e-6, -1.0), (0.3, 0.2), (0.7, 2.0),
+        (3.0, 0.0), (3.0, 5.0), (30.0, 36.0),
+    ])
+    def test_interval_mass_against_mpmath(self, radius, x):
+        # a difference of two ndtr values was 3.9e-8 off at radius 1e-9 and
+        # x = 0, and 1.7e-5 at radius 1e-12 and x = 0.5
+        sigma, center = 1.5, 0.25
+        rule = AdditiveGaussianRule([[sigma**2]])
+        est = center + sigma * x
+        with mpmath.workdps(40):
+            d, r = (mpmath.mpf(est) - mpmath.mpf(center)) / sigma, mpmath.mpf(radius) / sigma
+            ref = float(mpmath.ncdf(r - d) - mpmath.ncdf(-r - d))
+        mass = rule.belief([[est]], Ball(center=[center], radius=radius))[0]
+        assert mass == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("w", [1e-3, 0.05, 0.5, 3.0, 30.0])
+    def test_edge_counts_equal_belief_counts(self, w):
+        # the band-edge counts against the default counts of the same rule's
+        # beliefs, on a block drawn at the ball's centre and on points 1e-10
+        # either side of the 40-digit edge of each level. (At alpha = 0 the
+        # edge is infinite, while 1 - mass rounds to 1 below a mass of
+        # 2^-54, beyond 7.8 deviations out at these w: no draw gets there.)
+        sigma, center = 2.5, -0.4
+        alphas = np.array([0.0, 1e-6, 0.01, 0.2, 1.0])
+        rule = AdditiveGaussianRule([[sigma**2]])
+        prop = Complement(Ball(center=[center], radius=w * sigma))
+        z = np.random.default_rng(int(w * 1000)).standard_normal(20000)
+        edges = [float(mp_band_edge(w, a)[0]) for a in alphas]
+        for edge in edges:
+            if 0.0 < edge < math.inf:
+                z = np.concatenate([z, edge * np.array([1 - 1e-10, 1 + 1e-10, -1 - 1e-10])])
+        xs = (center + sigma * z)[:, None]
+        counts = rule.hits(xs, prop, alphas)
+        assert counts.tolist() == BeliefRule.hits(rule, xs, prop, alphas).tolist()
+        assert counts[0] == 0 and counts[-1] == len(xs)
+        for edge, a in zip(edges, alphas):
+            assert rule._edge(w, float(a)) == pytest.approx(edge, rel=1e-13, abs=0.0)
+
     def test_block_beliefs_are_the_row_beliefs(self):
         rng = np.random.default_rng(43)
         xs = rng.standard_normal((50, 2)) * 2.0
@@ -292,6 +335,26 @@ class TestAdditiveGaussianRule:
         rule = AdditiveGaussianRule([[1e-300]])
         prop = Ball(center=[center], radius=1e5)
         assert rule.belief(np.zeros((1, 1)), prop)[0] == mass
+
+    @pytest.mark.parametrize("center, mass", [(5e159, 1.0), (1e160, 0.5), (2e160, 0.0)])
+    def test_interval_whose_radius_ratio_overflows(self, center, mass):
+        # sigma 1e-160: radius / sigma and the distance over sigma are both
+        # beyond the float range, (radius - distance) / sigma is not
+        rule = AdditiveGaussianRule([[1e-320]])
+        prop = Ball(center=[center], radius=1e160)
+        assert rule.belief(np.zeros((1, 1)), prop)[0] == mass
+        alphas = np.array([0.0, 0.4, 0.6, 1.0])
+        hits = rule.hits(np.zeros((1, 1)), Complement(prop), alphas)
+        assert hits.tolist() == (1.0 - mass >= 1.0 - alphas).tolist()
+
+    def test_interval_whose_radius_ratio_underflows(self):
+        # radius / sigma = 0: no mass on the ball, full belief in its
+        # complement at every level, from the belief and the band edge alike
+        rule = AdditiveGaussianRule([[1e10]])
+        prop = Ball(center=[0.0], radius=1e-320)
+        xs = np.array([[0.0], [1e-320], [3e5]])
+        assert rule.belief(xs, prop).tolist() == [0.0, 0.0, 0.0]
+        assert rule.hits(xs, Complement(prop), np.array([0.0, 0.5, 1.0])).tolist() == [3, 3, 3]
 
     def test_anisotropic_ball_unsupported(self):
         rule = AdditiveGaussianRule(np.diag([1.0, 9.0]))
@@ -430,9 +493,10 @@ def test_depth_and_reach_bracket_the_oracle_at_axis_ratio_1e13(shape, draw):
 
 class TestValidityCheck:
     def test_rule_evaluated_once_per_block_and_proposition(self):
+        # a rule on the default hits: one belief call per block and proposition
         rows = []
 
-        class Counted(AdditiveGaussianRule):
+        class Counted(ConfidenceRegionRule):
             def belief(self, xs, proposition):
                 rows.append(len(xs))
                 return super().belief(xs, proposition)
@@ -449,7 +513,7 @@ class TestValidityCheck:
         assert sum(rows[::2]) == sum(rows[1::2]) == n_trials
 
     def test_rule_returning_one_number_per_block_rejected(self):
-        class Scalar(AdditiveGaussianRule):
+        class Scalar(ConfidenceRegionRule):
             def belief(self, xs, proposition):
                 return float(super().belief(xs, proposition)[0])
 

@@ -37,6 +37,21 @@ _DISTANCE_TOL_SCALE = 1e-10
 _NEWTON_HALVINGS = 20
 
 
+def row_product(rows, mat):
+    """``rows @ mat`` for a point or an ``(n, dim)`` block of points and a
+    ``(dim, m)`` matrix or ``(dim,)`` vector.
+
+    At ``dim = 1`` each entry of the product is one exactly rounded
+    multiply, so it is taken element-wise, to the same value (a zero
+    product keeps its sign, which ``@`` drops): a tall one-column block
+    then never reaches BLAS, which runs it on threads that spin on into
+    later work, nor numpy's scalar matmul loop.
+    """
+    if mat.shape[0] != 1:
+        return rows @ mat
+    return rows[..., 0] * mat[0] if mat.ndim == 1 else rows * mat[0]
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Solid ellipsoid: center, orthonormal axis columns, semi-axis lengths."""
@@ -87,7 +102,7 @@ class Ellipsoid:
         """Coordinates of ``point``, or of each row of an ``(n, dim)`` array
         of points, in the unit-ball frame of this ellipsoid."""
         point = np.asarray(point, dtype=float)
-        return ((point - self.center) @ self.axes) / self.semi_lengths
+        return row_product(point - self.center, self.axes) / self.semi_lengths
 
     def squared_radius(self, point):
         """Standardized squared radius, per row for an array of points; <= 1
@@ -264,14 +279,14 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid, centers):
     prop_axes = prop.axes[:, rows]
     with np.errstate(over="ignore"):
         inv_ap = 1.0 / prop.semi_lengths[rows]
-        b = inv_ap * ((region.center - centers) @ prop_axes)
+        b = inv_ap * row_product(region.center - centers, prop_axes)
         mat = (inv_ap[:, None] * prop_axes.T) @ (
             region.axes[:, cols] * region.semi_lengths[cols]
         )
     if not (np.isfinite(b).all() and np.isfinite(mat).all()):
         raise NumericalError("standardized ellipsoid offset or axis ratio overflows")
     u_mat, sigma, _ = np.linalg.svd(mat)
-    w = b @ u_mat
+    w = row_product(b, u_mat)
     scale = np.maximum(sigma[0], np.hypot.reduce(w, axis=-1))[..., None]
     return w / scale, sigma / scale, scale[..., 0], prop_axes, inv_ap, u_mat
 

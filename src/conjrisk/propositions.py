@@ -21,6 +21,7 @@ from .ellipsoids import (
     Ellipsoid,
     ellipsoid_depth,
     ellipsoid_reach,
+    row_product,
 )
 from .errors import InputValidationError, UnsupportedPropositionError
 
@@ -141,7 +142,7 @@ def depth(prop: Proposition, region: Ellipsoid, centers=None):
         # ``k``; the contact slack grows with the magnitudes involved
         rho = math.hypot(*(region.semi_lengths * (region.axes.T @ prop.normal)))
         with np.errstate(over="ignore"):  # an overflow is ``inf``, as in floats
-            mid = rows @ prop.normal
+            mid = row_product(rows, prop.normal)
             span = abs(prop.offset) + math.hypot(*prop.normal) * (
                 np.hypot.reduce(rows, axis=1) + region.bounding_radius
             )

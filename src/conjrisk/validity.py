@@ -31,7 +31,7 @@ import numpy as np
 
 from . import probability
 from . import rng as rngmod
-from .ellipsoids import Ellipsoid, build_ellipsoid
+from .ellipsoids import Ellipsoid, build_ellipsoid, row_product
 from .errors import InputValidationError, NumericalError, UnsupportedPropositionError
 from .geometry import covariance_eigh
 from .ncx2 import ncx2_cdf
@@ -248,7 +248,9 @@ class AdditiveGaussianRule(BeliefRule):
             w = ball.radius / sigma
             if math.isfinite(w):  # else only belief's (r - |x - c|) / sigma decides
                 edges = np.array([self._edge(w, float(a)) for a in alphas])
-                dist = np.abs(np.asarray(xs, dtype=float)[:, 0] - ball.center[0])
+                # a temporary of its own: the caller scores this block again
+                dist = np.subtract(np.asarray(xs, dtype=float)[:, 0], ball.center[0])
+                np.abs(dist, out=dist)
                 return np.count_nonzero(dist >= sigma * edges[:, None], axis=1)
         return super().hits(xs, proposition, alphas)
 
@@ -268,7 +270,7 @@ class AdditiveGaussianRule(BeliefRule):
             from scipy.special import ndtr
 
             spread = math.sqrt(float(prop.normal @ self.cov @ prop.normal))
-            return ndtr((prop.offset - xs @ prop.normal) / spread)
+            return ndtr((prop.offset - row_product(xs, prop.normal)) / spread)
         if isinstance(prop, Ball):
             if self._isotropic_var is None:
                 raise UnsupportedPropositionError(
@@ -430,8 +432,14 @@ def gaussian_sampling_model(theta_true, cov):
     chol = np.linalg.cholesky(_definite_covariance(cov))
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        # np.dot: on a tall block with one column, ``@`` is 5 times slower
-        return theta_true + np.dot(gen.standard_normal((n, theta_true.size)), chol.T)
+        z = gen.standard_normal((n, theta_true.size))
+        if theta_true.size > 1:
+            return theta_true + np.dot(z, chol.T)
+        # one column: the product with ``chol`` is one multiply per draw, so
+        # scaling in place gives np.dot's bits without its threaded BLAS call
+        z *= chol[0, 0]
+        z += theta_true
+        return z
 
     return draw
 

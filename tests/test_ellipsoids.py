@@ -520,3 +520,15 @@ class TestMinDistance:
         b = Ellipsoid(center=[0.0], axes=np.eye(1), semi_lengths=[1.0])
         with pytest.raises(InputValidationError, match="dimension"):
             min_distance(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("rows", [(), (7,), (3000,)])
+def test_row_product_equals_matmul(dim, rows):
+    rng = np.random.default_rng(dim + len(rows))
+    block = rng.standard_normal(rows + (dim,)) * 1e3
+    for mat in (rng.standard_normal((dim, dim)), rng.standard_normal(dim)):
+        got = ellipsoids.row_product(block, mat)
+        ref = block @ mat
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)

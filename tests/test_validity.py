@@ -22,6 +22,7 @@ from conjrisk import (
     InputValidationError,
     UnsupportedPropositionError,
     build_ellipsoid,
+    false_confidence_demo,
     gaussian_region_rule,
     gaussian_sampling_model,
     ncx2_cdf,
@@ -30,6 +31,7 @@ from conjrisk import (
     validity_check,
 )
 from conjrisk import ellipsoids
+from conjrisk import rng as rngmod
 from conjrisk.ellipsoids import standardized_range
 from conjrisk.propositions import (
     contains_point,
@@ -781,3 +783,69 @@ def test_last_block_of_one_row_equals_its_row_beliefs():
         reference = _row_beliefs(cov, xs[rows], prop)
         assert np.all(np.abs(beliefs[rows] - reference) <= 1e-12)
         assert np.array_equal(beliefs[rows] >= 0.95, reference >= 0.95)
+
+
+@pytest.mark.parametrize("n", [1000, 20000, 65536])
+def test_one_column_draw_is_the_blas_product(n):
+    # the 1-D draw scales the normals in place; it must keep the bits of
+    # ``theta + np.dot(z, chol.T)`` on the same substream
+    theta, var = np.array([-3.75]), 0.37
+    draw = gaussian_sampling_model(theta, [[var]])
+    z = rngmod.stream(17, 2).standard_normal((n, 1))
+    ref = theta + np.dot(z, np.linalg.cholesky([[var]]).T)
+    xs = draw(rngmod.stream(17, 2), n)
+    assert xs.shape == (n, 1)
+    assert np.array_equal(xs.view(np.uint64), ref.view(np.uint64))
+
+
+def test_one_dimensional_checks_run_without_a_tall_dot(monkeypatch):
+    # OpenBLAS threads a product over a tall block, and its threads spin on
+    # into later work: no 1-D check may hand one to ``np.dot``. The counts
+    # were recorded when the draw still was such a product.
+    dot = np.dot
+
+    def guarded(a, b, *args, **kwargs):
+        if max(np.shape(a)[:1] + np.shape(b)[:1]) > 1024:
+            raise AssertionError(f"np.dot on shapes {np.shape(a)} and {np.shape(b)}")
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", guarded)
+    n = 200000
+    assert false_confidence_demo(1.0, 0.0123, 0.01, n, seed=3).empirical_rate == 1.0
+    assert false_confidence_demo(2.0, 1.1, 0.05, n, seed=5).empirical_rate == 5969 / n
+    sigma = 2.5
+    cov, theta = [[sigma**2]], [0.3 + 0.01 * sigma]
+    family = [Complement(Ball(center=[0.3], radius=0.02 * sigma))]
+    expected = [
+        (AdditiveGaussianRule(cov), [0, 66585, n, n]),
+        (gaussian_region_rule(cov), [0, 1810, 9446, 38321]),
+    ]
+    for rule, counts in expected:
+        report = validity_check(rule, gaussian_sampling_model(theta, cov), theta,
+                                family, [0.0, 0.01, 0.05, 0.2], n, seed=29)
+        assert report.rates == tuple(c / n for c in counts)
+    with pytest.raises(AssertionError):
+        np.dot(np.ones((1025, 1)), np.ones((1, 1)))
+
+
+def test_hits_leave_the_block_unchanged():
+    # ``validity_check`` scores one block against every proposition, so no
+    # rule may write into it; on a 1-D ball complement the additive rule's
+    # band-edge count is the count of its own beliefs on the same block
+    sigma = 1.5
+    cov = [[sigma**2]]
+    alphas = np.array([0.0, 0.01, 0.1, 0.5])
+    xs = rngmod.stream(23).standard_normal((5000, 1)) * sigma + 0.2
+    xs.setflags(write=False)
+    before = xs.copy()
+    props = [Complement(Ball(center=[0.2], radius=0.3 * sigma)),
+             Ball(center=[1.0], radius=0.5 * sigma),
+             HalfSpace(normal=[-2.0], offset=1.0)]
+    additive = AdditiveGaussianRule(cov)
+    for rule in (additive, gaussian_region_rule(cov)):
+        for prop in props:
+            rule.hits(xs, prop, alphas)
+            assert np.array_equal(xs, before)
+    beliefs = additive.belief(xs, props[0])
+    assert additive.hits(xs, props[0], alphas).tolist() == np.count_nonzero(
+        beliefs >= 1.0 - alphas[:, None], axis=1).tolist()

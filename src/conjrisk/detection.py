@@ -43,9 +43,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-#: Most Newton steps, each one batched Pc evaluation, a critical-displacement
-#: solve may take.
-_NEWTON_MAX_ITERS = 100
 _SEMI_ANALYTIC = "semi-analytic"
 _MONTE_CARLO = "monte-carlo"
 #: Operational triage thresholds on Pc: conjunctions below the first are
@@ -114,30 +111,18 @@ def critical_displacement(threshold, s_over_r: float):
     ``None`` when unreachable; an array returns an array of its shape,
     with NaN where unreachable.
 
-    All thresholds are solved together by safeguarded Newton steps, each
-    one ``pc_circular_batch`` call over the rows not yet converged. The
-    steps are on ``h(u) = sqrt(2 (log peak - log Pc(u)))`` rather than on
-    ``log Pc``: beyond ``u = b = 1/s_over_r``, ``log Pc`` falls off about
-    like ``log peak - (u - b)^2 / 2``, and near ``u = 0`` like ``log peak``
-    less a multiple of ``u^2``, so ``h`` is close to linear in ``u`` and the
-    step ``u + (h_t - h) h / rate``, with ``h_t`` the threshold's ``h`` and
-    ``rate = -dlog Pc/du``, lands close to the root. With
-    ``Pc = F_2(u^2)``, where ``F_k`` is ``ncx2_cdf`` as a function of its
-    noncentrality ``lam``, the slope is ``dF_k/dlam = (F_{k+2} - F_k) / 2``;
-    for ``k = 2`` that is the Rice density, ``dPc/du = -b exp(-(u - b)^2/2)
-    ive(1, u b)``. Where ``Pc`` rounds to the peak or above, ``h`` is 0 and
-    the step would be 0, a false convergence, so those rows step on
-    ``log Pc``.
-
-    The safeguard does not rest on the shape of ``h``: while a row knows no
-    point with ``Pc < threshold``, its steps are limited to doubling ``u``;
-    after, a step that leaves its bracket ``[lo, hi]`` (``Pc(lo) >=
-    threshold > Pc(hi)``) or lands on one of its ends, or one from where
-    ``Pc`` underflows, is replaced by bisection, which halves the bracket.
-    Near the peak, and where ``Pc`` is near 1, the rounding of ``Pc`` rather
-    than the ``1e-12`` step bounds how well the root is known. Raises
-    ``NumericalError`` with the bracket of an unconverged row if
-    ``_NEWTON_MAX_ITERS`` steps do not converge every row.
+    All thresholds are solved together by ``probability._falling_root``,
+    each step one ``pc_circular_batch`` call over the rows not yet
+    converged, on ``h(u) = sqrt(2 (log peak - log Pc(u)))``: beyond ``u = b
+    = 1/s_over_r``, ``log Pc`` falls off about like ``log peak - (u -
+    b)^2 / 2``, so the solve starts from ``b + h_t``, with ``h_t`` the
+    threshold's ``h``. With ``Pc = F_2(u^2)``, where ``F_k`` is ``ncx2_cdf``
+    as a function of its noncentrality ``lam``, the slope is ``dF_k/dlam =
+    (F_{k+2} - F_k) / 2``; for ``k = 2`` that is the Rice density, ``dPc/du
+    = -b exp(-(u - b)^2/2) ive(1, u b)``. Near the peak, and where ``Pc`` is
+    near 1, the rounding of ``Pc`` rather than the ``1e-12`` step bounds how
+    well the root is known. Raises ``NumericalError`` with the bracket of an
+    unconverged row if the solve does not converge.
     """
     from scipy.special import ive
 
@@ -154,9 +139,8 @@ def critical_displacement(threshold, s_over_r: float):
     flat = t.ravel()
     below_peak = flat < peak * (1.0 - 1e-15)
     u_crit = np.where(below_peak | (flat > peak), math.nan, 0.0)
-    rows = np.flatnonzero(below_peak)
     b = 1.0 / s_over_r
-    t_rows = flat[rows]
+    t_rows = flat[below_peak]
     # a peak that underflows to 0 leaves no row below it
     log_peak = math.log(peak or 1.0)
 
@@ -168,39 +152,17 @@ def critical_displacement(threshold, s_over_r: float):
                             log_peak - np.log(p))
         return np.sqrt(np.maximum(2.0 * drop, 0.0))
 
-    h_t = h(t_rows)
-    u = b + h_t
-    lo, hi = np.zeros(rows.size), np.full(rows.size, math.inf)
-    for _ in range(_NEWTON_MAX_ITERS):
-        if not rows.size:
-            break
+    def evaluate(u, rows):
         pc = probability.pc_circular_batch(u * s_over_r, s_over_r)
-        reached = pc >= t_rows
-        lo, hi = np.where(reached, u, lo), np.where(reached, hi, u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # -dlog(Pc)/du = b exp(-(u - b)^2 / 2) ive(1, u b) / Pc
             log_rate = np.log(b * ive(1, u * b)) - 0.5 * (u - b) ** 2 - np.log(pc)
-            h_pc = h(pc)
-            # where Pc reaches the peak, h says nothing: a step on log Pc,
-            # whose rise log Pc - log t is (h_t^2 - h_pc^2) / 2
-            rise = np.where(h_pc > 0.0, (h_t - h_pc) * h_pc, 0.5 * h_t * h_t)
-            nxt = u + rise * np.exp(np.minimum(-log_rate, 700.0))
-        nxt[pc <= 0.0] = math.nan
-        open_ = hi == math.inf
-        nxt[open_] = np.fmin(2.0 * u[open_], nxt[open_])
-        # a step out of the bracket or onto one of its ends (rounding can
-        # hold Newton in a cycle between them), or a NaN one, bisects; a
-        # zero step has converged
-        stray = ~open_ & ~((lo < nxt) & (nxt < hi)) & (nxt != u)
-        nxt[stray] = 0.5 * (lo[stray] + hi[stray])
-        done = np.abs(nxt - u) <= 1e-12 * nxt
-        u_crit[rows[done]] = nxt[done]
-        rows, t_rows, h_t, u, lo, hi = (a[~done] for a in (rows, t_rows, h_t, nxt, lo, hi))
-    if rows.size:
-        raise NumericalError(
-            f"critical displacement did not converge in {_NEWTON_MAX_ITERS} steps: "
-            f"the root is bracketed by D/S in [{float(lo[0])!r}, {float(hi[0])!r}]"
-        )
+        return pc >= t_rows[rows], h(pc), log_rate
+
+    h_t = h(t_rows)
+    u_crit[below_peak] = probability._falling_root(
+        evaluate, h_t, b + h_t, 1e-12, "critical displacement", "D/S"
+    )
     if t.ndim == 0:
         return None if math.isnan(u_crit[0]) else float(u_crit[0])
     return u_crit.reshape(t.shape)

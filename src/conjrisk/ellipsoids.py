@@ -426,9 +426,8 @@ def project_point(ell: Ellipsoid, point) -> np.ndarray:
     if float(np.sum((z / a) ** 2)) <= 1.0:
         return point.copy()
     a2 = a * a
-    t_star = _secular_root(a * z, a2)
-    local = a2 * z / (a2 + t_star)
-    return ell.center + ell.axes @ local
+    t_star = _secular_roots((a * z)[None], a2[None])[0]
+    return ell.center + ell.axes @ (a2 * z / (a2 + t_star))
 
 
 class _Probe(NamedTuple):

@@ -36,6 +36,9 @@ _MASS_X, _MASS_W = np.polynomial.legendre.leggauss(8)
 #: Most panels ``pc_contour`` doubles to before it raises.
 _MAX_PANELS = 2**12
 _PC_RTOL = 1e-10
+#: Most Newton steps, each one batched mass evaluation, a ``_falling_root``
+#: solve may take.
+_NEWTON_MAX_ITERS = 100
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 #: ``(-1)^n (2n - 1)!!`` for ``n = 1 .. 8``: the asymptotic series of
@@ -94,6 +97,55 @@ def _log_interval_mass(m, w: np.ndarray) -> np.ndarray:
     lo, hi = tails[: far.size], tails[far.size :]
     out[~near] = lo + np.log(-np.expm1(hi - lo))
     return out
+
+
+def _falling_root(evaluate, h_t: np.ndarray, u: np.ndarray, rtol: float,
+                  name: str, var: str) -> np.ndarray:
+    """Where each of a batch of masses ``M(u)``, falling in ``u >= 0``,
+    meets its level: safeguarded Newton steps from the starts ``u``, each
+    one ``evaluate(u, rows)`` over the open rows (``rows`` indexes the
+    caller's per-row data). It returns ``(reached, h, log_rate)``: whether
+    ``M(u)`` is at or above the level, ``h = sqrt(2 (log peak - log M(u)))``
+    (infinite where ``M`` underflows) and ``log(-dlog M/du)``; ``h_t`` is
+    ``h`` at each level. ``log M`` falls like a multiple of ``u^2`` near its
+    peak and like ``(u - c)^2 / 2`` far out, so ``h`` is close to linear and
+    the step ``u + (h_t - h) h / rate`` lands close to the root. Where ``M``
+    rounds to the peak, ``h`` is 0 and that step a false convergence, so
+    the step is on ``log M``, whose rise to the level is ``h_t^2 / 2``.
+
+    While a row knows no point below its level, its steps are limited to
+    doubling ``u``; after, a step that leaves its bracket ``[lo, hi]`` or
+    lands on one of its ends (rounding can cycle Newton between them), or
+    one from where ``M`` underflows, bisects. A row converges when its step
+    is at most ``rtol`` of ``u``. If ``_NEWTON_MAX_ITERS`` steps leave a row
+    open, ``NumericalError`` names its bracket of ``var``.
+    """
+    roots = np.empty(u.size)
+    rows = np.arange(u.size)
+    lo, hi = np.zeros(u.size), np.full(u.size, math.inf)
+    for _ in range(_NEWTON_MAX_ITERS):
+        if not rows.size:
+            break
+        reached, h, log_rate = evaluate(u, rows)
+        lo, hi = np.where(reached, u, lo), np.where(reached, hi, u)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rise = np.where(h > 0.0, (h_t - h) * h, 0.5 * h_t * h_t)
+            nxt = u + rise * np.exp(np.minimum(-log_rate, 700.0))
+        nxt[h == math.inf] = math.nan
+        open_ = hi == math.inf
+        nxt = np.where(open_, np.fmin(2.0 * u, nxt), nxt)
+        # a NaN step bisects too; a zero step has converged
+        stray = ~open_ & ~((lo < nxt) & (nxt < hi)) & (nxt != u)
+        nxt = np.where(stray, 0.5 * (lo + hi), nxt)
+        done = np.abs(nxt - u) <= rtol * nxt
+        roots[rows[done]] = nxt[done]
+        rows, h_t, u, lo, hi = (a[~done] for a in (rows, h_t, nxt, lo, hi))
+    if rows.size:
+        raise NumericalError(
+            f"{name} did not converge in {_NEWTON_MAX_ITERS} steps: "
+            f"the root is bracketed by {var} in [{float(lo[0])!r}, {float(hi[0])!r}]"
+        )
+    return roots
 
 
 def _strip_integral(a: float, b: float, p: float, q: float) -> tuple[float, int, float]:

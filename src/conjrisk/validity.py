@@ -150,10 +150,6 @@ def _definite_covariance(cov) -> np.ndarray:
     return cov
 
 
-#: Most Newton steps a band-edge solve may take.
-_EDGE_MAX_ITERS = 100
-
-
 def _band_edge(w: float, alpha: float) -> float:
     """The band edge ``z*``: the distance of an observation ``z`` from the
     centre of ``[-w, w]`` at which the unit normal about it puts mass
@@ -161,46 +157,33 @@ def _band_edge(w: float, alpha: float) -> float:
     is ``<= alpha`` already at ``z = 0``, and infinite at ``alpha = 0``,
     where the mass stays above ``alpha`` at every finite ``z``.
 
-    The mass comes from ``probability._log_interval_mass``, free of
-    cancellation. Its log is concave and decreasing in ``z > 0``, with slope
-    ``-phi(z - w) (1 - exp(-2 z w)) / mass``, so Newton steps on it from
-    ``w + sqrt(-2 log alpha)``, where ``Phi(w - z) <= alpha / 2`` bounds the
-    mass below ``alpha``, fall monotonically to ``z*``; a step that rounding
-    takes out of the bracket, or onto one of its ends, is replaced by
-    bisection. Converged to ``1e-15`` relative; ``NumericalError`` with the
-    bracket if ``_EDGE_MAX_ITERS`` steps do not get there.
+    It is the 1-D critical displacement, and ``probability._falling_root``
+    solves for it from ``w + h_t`` to ``1e-15`` relative, raising
+    ``NumericalError`` with the bracket if it does not converge. The mass
+    comes from ``probability._log_interval_mass``, free of cancellation, and
+    the step variable ``h`` is formed from log masses, so the edge holds
+    down to ``alpha = 5e-324``; ``-dlog mass/dz`` is ``phi(z - w) (1 -
+    exp(-2 z w)) / mass``.
     """
     band = np.array([w])
     log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
     with np.errstate(divide="ignore"):  # w underflowed to 0: log mass -inf
-        if probability._log_interval_mass(0.0, band)[0] <= log_alpha:
-            return 0.0
+        log_peak = float(probability._log_interval_mass(0.0, band)[0])
+    if log_peak <= log_alpha:
+        return 0.0
     if alpha == 0.0:
         return math.inf
-    lo, hi = 0.0, w + math.sqrt(-2.0 * log_alpha)
-    z = hi
-    for _ in range(_EDGE_MAX_ITERS):
-        log_mass = float(probability._log_interval_mass(z, band)[0])
-        if log_mass > log_alpha:
-            lo = z
-        else:
-            hi = z
-        log_slope = (
-            math.log(-math.expm1(-2.0 * z * w)) - 0.5 * (z - w) ** 2
-            - probability._HALF_LOG_2PI - log_mass
-        )
-        nxt = z + (log_mass - log_alpha) * math.exp(min(-log_slope, 700.0))
-        # a step onto an end of the bracket bisects: rounding can hold
-        # Newton in a cycle between its ends
-        if not lo < nxt < hi and nxt != z:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - z) <= 1e-15 * nxt:
-            return nxt
-        z = nxt
-    raise NumericalError(
-        f"band edge did not converge in {_EDGE_MAX_ITERS} steps: it is "
-        f"bracketed by z in [{lo!r}, {hi!r}]"
-    )
+
+    def evaluate(z, rows):
+        log_mass = probability._log_interval_mass(z, band)
+        with np.errstate(divide="ignore", over="ignore"):
+            log_rate = (np.log(-np.expm1(-2.0 * z * w)) - 0.5 * (z - w) ** 2
+                        - probability._HALF_LOG_2PI - log_mass)
+        h = np.sqrt(np.maximum(2.0 * (log_peak - log_mass), 0.0))
+        return log_mass >= log_alpha, h, log_rate
+
+    h_t = np.array([math.sqrt(2.0 * (log_peak - log_alpha))])
+    return float(probability._falling_root(evaluate, h_t, w + h_t, 1e-15, "band edge", "z")[0])
 
 
 class AdditiveGaussianRule(BeliefRule):

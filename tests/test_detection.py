@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-import conjrisk.detection as detection_module
 import conjrisk.probability as probability_module
 import conjrisk.validity as validity_module
 from conjrisk import (
@@ -272,8 +271,11 @@ class TestCriticalDisplacement:
         assert abs(mp_pc_circular(u * s, s) - t) <= 8 * 2.0**-52
 
     def test_failed_newton_run_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(detection_module, "_NEWTON_MAX_ITERS", 1)
-        with pytest.raises(NumericalError, match=r"bracketed by D/S in \[") as info:
+        # the iteration cap belongs to the Newton solve shared with the band edge
+        monkeypatch.setattr(probability_module, "_NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match=(
+            r"^critical displacement did not converge in 1 steps: "
+            r"the root is bracketed by D/S in \[")) as info:
             critical_displacement(4.4e-4, 10.0)
         lo, hi = (float(v) for v in
                   str(info.value).split("[")[1].rstrip("]").split(","))

@@ -120,6 +120,14 @@ class TestProjection:
             dists = np.linalg.norm(cloud - y, axis=1)
             assert np.linalg.norm(x - y) <= dists.min() + 1e-9
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+    def test_far_projection_lands_on_boundary(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)))
+        for _ in range(50):
+            e = random_ellipsoid(rng, center=rng.standard_normal(3))
+            x = project_point(e, e.center + rng.standard_normal(3) * scale)
+            assert e.squared_radius(x) == pytest.approx(1.0, abs=1e-13)
+
 
 def _near_hard_case(top_c, excess):
     """Sphere-maximum terms: a pole term ``top_c`` at ``d = 0`` and two

@@ -170,6 +170,19 @@ class TestEncounterProjection:
             perp = delta_pos - (delta_pos @ unit) * unit
             assert enc.d == pytest.approx(np.linalg.norm(perp), rel=1e-10)
 
+    def test_along_track_variance_1e12_times_the_plane(self):
+        # the projection rounds to a plane covariance asymmetric well beyond
+        # covariance_eigh's tolerance of 1e-9, which is round-off, not input
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            delta_v = rng.standard_normal(3) * 1000.0
+            unit = delta_v / np.linalg.norm(delta_v)
+            c_delta = 1e12 * np.outer(unit, unit) + np.eye(3)
+            enc = standardized_encounter(
+                _relative_state(rng.standard_normal(3), c_delta, delta_v)
+            )
+            assert_allclose(_plane_eigenvalues(enc), [1.0, 1.0], rtol=1e-3)
+
     def test_zero_relative_velocity_is_degenerate(self):
         js = _relative_state([1.0, 0.0, 0.0], np.eye(3), [0.0, 0.0, 0.0])
         with pytest.raises(DegenerateEncounterError):

@@ -20,6 +20,7 @@ from conjrisk import (
     FullSpace,
     HalfSpace,
     InputValidationError,
+    NumericalError,
     UnsupportedPropositionError,
     build_ellipsoid,
     false_confidence_demo,
@@ -30,7 +31,7 @@ from conjrisk import (
     region_belief,
     validity_check,
 )
-from conjrisk import ellipsoids
+from conjrisk import ellipsoids, probability, validity
 from conjrisk import rng as rngmod
 from conjrisk.ellipsoids import standardized_range
 from conjrisk.propositions import (
@@ -309,6 +310,23 @@ class TestAdditiveGaussianRule:
         assert counts[0] == 0 and counts[-1] == len(xs)
         for edge, a in zip(edges, alphas):
             assert rule._edge(w, float(a)) == pytest.approx(edge, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("w", [1e-8, 1e-3, 0.25, 3.0, 30.0, 1e3])
+    def test_band_edge_against_mpmath(self, w):
+        # the step variable is formed from log masses: one formed from the
+        # masses themselves loses digits as alpha nears the subnormal range
+        for alpha in (5e-324, 1e-320, 1e-300, 1e-16, 1e-6, 0.05, 0.5):
+            ref = float(mp_band_edge(w, alpha)[0])
+            assert validity._band_edge(w, alpha) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_failed_band_edge_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(probability, "_NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NumericalError, match=(
+            r"^band edge did not converge in 1 steps: "
+            r"the root is bracketed by z in \[")) as info:
+            validity._band_edge(0.5, 1e-6)
+        lo, hi = (float(v) for v in str(info.value).split("[")[1].rstrip("]").split(","))
+        assert lo <= float(mp_band_edge(0.5, 1e-6)[0]) <= hi
 
     def test_block_beliefs_are_the_row_beliefs(self):
         rng = np.random.default_rng(43)

@@ -81,7 +81,8 @@ def _log_interval_mass(m, w: np.ndarray) -> np.ndarray:
     shape of ``w``. Where ``w max(w, m) <= 1/2`` it is ``phi(m)`` times
     8-point Gauss-Legendre on ``exp(-m s - s^2/2)`` over ``|s| <= w``;
     elsewhere ``log(Phi(w - m) - Phi(-w - m))`` from one ``log_ndtr`` call."""
-    near = w <= 0.5 / np.maximum(w, m)
+    # the floor keeps 0.5 / max(w, m) finite; every w below it is near
+    near = w <= 0.5 / np.maximum(np.maximum(w, m), 1e-300)
     if np.ndim(m):
         m_near, m_far, m_col = m[near], m[~near], m[near, None]
     else:
@@ -384,12 +385,15 @@ def dilution_curve(
         raise InputValidationError(
             f"n_points must be in [16, {MAX_CURVE_POINTS}], got {n_points}"
         )
+    if not (math.isfinite(d_over_r) and d_over_r >= 0.0):  # before the peak solve
+        raise InputValidationError(f"d_over_r must be finite and >= 0, got {d_over_r}")
     s_grid = np.geomspace(s_over_r_min, s_over_r_max, int(n_points))
-    pc_grid = pc_circular_batch(d_over_r, s_grid)
     peak_s = min(max(_peak_s_over_r(float(d_over_r)), float(s_grid[0])), float(s_grid[-1]))
+    # the peak rides in the grid's batch, one ncx2 call for the whole curve
+    pc_grid = pc_circular_batch(d_over_r, np.append(s_grid, peak_s))
     return DilutionCurve(
         d_over_r=float(d_over_r),
         grid=tuple((float(s), float(p)) for s, p in zip(s_grid, pc_grid)),
         peak_s_over_r=peak_s,
-        peak_pc=pc_circular(d_over_r, peak_s),
+        peak_pc=float(pc_grid[-1]),
     )

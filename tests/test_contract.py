@@ -88,12 +88,28 @@ def test_validity_contract(rule, sigma, halfwidth, alphas, run_seed):
     alpha=st.floats(min_value=1e-6, max_value=0.999),
     run_seed=st.integers(0, 2**31),
 )
+# a subnormal halfwidth / sigma once warned of an overflow in the ball mass
+@example(sigma=1e9, halfwidth=1e-300, alpha=0.5, run_seed=0)
 def test_false_confidence_contract(sigma, halfwidth, alpha, run_seed):
     argv = ["false-confidence", "--sigma", repr(sigma), "--alpha", repr(alpha),
             "--n-trials", "1000", "--seed", str(run_seed)]
     if halfwidth is not None:
         argv += ["--halfwidth", repr(halfwidth)]
     _check_contract(argv)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["false-confidence", "--alpha", "0.5"],
+     "empirical_rate=1 p_target=1 halfwidth=1e-300\n"),
+    (["validity", "--rule", "additive", "--alpha-grid", "0.5"],
+     "alpha,rate,stderr,verdict\n0.5,1,0,fail\n"),
+])
+def test_subnormal_halfwidth_over_sigma_runs_without_warning(argv, stdout):
+    # halfwidth / sigma is 1e-309, subnormal: the neighborhood holds almost
+    # no mass, so its complement is always believed
+    status, out, err = _run(argv + ["--sigma", "1e9", "--halfwidth", "1e-300",
+                                    "--n-trials", "1000", "--seed", "0"])
+    assert (status, out, err) == (0, stdout, "")
 
 
 @pytest.mark.parametrize("sigma, alpha", [(1.7e308, 0.9), (1.6e308, 0.99)])

@@ -36,6 +36,14 @@ NCX2_ORACLE_SE = 1.5581e-04
 # operational threshold with s_over_r = 10
 CRITICAL_D_UPPER_10 = 2.206351411369724
 
+# batched Pc calls per solve of np.geomspace(1e-8, 0.1, n) when every
+# Newton solve started from b + h_t: {s_over_r: {n: calls}}
+NEWTON_START_BATCHES = {
+    0.05: {1: 4, 2: 5, 8: 5, 23: 5, 24: 5, 45: 5, 1000: 5, 5000: 5},
+    1.0: {1: 4, 2: 4, 8: 4, 23: 4, 24: 4, 45: 4, 1000: 4, 5000: 4},
+    10.0: {1: 3, 2: 3, 8: 3, 23: 3, 24: 3, 45: 3, 1000: 3, 5000: 3},
+}
+
 
 class TestNcx2Cdf:
     @pytest.mark.parametrize("x", [0.1, 0.5, 2.0, 6.0, 20.0])
@@ -192,6 +200,19 @@ class TestNcx2Cdf:
             )
 
 
+@pytest.fixture
+def pc_batches(monkeypatch):
+    """Sizes of the ``pc_circular_batch`` calls the test makes."""
+    sizes = []
+
+    def counted(d_over_r, s_over_r):
+        sizes.append(np.size(d_over_r))
+        return pc_circular_batch(d_over_r, s_over_r)
+
+    monkeypatch.setattr(probability_module, "pc_circular_batch", counted)
+    return sizes
+
+
 class TestCriticalDisplacement:
     def test_threshold_at_head_on_maximum(self):
         s = 10.0
@@ -291,14 +312,7 @@ class TestCriticalDisplacement:
             critical_displacement(4.4e-4, 10.0)
 
     @pytest.mark.parametrize("s", [0.01, 0.1, 1.0, 10.0, 30.0])
-    def test_one_batched_solve_per_curve(self, s, monkeypatch):
-        batches = []
-
-        def counted(d_over_r, s_over_r):
-            batches.append(d_over_r)
-            return pc_circular_batch(d_over_r, s_over_r)
-
-        monkeypatch.setattr(probability_module, "pc_circular_batch", counted)
+    def test_one_batched_solve_per_curve(self, s, pc_batches, monkeypatch):
         # the head-on maximum rounds to 1.0, which no threshold may equal,
         # for s <= 0.1; elsewhere add it and the next float above it
         peak = max_pc_head_on(s)
@@ -306,8 +320,9 @@ class TestCriticalDisplacement:
         n_grid = default_threshold_grid().size
         grid = np.append(default_threshold_grid(), edges)
         u_crit = critical_displacement(grid, s)
-        # up to 6 with Newton steps on log Pc
-        assert len(batches) <= 5
+        # up to 6 with Newton steps on log Pc, 5 from b + h_t; 2 from the
+        # Chebyshev sweep: the sweep, then one Newton round
+        assert len(pc_batches) <= 2
         assert u_crit.shape == grid.shape
         assert np.array_equal(np.isnan(u_crit[:n_grid]), grid[:n_grid] > peak)
         if edges:
@@ -324,6 +339,17 @@ class TestCriticalDisplacement:
                 # 40-digit values either side bracket the root
                 below, beyond = u * (1.0 - 1e-12), u * (1.0 + 1e-12)
                 assert mp_pc_circular(below * s, s) >= t >= mp_pc_circular(beyond * s, s)
+
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 0.05, 0.3, 1.0, 10.0, 100.0, 1e3])
+    def test_default_grid_takes_two_batches(self, s, pc_batches):
+        critical_displacement(default_threshold_grid(), s)
+        assert len(pc_batches) <= 2
+
+    @pytest.mark.parametrize("s", sorted(NEWTON_START_BATCHES))
+    @pytest.mark.parametrize("n", [1, 2, 8, 23, 24, 45, 1000, 5000])
+    def test_no_grid_takes_more_batches_than_newton_alone(self, s, n, pc_batches):
+        critical_displacement(np.geomspace(1e-8, 0.1, n), s)
+        assert len(pc_batches) <= NEWTON_START_BATCHES[s][n]
 
 
 def _rate(threshold, s_over_r, d_true_over_r, **kwargs):

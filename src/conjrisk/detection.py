@@ -302,12 +302,12 @@ def detection_curve(
     if method == _SEMI_ANALYTIC:
         rates = ncx2_cdf(2, ratio**2, u_crit * u_crit)
     else:
-        hits = np.zeros(thresholds.size, dtype=np.int64)
-        for gen, count in rngmod.blocks(seed, n_trials):
+        def score(gen, count):
             xi = gen.standard_normal((count, 2))
             d_over_s = np.sort(np.hypot(ratio + xi[:, 0], xi[:, 1]))
-            hits += np.searchsorted(d_over_s, u_crit, side="right")
-        rates = hits / n_trials
+            return np.searchsorted(d_over_s, u_crit, side="right")
+
+        rates = rngmod.reduce_blocks(seed, n_trials, score) / n_trials
     points = tuple(
         (float(t), float(1.0 - rate)) for t, rate in zip(thresholds, rates)
     )

@@ -23,6 +23,7 @@ additive`` and ``false-confidence`` start without scipy.
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -195,7 +196,7 @@ class AdditiveGaussianRule(BeliefRule):
 
     ``hits`` decides the complement of a one-dimensional ball at its band
     edge instead of from the masses; the edge of each radius and level is
-    solved once per rule.
+    solved once per rule, however many blocks are scored at once.
     """
 
     def __init__(self, cov):
@@ -208,6 +209,7 @@ class AdditiveGaussianRule(BeliefRule):
         isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
         self._isotropic_var = float(diag[0]) if isotropic else None
         self._edges: dict[tuple[float, float], float] = {}
+        self._edges_lock = threading.Lock()
 
     def belief(self, xs, proposition):
         return self._mass(np.asarray(xs, dtype=float), proposition)
@@ -238,11 +240,13 @@ class AdditiveGaussianRule(BeliefRule):
         return super().hits(xs, proposition, alphas)
 
     def _edge(self, w: float, alpha: float) -> float:
-        """``_band_edge(w, alpha)``, solved on this rule's first call only."""
+        """``_band_edge(w, alpha)``, solved on this rule's first call only:
+        the lock keeps blocks scored at once from solving it twice."""
         key = (w, alpha)
-        if key not in self._edges:
-            self._edges[key] = _band_edge(w, alpha)
-        return self._edges[key]
+        with self._edges_lock:
+            if key not in self._edges:
+                self._edges[key] = _band_edge(w, alpha)
+            return self._edges[key]
 
     def _mass(self, xs: np.ndarray, prop: Proposition) -> np.ndarray:
         if isinstance(prop, FullSpace):
@@ -339,6 +343,11 @@ def validity_check(
     and records the rates. A valid rule keeps every such rate at or below
     its level.
 
+    The blocks are scored by ``rng.reduce_blocks``, on every available
+    core, so ``rule.hits`` and ``sampling_model`` may run on several blocks
+    at once: a rule or model must not mutate shared state. The rates are
+    the same for any core count.
+
     Args:
         rule: belief rule under test.
         sampling_model: callable ``(generator, n) -> (n, dim)`` array of
@@ -374,17 +383,17 @@ def validity_check(
                 "validity criterion quantifies over false propositions only"
             )
 
-    hits = np.zeros((len(alphas), len(props)), dtype=np.int64)
     levels = np.array(alphas)
-    for gen, count in rngmod.blocks(seed, n_trials):
+
+    def score(gen, count):
         xs = np.asarray(sampling_model(gen, count), dtype=float)
         if xs.shape[0] != count:
             raise InputValidationError(
                 "sampling_model returned wrong number of realizations"
             )
-        for j, prop in enumerate(props):
-            hits[:, j] += rule.hits(xs, prop, levels)
+        return np.stack([rule.hits(xs, prop, levels) for prop in props], axis=1)
 
+    hits = rngmod.reduce_blocks(seed, n_trials, score)
     rate_matrix = hits / n_trials
     worst_per_alpha = rate_matrix.max(axis=1)
     excess = rate_matrix - np.asarray(alphas)[:, None]

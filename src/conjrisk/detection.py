@@ -236,10 +236,14 @@ def critical_displacement(threshold, s_over_r: float):
     return u_crit.reshape(t.shape)
 
 
+# sorted by hand: np.unique would import numpy.ma into every command that imports this
+_DEFAULT_GRID = np.array(sorted({*np.geomspace(1e-8, 1e-1, 43).tolist(), *POLICY_THRESHOLDS}))
+
+
 def default_threshold_grid() -> np.ndarray:
-    """Log-spaced threshold grid including ``POLICY_THRESHOLDS`` exactly."""
-    grid = np.geomspace(1e-8, 1e-1, 43)
-    return np.unique(np.concatenate([grid, POLICY_THRESHOLDS]))
+    """Log-spaced threshold grid including ``POLICY_THRESHOLDS`` exactly (a
+    new array each call)."""
+    return _DEFAULT_GRID.copy()
 
 
 def detection_curve(

@@ -115,6 +115,12 @@ class Ellipsoid:
         return self.squared_radius(point) <= 1.0 + _CONTACT_RTOL
 
 
+def check_k(k: float) -> None:
+    """Raise ``InputValidationError`` unless the scale ``k`` is positive and finite."""
+    if not (k > 0.0 and math.isfinite(k)):
+        raise InputValidationError(f"k must be positive, got {k}")
+
+
 def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
     """Scale a covariance into a geometric uncertainty ellipsoid.
 
@@ -127,8 +133,7 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
             region) or ``k`` is not positive.
         NumericalError: if a semi-axis length overflows.
     """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InputValidationError(f"k must be positive, got {k}")
+    check_k(k)
     center = np.asarray(center, dtype=float)
     cov, eigvals, eigvecs = covariance_eigh(cov, "ellipsoid covariance")
     if center.ndim != 1 or cov.shape != (center.shape[0],) * 2:
@@ -138,6 +143,14 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
         )
     if not np.all(np.isfinite(center)):
         raise InputValidationError("center contains non-finite entries")
+    return ellipsoid_from_eigh(center, eigvals, eigvecs, k)
+
+
+def ellipsoid_from_eigh(center: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
+                        k: float) -> Ellipsoid:
+    """``build_ellipsoid`` from a checked covariance's eigenvalues, ascending
+    and with round-off clipped as ``covariance_eigh`` gives them, and its
+    eigenvector columns: the semi-axes ordered longest first."""
     if eigvals[0] <= 0.0:
         raise InputValidationError(
             f"covariance is not positive definite (eigenvalue "

@@ -18,7 +18,12 @@ KVN files, defaults to zero with a recorded warning. JSON ``metadata``
 Either parser rejects a radius that is not finite and positive.
 
 All output is byte-deterministic: UTF-8, LF line endings, ``.`` decimal
-separator, and fixed significant-digit formatting.
+separator, and fixed significant-digit formatting. ``json_text`` writes the
+bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` without that
+encoder's pure-Python loop, a float list with one join and a float matrix
+with one format; ``csv_text`` writes a row of floats alone with one ``%``
+format. The KVN text is read by one compiled pattern over all its lines;
+the line-by-line pass runs only to name the line of an error.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -41,33 +47,28 @@ _STATE_SUFFIXES = ("X", "Y", "Z", "X_DOT", "Y_DOT", "Z_DOT")
 _NO_CROSS = "cross-covariance missing, defaulting to zero"
 
 
-def _kvn_key_table() -> dict[str, tuple[str, int, int]]:
-    """Map KVN key -> (kind, i, j) with expected units resolved later."""
-    table: dict[str, tuple[str, int, int]] = {}
-    for obj in ("OBJECT1", "OBJECT2"):
+def _kvn_tables():
+    """The expected unit of each KVN key, in one fixed order, and where the
+    values in that order (and a trailing zero) go in ``theta_hat`` and in
+    ``cov12``."""
+    units: dict[str, str] = {}
+    theta_at: list[int] = []
+    cov_at = np.full((12, 12), -1)  # the trailing zero: no cross covariance
+    for offset, obj in ((0, "OBJECT1"), (6, "OBJECT2")):
         for idx, suffix in enumerate(_STATE_SUFFIXES):
-            table[f"{obj}_{suffix}"] = ("state", idx, -1)
-        table[f"{obj}_RADIUS"] = ("radius", -1, -1)
+            theta_at.append(len(units))
+            units[f"{obj}_{suffix}"] = "m" if idx < 3 else "m/s"
+        units[f"{obj}_RADIUS"] = "m"
         for i in range(6):
             for j in range(i + 1):
-                key = f"{obj}_C{_AXIS_LABELS[i]}_{_AXIS_LABELS[j]}"
-                table[key] = ("cov", i, j)
-    return table
+                cov_at[offset + i, offset + j] = cov_at[offset + j, offset + i] = len(units)
+                units[f"{obj}_C{_AXIS_LABELS[i]}_{_AXIS_LABELS[j]}"] = (
+                    "m**2" if i < 3 else "m**2/s" if j < 3 else "m**2/s**2"
+                )
+    return units, np.array(theta_at), cov_at
 
 
-_KVN_KEYS = _kvn_key_table()
-
-
-def _expected_unit(kind: str, i: int, j: int) -> str:
-    if kind == "radius":
-        return "m"
-    if kind == "state":
-        return "m" if i < 3 else "m/s"
-    if i < 3 and j < 3:
-        return "m**2"
-    if i >= 3 and j >= 3:
-        return "m**2/s**2"
-    return "m**2/s"
+_KVN_UNITS, _KVN_THETA_AT, _KVN_COV_AT = _kvn_tables()
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +121,15 @@ def _json_vector(obj: dict, key: str, length: int, path: str) -> np.ndarray:
     if key not in obj:
         raise ParseError(f"missing required field {path}.{key}")
     value = obj[key]
+    # json.loads makes no subclass of int or float but bool, which this rejects
     if (
         not isinstance(value, list)
         or len(value) != length
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not set(map(type, value)) <= {int, float}
     ):
         raise ParseError(f"field {path}.{key} must be a list of {length} numbers")
     arr = _json_floats(value, f"{path}.{key}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParseError(f"field {path}.{key} contains non-finite values")
     return arr
 
@@ -206,68 +208,101 @@ def _parse_json(text: str) -> ConjunctionFile:
 
 # -- KVN -------------------------------------------------------------------
 
+#: One line of KVN text: blank, a ``COMMENT`` or a ``KEY = VALUE [unit]``
+#: record, the unit with its brackets. ``[^\S\n]`` is the whitespace that
+#: ``str.strip`` removes, short of the line break, so that with ``re.M`` one
+#: ``findall`` over the lines joined by LF gives one match per line when
+#: every line is well formed.
 _KVN_LINE = re.compile(
-    r"^(?P<key>[A-Za-z0-9_]+)\s*=\s*(?P<value>[^\[\]\s]+)"
-    r"(?:\s*\[(?P<unit>[^\]]*)\])?\s*$"
+    r"^[^\S\n]*(?:COMMENT[^\n]*|([A-Za-z0-9_]+)[^\S\n]*=[^\S\n]*([^\[\]\s]+)"
+    r"(?:[^\S\n]*(\[[^\]\n]*\]))?)?[^\S\n]*$",
+    re.M,
 )
 
 
-def _parse_kvn(text: str) -> ConjunctionFile:
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("COMMENT"):
-            continue
-        match = _KVN_LINE.match(line)
+def _kvn_values(lines: list[str]) -> dict[str, float] | None:
+    """Each record's value by upper-case key, from one pass of ``_KVN_LINE``
+    over the whole text, or None if some line is malformed or fails a check
+    (``_raise_kvn_error`` then names it)."""
+    text = "\n".join(lines)
+    found = _KVN_LINE.findall(text)
+    if len(found) != text.count("\n") + 1:
+        return None
+    records = [record for record in found if record[0]]
+    if not records:
+        return {}
+    keys, numbers, units = zip(*records)
+    keys = [*map(str.upper, keys)]
+    try:
+        values = dict(zip(keys, map(float, numbers)))
+    except ValueError:
+        return None
+    ok = (
+        len(values) == len(keys)
+        and values.keys() <= _KVN_UNITS.keys()
+        and all(map(math.isfinite, values.values()))
+        and values.get("OBJECT1_RADIUS", 1.0) > 0.0
+        and values.get("OBJECT2_RADIUS", 1.0) > 0.0
+        and all(not unit or unit[1:-1].strip() == _KVN_UNITS[key]
+                for key, unit in zip(keys, units))
+    )
+    return values if ok else None
+
+
+def _raise_kvn_error(lines: list[str]) -> NoReturn:
+    """Raise the ``ParseError`` of the first line that ``_kvn_values``
+    rejects, with its line number."""
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        match = _KVN_LINE.fullmatch(raw)
         if match is None:
             raise ParseError(f"malformed record {raw.strip()!r}", line=lineno)
-        key = match.group("key").upper()
-        if key not in _KVN_KEYS:
+        key, text, unit = match.groups()
+        if key is None:
+            continue
+        key = key.upper()
+        if key not in _KVN_UNITS:
             raise ParseError(f"unknown key {key}", line=lineno)
-        if key in values:
+        if key in seen:
             raise ParseError(f"duplicate key {key}", line=lineno)
+        seen.add(key)
         try:
-            value = float(match.group("value"))
+            value = float(text)
         except ValueError:
             raise ParseError(
-                f"value for {key} is not a number: {match.group('value')!r}",
-                line=lineno,
+                f"value for {key} is not a number: {text!r}", line=lineno
             ) from None
         if not math.isfinite(value):
             raise ParseError(f"value for {key} is not finite: {value}", line=lineno)
-        if _KVN_KEYS[key][0] == "radius" and value <= 0.0:
+        if key.endswith("_RADIUS") and value <= 0.0:
             raise ParseError(
                 f"value for {key} must be positive, got {value}", line=lineno
             )
-        unit = match.group("unit")
-        expected = _expected_unit(*_KVN_KEYS[key])
-        if unit is not None and unit.strip() != expected:
+        expected = _KVN_UNITS[key]
+        if unit is not None and unit[1:-1].strip() != expected:
             raise ParseError(
                 f"unit mismatch for {key}: expected [{expected}], got "
-                f"[{unit.strip()}]",
+                f"[{unit[1:-1].strip()}]",
                 line=lineno,
             )
-        values[key] = value
 
-    missing = [key for key in _KVN_KEYS if key not in values]
+
+def _parse_kvn(text: str) -> ConjunctionFile:
+    lines = text.splitlines()
+    values = _kvn_values(lines)
+    if values is None:
+        _raise_kvn_error(lines)
+    missing = [key for key in _KVN_UNITS if key not in values]
     if missing:
         raise ParseError(
             f"missing required key {missing[0]} "
-            f"(missing {len(missing)} of {len(_KVN_KEYS)} keys: "
+            f"(missing {len(missing)} of {len(_KVN_UNITS)} keys: "
             f"{', '.join(missing[:6])}{', ...' if len(missing) > 6 else ''})"
         )
-
-    objects = ("OBJECT1", "OBJECT2")
-    theta = np.array([values[f"{obj}_{s}"] for obj in objects for s in _STATE_SUFFIXES])
-    cov12 = np.zeros((12, 12))
-    for offset, obj in zip((0, 6), objects):
-        for i in range(6):
-            for j in range(i + 1):
-                v = values[f"{obj}_C{_AXIS_LABELS[i]}_{_AXIS_LABELS[j]}"]
-                cov12[offset + i, offset + j] = cov12[offset + j, offset + i] = v
+    ordered = np.array([*map(values.__getitem__, _KVN_UNITS), 0.0])
     return ConjunctionFile(
-        theta_hat=theta, cov12=cov12, r1=values["OBJECT1_RADIUS"],
-        r2=values["OBJECT2_RADIUS"], warnings=(_NO_CROSS,),
+        theta_hat=ordered[_KVN_THETA_AT], cov12=ordered[_KVN_COV_AT],
+        r1=values["OBJECT1_RADIUS"], r2=values["OBJECT2_RADIUS"], warnings=(_NO_CROSS,),
     )
 
 
@@ -343,17 +378,84 @@ def format_cell(value, precision: int) -> str:
 
 
 def csv_text(rows: list[dict], precision: int) -> str:
-    """Render rows that share one key order as CSV text (header plus rows)."""
+    """Render rows that share one key order as CSV text (header plus rows).
+    A row of floats alone is written by one ``%`` format, which spells each
+    as ``format_cell`` does."""
     if not rows:
         raise InputValidationError("nothing to write: the result is empty")
+    float_row = ",".join([f"%.{precision}g"] * len(rows[0]))
     lines = [",".join(rows[0])]
-    lines += [",".join(format_cell(v, precision) for v in row.values()) for row in rows]
+    for row in rows:
+        values = tuple(row.values())
+        if set(map(type, values)) <= _FLOAT_TYPES:
+            lines.append(float_row % values)
+        else:
+            lines.append(",".join(format_cell(v, precision) for v in values))
     return "\n".join(lines) + "\n"
 
 
+#: The leaf types whose text is ``float.__repr__``, as for ``json``.
+_FLOAT_TYPES = {float, np.float64}
+
+
+def _json_nonfinite(text: str) -> str:
+    """Text of float reprs with nan and inf spelled as ``json`` spells them."""
+    if "n" in text:  # of the reprs only nan and inf have the letter
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    where ``newline`` (a line feed and the indent) starts its lines.
+
+    Dicts with string keys, lists, tuples and scalars are written here, a
+    list of floats with one join and a matrix of floats with one format;
+    anything else goes to ``json.dumps``, which raises on what it cannot
+    write.
+    """
+    inner = newline + "  "
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_nonfinite(float.__repr__(value))
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds <= _FLOAT_TYPES:
+            floats = f",{inner}".join(map(float.__repr__, value))
+            return f"[{inner}{_json_nonfinite(floats)}{newline}]"
+        if kinds <= {list, tuple} and len(set(map(len, value))) == 1 and value[0]:
+            flat = [x for row in value for x in row]
+            if set(map(type, flat)) <= _FLOAT_TYPES:
+                deeper = inner + "  "
+                row = f"[{deeper}" + f",{deeper}".join(["%s"] * len(value[0])) + f"{inner}]"
+                rows = f",{inner}".join([row] * len(value))
+                floats = rows % tuple(map(float.__repr__, flat))
+                return f"[{inner}{_json_nonfinite(floats)}{newline}]"
+        return f"[{inner}" + f",{inner}".join(_json(v, inner) for v in value) + f"{newline}]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        return f"{{{inner}" + f",{inner}".join(
+            f"{json.encoder.encode_basestring_ascii(key)}: {_json(item, inner)}"
+            for key, item in sorted(value.items())
+        ) + f"{newline}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+
 def json_text(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing LF."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing LF; the
+    bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written without
+    its pure-Python encoder."""
+    return _json(doc, "\n") + "\n"
 
 
 def write_text(text: str, path) -> None:

@@ -61,15 +61,26 @@ def covariance_eigh(mat, name: str = "covariance"):
     if not np.all(np.isfinite(mat)):
         raise InputValidationError(f"{name} contains non-finite entries")
     scale = float(np.max(np.abs(mat)))
-    unit = max(scale, 1e-300)  # the trace of ``sym / unit``, unlike sym's, cannot overflow
     asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > _SYMMETRY_RTOL * unit:
+    if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise InputValidationError(
             f"{name} is asymmetric beyond tolerance: max|C - C^T| = {asym:.3e} "
             f"vs scale {scale:.3e}"
         )
     sym = 0.5 * mat + 0.5 * mat.T  # 0.5 * (mat + mat.T) overflows past 9e307
     eigvals, eigvecs = np.linalg.eigh(sym)
+    return sym, clip_round_off(sym, scale, eigvals, name), eigvecs
+
+
+def clip_round_off(sym: np.ndarray, scale: float, eigvals: np.ndarray, name: str):
+    """The ascending eigenvalues ``eigvals`` of the symmetric matrix ``sym``,
+    whose largest entry magnitude is ``scale``, with those within
+    ``-1e-9 * trace`` of zero set to zero; ``covariance_eigh``'s check.
+
+    Raises:
+        InputValidationError: naming the lowest eigenvalue if it is below that.
+    """
+    unit = max(scale, 1e-300)  # the trace of ``sym / unit``, unlike sym's, cannot overflow
     floor = -(_PSD_TRACE_RTOL * max(float(np.trace(sym / unit)), 0.0)) * unit
     lowest = float(eigvals[0])
     if lowest < floor:
@@ -79,7 +90,7 @@ def covariance_eigh(mat, name: str = "covariance"):
         )
     if lowest < 0.0:
         eigvals = np.maximum(eigvals, 0.0)
-    return sym, eigvals, eigvecs
+    return eigvals
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +198,12 @@ def relative_covariance(js: JointState) -> tuple[np.ndarray, np.ndarray, np.ndar
     return delta_pos, c_delta, delta_v
 
 
-def encounter_frame(delta_pos: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
+def _cross(a, b) -> tuple[float, float, float]:
+    """``np.cross`` of two 3-sequences of floats, with the same roundings."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def encounter_frame(delta_pos, delta_v) -> np.ndarray:
     """Rotation matrix into the encounter frame.
 
     Rows are the first in-plane axis, the second in-plane axis, and the
@@ -196,27 +212,29 @@ def encounter_frame(delta_pos: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
     estimate; when those are aligned within ``sin(angle) <= 1e-6`` the cross
     product with the least-aligned canonical axis is used instead. After
     ``standardize``, ``s1``, ``s2``, ``|u_hat|`` and ``|v_hat|`` do not
-    depend on this choice of in-plane axis.
+    depend on this choice of in-plane axis. The 3-vectors are formed on
+    Python floats, each operation rounded as numpy rounds it.
 
     Raises:
         DegenerateEncounterError: if the relative speed is zero.
     """
+    delta_pos = [*map(float, delta_pos)]
+    delta_v = [*map(float, delta_v)]
     speed = math.hypot(*delta_v)
     if speed == 0.0:
         raise DegenerateEncounterError(
             "relative velocity is zero: no closest-approach plane exists"
         )
-    i_dv = delta_v / speed
+    i_dv = [v / speed for v in delta_v]
     dpos_norm = math.hypot(*delta_pos)
-    cross = np.cross(i_dv, delta_pos)
+    cross = _cross(i_dv, delta_pos)
     cross_norm = math.hypot(*cross)
-    if dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm:
-        i_u = cross / cross_norm
-    else:
-        fallback = np.cross(i_dv, np.eye(3)[np.argmin(np.abs(i_dv))])
-        i_u = fallback / math.hypot(*fallback)
-    i_v = np.cross(i_dv, i_u)
-    return np.vstack((i_u, i_v, i_dv))
+    if not (dpos_norm > 0.0 and cross_norm > _MIN_SIN_U_AXIS * dpos_norm):
+        least = min(range(3), key=lambda i: abs(i_dv[i]))
+        cross = _cross(i_dv, [float(i == least) for i in range(3)])
+        cross_norm = math.hypot(*cross)
+    i_u = [c / cross_norm for c in cross]
+    return np.array((i_u, _cross(i_dv, i_u), i_dv))
 
 
 def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:

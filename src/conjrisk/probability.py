@@ -257,6 +257,11 @@ def pc_circular_batch(d_over_r, s_over_r) -> np.ndarray:
     Raises ``NumericalError`` if ``1 / s_over_r^2`` or
     ``(d_over_r / s_over_r)^2`` overflows, naming the smallest ``s_over_r``
     at which it does.
+
+    A value depends on the other points of its batch, within the series
+    tolerance: rows share a series window, and the near-series dot product
+    goes through BLAS. Over d/r 0.3-12 and s/r 0.05-100, 40 of 1200 points
+    of one batch differ from ``pc_circular``, by at most 2.8e-14 relative.
     """
     d = np.asarray(d_over_r, dtype=float)
     s = np.asarray(s_over_r, dtype=float)

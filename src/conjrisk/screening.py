@@ -21,7 +21,7 @@ import numpy as np
 from . import ellipsoids
 from .ellipsoids import Ellipsoid
 from .errors import InputValidationError
-from .geometry import JointState
+from .geometry import JointState, clip_round_off
 
 __all__ = [
     "ScreeningDecision",
@@ -128,13 +128,24 @@ def position_ellipsoids(js: JointState, k: float) -> tuple[Ellipsoid, Ellipsoid]
 
     Each ellipsoid is built from that object's own 3x3 position covariance
     block; cross-covariance between the objects is not used for region
-    construction (the Frechet bound covers arbitrary dependence).
+    construction (the Frechet bound covers arbitrary dependence). The blocks
+    come from the joint state's checked, symmetric covariance, so they need
+    only one eigendecomposition each, taken in one call, and each block's
+    own round-off check.
     """
+    cov = js.c_theta
+    blocks = np.array((cov[0:3, 0:3], cov[6:9, 6:9]))
+    eigvals, eigvecs = np.linalg.eigh(blocks)
     bodies = []
-    for label, rows in (("object 1", slice(0, 3)), ("object 2", slice(6, 9))):
+    for label, lo, block, vals, vecs in zip(
+        ("object 1", "object 2"), (0, 6), blocks, eigvals, eigvecs
+    ):
         try:
+            ellipsoids.check_k(k)
+            vals = clip_round_off(block, float(np.abs(block).max()), vals,
+                                  "ellipsoid covariance")
             bodies.append(
-                ellipsoids.build_ellipsoid(js.theta_hat[rows], js.c_theta[rows, rows], k)
+                ellipsoids.ellipsoid_from_eigh(js.theta_hat[lo:lo + 3], vals, vecs, k)
             )
         except InputValidationError as exc:
             raise InputValidationError(f"{label} position ellipsoid: {exc}") from exc

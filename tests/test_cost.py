@@ -1,0 +1,56 @@
+"""Deterministic cost guard for the triage commands: how many
+eigendecompositions and covariance validations one ``pc`` and one
+``screen`` make, counted through ``run_command`` with no timing.
+
+A ``pc`` validates the 12x12 joint covariance and the 2x2 plane
+covariance, one eigendecomposition each. A ``screen`` validates the 12x12
+once; both 3x3 position blocks come from it, decomposed in one batched call.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conjrisk import ellipsoids, geometry, screening, validity
+from conjrisk.cli import run_command
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counters of ``np.linalg.eigh`` and ``covariance_eigh`` calls."""
+    tally = {"eigh": 0, "covariance_eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    wrapper = counted("covariance_eigh", geometry.covariance_eigh)
+    for module in (geometry, ellipsoids, screening, validity):
+        if hasattr(module, "covariance_eigh"):
+            monkeypatch.setattr(module, "covariance_eigh", wrapper)
+    return tally
+
+
+def _run(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_command(argv) == 0
+
+
+@pytest.mark.parametrize("name", ["full12.json", "head_on.json", "offset.kvn"])
+def test_pc_decomposes_each_covariance_once(name, counts):
+    _run(["pc", "--input", str(INPUTS / name)])
+    assert counts == {"eigh": 2, "covariance_eigh": 2}
+
+
+@pytest.mark.parametrize("name", ["full12.json", "head_on.json", "offset.kvn"])
+def test_screen_validates_the_joint_covariance_once(name, counts):
+    _run(["screen", "--input", str(INPUTS / name), "--k-sigma", "3"])
+    assert counts == {"eigh": 2, "covariance_eigh": 1}

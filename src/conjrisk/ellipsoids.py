@@ -218,7 +218,7 @@ def _secular_roots(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     geometric-mean jump and stopping rule, with the terms ``c_i = 0``
     masked out and each row frozen once it converges. Its arithmetic is
     that of Python floats, where an overflow gives ``inf``. A single row
-    goes to ``_secular_root``, which is about 20 times faster at that size.
+    goes to ``_secular_root``, which is about 12 times faster at that size.
 
     Raises:
         NumericalError: as ``_secular_root``, for the first row that fails.

@@ -15,15 +15,15 @@ of this package (no frame transformation is applied, and no standard
 conformance is claimed). A missing cross covariance, always the case for
 KVN files, defaults to zero with a recorded warning. JSON ``metadata``
 (strings to strings) and KVN ``COMMENT`` lines are accepted and ignored.
-Either parser rejects a radius that is not finite and positive.
+Either parser rejects a radius that is not finite and positive. Input
+bytes, of conjunction and config files alike, are read as UTF-8 with an
+optional byte-order mark.
 
 All output is byte-deterministic: UTF-8, LF line endings, ``.`` decimal
 separator, and fixed significant-digit formatting. ``json_text`` writes the
 bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` without that
-encoder's pure-Python loop, a float list with one join and a float matrix
-with one format; ``csv_text`` writes a row of floats alone with one ``%``
-format. The KVN text is read by one compiled pattern over all its lines;
-the line-by-line pass runs only to name the line of an error.
+encoder's pure-Python loop, a float matrix with one format; ``csv_text``
+writes a row of floats alone with one ``%`` format.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -92,16 +91,18 @@ class ConjunctionFile:
         )
 
 
+def _decode(data: bytes) -> str:
+    """File bytes as text: UTF-8, a leading byte-order mark dropped."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+
 def parse_conjunction(data: bytes | str) -> ConjunctionFile:
     """Parse conjunction file content (UTF-8 bytes or text): JSON if its
     first non-whitespace character is ``{`` or ``[``, KVN otherwise."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    text = _decode(data) if isinstance(data, bytes) else data
     if text.lstrip()[:1] in ("{", "["):
         return _parse_json(text)
     return _parse_kvn(text)
@@ -208,69 +209,32 @@ def _parse_json(text: str) -> ConjunctionFile:
 
 # -- KVN -------------------------------------------------------------------
 
-#: One line of KVN text: blank, a ``COMMENT`` or a ``KEY = VALUE [unit]``
-#: record, the unit with its brackets. ``[^\S\n]`` is the whitespace that
-#: ``str.strip`` removes, short of the line break, so that with ``re.M`` one
-#: ``findall`` over the lines joined by LF gives one match per line when
-#: every line is well formed.
+#: One line of KVN text, as ``str.splitlines`` gives it: blank, a
+#: ``COMMENT`` or a ``KEY = VALUE [unit]`` record.
 _KVN_LINE = re.compile(
-    r"^[^\S\n]*(?:COMMENT[^\n]*|([A-Za-z0-9_]+)[^\S\n]*=[^\S\n]*([^\[\]\s]+)"
-    r"(?:[^\S\n]*(\[[^\]\n]*\]))?)?[^\S\n]*$",
-    re.M,
+    r"\s*(?:COMMENT.*|([A-Za-z0-9_]+)\s*=\s*([^\[\]\s]+)(?:\s*\[([^\]]*)\])?)?\s*"
 )
 
 
-def _kvn_values(lines: list[str]) -> dict[str, float] | None:
-    """Each record's value by upper-case key, from one pass of ``_KVN_LINE``
-    over the whole text, or None if some line is malformed or fails a check
-    (``_raise_kvn_error`` then names it)."""
-    text = "\n".join(lines)
-    found = _KVN_LINE.findall(text)
-    if len(found) != text.count("\n") + 1:
-        return None
-    records = [record for record in found if record[0]]
-    if not records:
-        return {}
-    keys, numbers, units = zip(*records)
-    keys = [*map(str.upper, keys)]
-    try:
-        values = dict(zip(keys, map(float, numbers)))
-    except ValueError:
-        return None
-    ok = (
-        len(values) == len(keys)
-        and values.keys() <= _KVN_UNITS.keys()
-        and all(map(math.isfinite, values.values()))
-        and values.get("OBJECT1_RADIUS", 1.0) > 0.0
-        and values.get("OBJECT2_RADIUS", 1.0) > 0.0
-        and all(not unit or unit[1:-1].strip() == _KVN_UNITS[key]
-                for key, unit in zip(keys, units))
-    )
-    return values if ok else None
-
-
-def _raise_kvn_error(lines: list[str]) -> NoReturn:
-    """Raise the ``ParseError`` of the first line that ``_kvn_values``
-    rejects, with its line number."""
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
+def _parse_kvn(text: str) -> ConjunctionFile:
+    values: dict[str, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         match = _KVN_LINE.fullmatch(raw)
         if match is None:
             raise ParseError(f"malformed record {raw.strip()!r}", line=lineno)
-        key, text, unit = match.groups()
+        key, number, unit = match.groups()
         if key is None:
             continue
         key = key.upper()
         if key not in _KVN_UNITS:
             raise ParseError(f"unknown key {key}", line=lineno)
-        if key in seen:
+        if key in values:
             raise ParseError(f"duplicate key {key}", line=lineno)
-        seen.add(key)
         try:
-            value = float(text)
+            value = float(number)
         except ValueError:
             raise ParseError(
-                f"value for {key} is not a number: {text!r}", line=lineno
+                f"value for {key} is not a number: {number!r}", line=lineno
             ) from None
         if not math.isfinite(value):
             raise ParseError(f"value for {key} is not finite: {value}", line=lineno)
@@ -278,20 +242,13 @@ def _raise_kvn_error(lines: list[str]) -> NoReturn:
             raise ParseError(
                 f"value for {key} must be positive, got {value}", line=lineno
             )
-        expected = _KVN_UNITS[key]
-        if unit is not None and unit[1:-1].strip() != expected:
+        if unit is not None and unit.strip() != _KVN_UNITS[key]:
             raise ParseError(
-                f"unit mismatch for {key}: expected [{expected}], got "
-                f"[{unit[1:-1].strip()}]",
+                f"unit mismatch for {key}: expected [{_KVN_UNITS[key]}], got "
+                f"[{unit.strip()}]",
                 line=lineno,
             )
-
-
-def _parse_kvn(text: str) -> ConjunctionFile:
-    lines = text.splitlines()
-    values = _kvn_values(lines)
-    if values is None:
-        _raise_kvn_error(lines)
+        values[key] = value
     missing = [key for key in _KVN_UNITS if key not in values]
     if missing:
         raise ParseError(
@@ -361,8 +318,8 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG)
     if path is None:
         return Config()
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    with open(path, "rb") as handle:
+        return parse_config(_decode(handle.read()))
 
 
 # -- output ----------------------------------------------------------------
@@ -410,9 +367,8 @@ def _json(value, newline: str) -> str:
     where ``newline`` (a line feed and the indent) starts its lines.
 
     Dicts with string keys, lists, tuples and scalars are written here, a
-    list of floats with one join and a matrix of floats with one format;
-    anything else goes to ``json.dumps``, which raises on what it cannot
-    write.
+    matrix of floats with one format; anything else goes to ``json.dumps``,
+    which raises on what it cannot write.
     """
     inner = newline + "  "
     if isinstance(value, str):
@@ -429,9 +385,6 @@ def _json(value, newline: str) -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        if kinds <= _FLOAT_TYPES:
-            floats = f",{inner}".join(map(float.__repr__, value))
-            return f"[{inner}{_json_nonfinite(floats)}{newline}]"
         if kinds <= {list, tuple} and len(set(map(len, value))) == 1 and value[0]:
             flat = [x for row in value for x in row]
             if set(map(type, flat)) <= _FLOAT_TYPES:

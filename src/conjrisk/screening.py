@@ -23,14 +23,6 @@ from .ellipsoids import Ellipsoid
 from .errors import InputValidationError
 from .geometry import JointState, clip_round_off
 
-__all__ = [
-    "ScreeningDecision",
-    "ksigma_confidence",
-    "joint_confidence",
-    "screen_conjunction",
-]
-
-
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 

@@ -743,6 +743,15 @@ class TestErrorPaths:
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
         assert run_command(["--config", str(cfg), "boundary", "--threshold", "0.1"]) == 2
 
+    def test_config_file_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        argv = ["--config", str(cfg), "boundary", "--threshold", "1e-4"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input is not valid UTF-8: ")
+
 
 def test_run_command_builds_no_parser(head_on_file, monkeypatch, capsys):
     built = []

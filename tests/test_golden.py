@@ -107,6 +107,21 @@ def test_output_matches_golden(case, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "case", sorted(c for c in CASES if set(_INPUT_FLAGS) & set(CASES[c]))
+)
+def test_byte_order_mark_is_ignored(case, tmp_path):
+    """Each input file with a UTF-8 byte-order mark prefixed gives the
+    golden stdout."""
+    argv = _argv(case)
+    for i, token in enumerate(argv[:-1]):
+        if token in _INPUT_FLAGS:
+            source = Path(argv[i + 1])
+            argv[i + 1] = str(tmp_path / source.name)
+            (tmp_path / source.name).write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert _run(argv).encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
+
+
 if __name__ == "__main__":
     unknown = sorted(set(sys.argv[1:]) - set(CASES))
     if unknown:

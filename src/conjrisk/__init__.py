@@ -24,7 +24,7 @@ _MODULE_NAMES = {
         NumericalError ParseError UnsupportedPropositionError""",
     "fileio": "Config ConjunctionFile load_config parse_config parse_conjunction",
     "geometry": """JointState StandardizedEncounter encounter_frame relative_covariance
-        standardize standardized_encounter""",
+        standardized_encounter""",
     "ncx2": "ncx2_cdf",
     "probability": """DilutionCurve PcResult dilution_boundary dilution_curve
         max_pc_head_on pc_circular pc_contour""",

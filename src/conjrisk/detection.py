@@ -86,12 +86,6 @@ class FalseConfidenceReport:
     n_trials: int
     seed: int
 
-    def __post_init__(self):
-        if not (0.0 <= self.empirical_rate <= 1.0):
-            raise InputValidationError(
-                f"empirical_rate must be in [0, 1], got {self.empirical_rate}"
-            )
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 

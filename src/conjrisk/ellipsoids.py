@@ -85,10 +85,14 @@ class Ellipsoid:
             raise InputValidationError(
                 f"axes are not orthonormal: max|A^T A - I| = {resid:.3e}"
             )
-        for name, arr in (("center", center), ("axes", axes), ("semi_lengths", semi)):
-            arr = np.array(arr)
+        self._freeze(np.array(center), np.array(axes), np.array(semi))
+
+    def _freeze(self, center, axes, semi_lengths) -> Ellipsoid:
+        """Keep three float arrays as the fields, made read-only, unchecked."""
+        for name, arr in (("center", center), ("axes", axes), ("semi_lengths", semi_lengths)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
 
     @property
     def dim(self) -> int:
@@ -134,7 +138,7 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
         NumericalError: if a semi-axis length overflows.
     """
     check_k(k)
-    center = np.asarray(center, dtype=float)
+    center = np.array(center, dtype=float)  # a copy: the ellipsoid freezes it
     cov, eigvals, eigvecs = covariance_eigh(cov, "ellipsoid covariance")
     if center.ndim != 1 or cov.shape != (center.shape[0],) * 2:
         raise InputValidationError(
@@ -148,9 +152,13 @@ def build_ellipsoid(center, cov, k: float) -> Ellipsoid:
 
 def ellipsoid_from_eigh(center: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
                         k: float) -> Ellipsoid:
-    """``build_ellipsoid`` from a checked covariance's eigenvalues, ascending
-    and with round-off clipped as ``covariance_eigh`` gives them, and its
-    eigenvector columns: the semi-axes ordered longest first."""
+    """``build_ellipsoid`` from a checked covariance's ascending eigenvalues,
+    round-off clipped as ``covariance_eigh`` gives them, its eigenvector
+    columns, a finite center, which becomes read-only, and a checked ``k``:
+    the semi-axes ordered longest first. ``Ellipsoid``'s checks are not run
+    on these derived fields; an eigenvalue that is not positive or a
+    semi-axis that underflows to 0 raises ``InputValidationError``, one
+    that overflows ``NumericalError``."""
     if eigvals[0] <= 0.0:
         raise InputValidationError(
             f"covariance is not positive definite (eigenvalue "
@@ -164,7 +172,11 @@ def ellipsoid_from_eigh(center: np.ndarray, eigvals: np.ndarray, eigvecs: np.nda
             f"semi-axis k * sqrt(eigenvalue) overflows at k = {k!r}, "
             f"eigenvalue = {float(eigvals[order[0]])!r}"
         )
-    return Ellipsoid(center=center, axes=eigvecs[:, order], semi_lengths=semi_lengths)
+    if semi_lengths[-1] == 0.0:
+        raise InputValidationError(
+            f"semi_lengths must be positive, got {semi_lengths.tolist()}"
+        )
+    return object.__new__(Ellipsoid)._freeze(center, eigvecs[:, order], semi_lengths)
 
 
 def _secular_root(c, d) -> float:

@@ -231,6 +231,9 @@ def _parse_kvn(text: str) -> ConjunctionFile:
         if key in values:
             raise ParseError(f"duplicate key {key}", line=lineno)
         try:
+            # float() also reads ``1_0`` and non-ASCII digits; KVN, as JSON, does not
+            if "_" in number or not number.isascii():
+                raise ValueError(number)
             value = float(number)
         except ValueError:
             raise ParseError(

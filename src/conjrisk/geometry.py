@@ -14,7 +14,11 @@ Conventions fixed here for reproducibility:
   asymmetry exceeds ``1e-9`` relative;
 * eigenvalues in ``[-1e-9 * trace, 0)`` are taken for round-off and
   reported as zero (the matrix itself is kept), anything lower is rejected;
-* principal deviations are ordered descending (``s1 >= s2``).
+* principal deviations are ordered descending (``s1 >= s2``);
+* input is checked where it enters: at parse, in ``JointState`` and at the
+  entry of each public function or constructor. A value derived from
+  checked values, such as the plane covariance, is trusted; only a check
+  that round-off can fail, such as a plane eigenvalue at zero, stays.
 """
 
 from __future__ import annotations
@@ -31,15 +35,6 @@ _PSD_TRACE_RTOL = 1e-9
 # cross products with the displacement degenerate near angle 0 and pi,
 # so the fallback axis triggers on sin(angle) rather than the angle itself
 _MIN_SIN_U_AXIS = 1e-6
-
-
-def _as_finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise InputValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputValidationError(f"{name} contains non-finite entries")
-    return arr
 
 
 def covariance_eigh(mat, name: str = "covariance"):
@@ -108,7 +103,11 @@ class JointState:
     r2: float
 
     def __post_init__(self):
-        theta = _as_finite_array(self.theta_hat, (12,), "theta_hat").copy()
+        theta = np.array(self.theta_hat, dtype=float)
+        if theta.shape != (12,):
+            raise InputValidationError(f"theta_hat must have shape (12,), got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise InputValidationError("theta_hat contains non-finite entries")
         cov = covariance_eigh(self.c_theta, "c_theta")[0]  # a new array
         if cov.shape != (12, 12):
             raise InputValidationError(f"c_theta must be 12x12, got shape {cov.shape}")
@@ -238,7 +237,8 @@ def encounter_frame(delta_pos, delta_v) -> np.ndarray:
 
 
 def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
-    """Rotate the encounter plane into principal axes.
+    """Rotate the encounter plane into principal axes; the last step of
+    ``standardized_encounter``.
 
     Eigendecomposes the 2x2 covariance, orders the principal deviations
     descending, and expresses the displacement estimate in the eigenvector
@@ -247,18 +247,19 @@ def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
     rotation itself is not kept.
 
     Args:
-        mean2: encounter-plane displacement estimate (m).
-        cov2: 2x2 encounter-plane covariance (m^2); must be positive definite.
+        mean2: finite encounter-plane displacement estimate (m).
+        cov2: finite, symmetric 2x2 encounter-plane covariance (m^2), as
+            ``standardized_encounter`` derives it from a checked joint
+            state; it is not checked again.
         r_combined: combined hard-body radius (m).
 
     Raises:
-        InputValidationError: on singular covariance (the standardized space
-            is undefined).
+        InputValidationError: if round-off leaves an eigenvalue below
+            ``covariance_eigh``'s floor, or the plane singular (the
+            standardized space is undefined).
     """
-    mean2 = _as_finite_array(mean2, (2,), "mean2")
-    cov2, eigvals, eigvecs = covariance_eigh(cov2, "cov2")
-    if cov2.shape != (2, 2):
-        raise InputValidationError(f"cov2 must be 2x2, got shape {cov2.shape}")
+    eigvals, eigvecs = np.linalg.eigh(cov2)
+    eigvals = clip_round_off(cov2, float(np.abs(cov2).max()), eigvals, "cov2")
     if eigvals[0] <= 0.0:
         raise InputValidationError(
             f"cov2 is singular (eigenvalue {eigvals[0]:.6e}): "
@@ -272,7 +273,7 @@ def standardize(mean2, cov2, r_combined: float) -> StandardizedEncounter:
         lead = int(np.argmax(np.abs(eigvecs[:, col])))
         if eigvecs[lead, col] < 0.0:
             eigvecs[:, col] = -eigvecs[:, col]
-    u_hat, v_hat = eigvecs.T @ mean2
+    u_hat, v_hat = (eigvecs.T @ mean2).tolist()
     return StandardizedEncounter(
         u_hat, v_hat, math.sqrt(eigvals[0]), math.sqrt(eigvals[1]), r_combined
     )

@@ -213,16 +213,6 @@ class PcResult:
     n_quad: int
     quad_error_est: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.pc <= 1.0):
-            raise InputValidationError(f"pc must be in [0, 1], got {self.pc}")
-        if self.n_quad < 0:
-            raise InputValidationError(f"n_quad must be >= 0, got {self.n_quad}")
-        if not (self.quad_error_est >= 0.0):
-            raise InputValidationError(
-                f"quad_error_est must be non-negative, got {self.quad_error_est}"
-            )
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 

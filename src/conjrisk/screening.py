@@ -3,8 +3,8 @@
 Each object's position uncertainty is rendered as a K-sigma ellipsoid; a
 maneuver is indicated when the minimum distance between the two ellipsoids
 is at most the combined hard-body radius. The per-object confidence is the
-chi-squared mass inside radius K, in closed form for three dimensions, so
-that a screen needs numpy alone; joint confidence combines the two objects
+three-dimensional chi-squared mass inside radius K, in closed form, so that
+a screen needs numpy alone; joint confidence combines the two objects
 under independence and, dependence-free, under the Frechet bound. Screening
 on overlap then caps the long-run rate of missed collisions at twice the
 per-object miss level.
@@ -26,13 +26,16 @@ from .geometry import JointState, clip_round_off
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _chi3_cdf(k: float) -> float:
-    """Chi-squared CDF with three degrees of freedom at ``k^2``, in closed
-    form: ``erf(k / sqrt(2)) - sqrt(2 / pi) k exp(-k^2 / 2)``. Below
-    ``k = 1.5``, where that difference cancels (by 1.6e-12 relative at
-    ``k = 0.015``), it is the series ``sqrt(2 / pi) k^3 / 3 exp(-k^2 / 2)
-    sum_n x^n / ((5/2)(7/2) ... (3/2 + n))`` in ``x = k^2 / 2``, whose terms
-    are all positive."""
+def ksigma_confidence(k: float) -> float:
+    """Coverage probability of a three-dimensional K-sigma ellipsoid: the
+    chi-squared CDF with three degrees of freedom at ``k^2``, strictly
+    increasing in ``k``, in closed form: ``erf(k / sqrt(2)) - sqrt(2 / pi)
+    k exp(-k^2 / 2)``. Below ``k = 1.5``, where that difference cancels (by
+    1.6e-12 relative at ``k = 0.015``), it is the series ``sqrt(2 / pi)
+    k^3 / 3 exp(-k^2 / 2) sum_n x^n / ((5/2)(7/2) ... (3/2 + n))`` in
+    ``x = k^2 / 2``, whose terms are all positive."""
+    ellipsoids.check_k(k)
+    k = float(k)
     x = 0.5 * k * k
     if k >= 1.5:
         return math.erf(k * math.sqrt(0.5)) - _SQRT_2_OVER_PI * k * math.exp(-x)
@@ -43,25 +46,6 @@ def _chi3_cdf(k: float) -> float:
         term *= x / (1.5 + n)
         total += term
     return _SQRT_2_OVER_PI * k**3 / 3.0 * math.exp(-x) * total
-
-
-def ksigma_confidence(k: float, dim: int) -> float:
-    """Coverage probability of a K-sigma ellipsoid in ``dim`` dimensions.
-
-    The chi-squared CDF with ``dim`` degrees of freedom evaluated at
-    ``k**2``; strictly increasing in ``k``. For ``dim == 2`` this equals
-    ``1 - exp(-k^2 / 2)``. ``dim == 3``, the screen's, is a closed form;
-    other dimensions import scipy's incomplete gamma function.
-    """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InputValidationError(f"k must be positive, got {k}")
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise InputValidationError(f"dim must be an integer >= 1, got {dim}")
-    if dim == 3:
-        return _chi3_cdf(float(k))
-    from scipy import special
-
-    return float(special.gammainc(dim / 2.0, k * k / 2.0))
 
 
 def joint_confidence(alpha: float) -> tuple[float, float]:
@@ -88,17 +72,6 @@ class ScreeningDecision:
     joint_confidence_frechet: float
     collision_risk_cap: float      # 2 alpha
 
-    def __post_init__(self):
-        if not (
-            self.joint_confidence_frechet
-            <= self.joint_confidence_independent + 1e-15
-            <= self.per_object_confidence + 2e-15
-        ):
-            raise InputValidationError(
-                "joint confidences must be ordered frechet <= independent "
-                "<= per-object"
-            )
-
     def to_json_dict(self) -> dict:
         """Wire representation of the decision."""
         return {
@@ -123,7 +96,7 @@ def position_ellipsoids(js: JointState, k: float) -> tuple[Ellipsoid, Ellipsoid]
     construction (the Frechet bound covers arbitrary dependence). The blocks
     come from the joint state's checked, symmetric covariance, so they need
     only one eigendecomposition each, taken in one call, and each block's
-    own round-off check.
+    own round-off check; ``Ellipsoid``'s checks are not run on them again.
     """
     cov = js.c_theta
     blocks = np.array((cov[0:3, 0:3], cov[6:9, 6:9]))
@@ -154,7 +127,7 @@ def screen_conjunction(js: JointState, k: float) -> ScreeningDecision:
     """
     e1, e2 = position_ellipsoids(js, k)
     gap = ellipsoids.min_distance(e1, e2)
-    confidence = ksigma_confidence(k, 3)
+    confidence = ksigma_confidence(k)
     alpha = 1.0 - confidence
     independent, frechet = joint_confidence(alpha)
     return ScreeningDecision(

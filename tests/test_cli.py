@@ -699,6 +699,22 @@ class TestErrorPaths:
             f"error: field object1.{field} holds a number too large for a float\n"
         )
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "\uff11\uff12"],
+                             ids=["underscore", "arabic-indic", "full-width"])
+    def test_kvn_number_outside_ascii_grammar_exits_two(self, value, tmp_path, capsys):
+        # float() reads each of these as a number; JSON's grammar, and KVN's,
+        # do not
+        kvn = (Path(__file__).parent / "golden" / "inputs" / "offset.kvn").read_text()
+        path = tmp_path / "offset.kvn"
+        path.write_text(kvn.replace("OBJECT1_Y = 0.0 [m]", f"OBJECT1_Y = {value} [m]"),
+                        encoding="utf-8")
+        assert run_command(["pc", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 2: value for OBJECT1_Y is not a number: {value!r}\n"
+        )
+
     def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")

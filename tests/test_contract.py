@@ -35,7 +35,8 @@ def _run(argv) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def _check_contract(argv) -> None:
+def _check_contract(argv) -> tuple[int, str]:
+    """Check one run against the contract; its exit status and stdout."""
     status, out, err = _run(argv)
     lines = err.splitlines()
     while lines and lines[0].startswith("warning: "):
@@ -52,6 +53,7 @@ def _check_contract(argv) -> None:
         assert status in (2, 3), (status, err)
         assert out == ""
         assert len(lines) == 1, err
+    return status, out
 
 
 #: A positive float anywhere from 1e-300 to 1e301.
@@ -95,7 +97,9 @@ def test_false_confidence_contract(sigma, halfwidth, alpha, run_seed):
             "--n-trials", "1000", "--seed", str(run_seed)]
     if halfwidth is not None:
         argv += ["--halfwidth", repr(halfwidth)]
-    _check_contract(argv)
+    status, out = _check_contract(argv)
+    if status == 0:
+        assert 0.0 <= float(out.split()[0].removeprefix("empirical_rate=")) <= 1.0
 
 
 @pytest.mark.parametrize("argv, stdout", [
@@ -236,7 +240,11 @@ def _conjunction_doc(draw):
 def test_screen_contract(doc, k, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "screen_contract.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    _check_contract(["screen", "--input", str(path), "--k-sigma", repr(k)])
+    status, out = _check_contract(["screen", "--input", str(path), "--k-sigma", repr(k)])
+    if status == 0:
+        decision = json.loads(out)
+        assert (decision["frechet_bound"] <= decision["joint_confidence"] + 1e-15
+                <= decision["confidence"] + 2e-15)
 
 
 @seed(2031)
@@ -244,8 +252,15 @@ def test_screen_contract(doc, k, tmp_path_factory):
 @given(doc=_conjunction_doc())
 def test_pc_contract(doc, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "pc_contract.json"
+    output = path.with_name("pc_contract_output.json")
+    output.unlink(missing_ok=True)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    _check_contract(["pc", "--input", str(path)])
+    status, _ = _check_contract(["pc", "--input", str(path), "--output", str(output)])
+    if status == 0:
+        result = json.loads(output.read_text(encoding="utf-8"))
+        assert 0.0 <= result["pc"] <= 1.0
+        assert type(result["n_quad"]) is int and result["n_quad"] >= 0
+        assert result["quad_error_est"] >= 0.0
 
 
 _SCALE_DRAWS = dict(

@@ -1,10 +1,13 @@
 """Deterministic cost guard for the triage commands: how many
-eigendecompositions and covariance validations one ``pc`` and one
-``screen`` make, counted through ``run_command`` with no timing.
+eigendecompositions, covariance validations and ``Ellipsoid`` validations
+one ``pc`` and one ``screen`` make, counted through ``run_command`` with no
+timing.
 
-A ``pc`` validates the 12x12 joint covariance and the 2x2 plane
-covariance, one eigendecomposition each. A ``screen`` validates the 12x12
-once; both 3x3 position blocks come from it, decomposed in one batched call.
+Input is checked where it enters and derived values are trusted. A ``pc``
+validates the 12x12 joint covariance once; the 2x2 plane covariance derived
+from it takes one bare eigendecomposition. A ``screen`` validates the 12x12
+once; both 3x3 position blocks come from it, decomposed in one batched
+call, and the two ellipsoids built on them are not validated again.
 """
 
 import contextlib
@@ -22,8 +25,9 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters of ``np.linalg.eigh`` and ``covariance_eigh`` calls."""
-    tally = {"eigh": 0, "covariance_eigh": 0}
+    """Counters of ``np.linalg.eigh``, ``covariance_eigh`` and
+    ``Ellipsoid.__post_init__`` calls."""
+    tally = {"eigh": 0, "covariance_eigh": 0, "Ellipsoid.__post_init__": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -36,6 +40,8 @@ def counts(monkeypatch):
     for module in (geometry, ellipsoids, screening, validity):
         if hasattr(module, "covariance_eigh"):
             monkeypatch.setattr(module, "covariance_eigh", wrapper)
+    monkeypatch.setattr(ellipsoids.Ellipsoid, "__post_init__", counted(
+        "Ellipsoid.__post_init__", ellipsoids.Ellipsoid.__post_init__))
     return tally
 
 
@@ -47,10 +53,10 @@ def _run(argv) -> None:
 @pytest.mark.parametrize("name", ["full12.json", "head_on.json", "offset.kvn"])
 def test_pc_decomposes_each_covariance_once(name, counts):
     _run(["pc", "--input", str(INPUTS / name)])
-    assert counts == {"eigh": 2, "covariance_eigh": 2}
+    assert counts == {"eigh": 2, "covariance_eigh": 1, "Ellipsoid.__post_init__": 0}
 
 
 @pytest.mark.parametrize("name", ["full12.json", "head_on.json", "offset.kvn"])
 def test_screen_validates_the_joint_covariance_once(name, counts):
     _run(["screen", "--input", str(INPUTS / name), "--k-sigma", "3"])
-    assert counts == {"eigh": 2, "covariance_eigh": 1}
+    assert counts == {"eigh": 2, "covariance_eigh": 1, "Ellipsoid.__post_init__": 0}

@@ -1,5 +1,6 @@
 """Ellipsoid construction, projection, exact range queries, and distance."""
 
+import math
 import re
 
 import mpmath
@@ -86,6 +87,24 @@ class TestBuildEllipsoid:
     def test_invalid_k_rejected(self):
         with pytest.raises(InputValidationError):
             build_ellipsoid([0.0, 0.0, 0.0], np.eye(3), k=0.0)
+
+    def test_caller_center_stays_writable(self):
+        center = np.zeros(3)
+        e = build_ellipsoid(center, np.eye(3), k=1.0)
+        assert center.flags.writeable and not e.center.flags.writeable
+
+    @pytest.mark.parametrize("fields, message", [
+        (([0.0, 0.0], np.eye(3), [1.0, 1.0, 1.0]),
+         "inconsistent ellipsoid shapes: center (2,), axes (3, 3), semi_lengths (3,)"),
+        (([0.0, math.nan, 0.0], np.eye(3), [1.0, 1.0, 1.0]),
+         "ellipsoid fields contain non-finite entries"),
+        (([0.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 1.0]),
+         "semi_lengths must be positive, got [1.0, 0.0, 1.0]"),
+    ], ids=["shape", "non-finite", "non-positive"])
+    def test_outside_construction_is_checked(self, fields, message):
+        # test_axes_must_be_orthonormal below has the fourth check
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+            Ellipsoid(*fields)
 
     def test_axes_must_be_orthonormal(self):
         with pytest.raises(InputValidationError, match="orthonormal"):

@@ -70,10 +70,13 @@ def _reference_kvn(text: str):
         if key in values:
             raise ParseError(f"duplicate key {key}", line=lineno)
         try:
-            value = float(match.group("value"))
+            number = match.group("value")
+            if "_" in number or not number.isascii():
+                raise ValueError(number)
+            value = float(number)
         except ValueError:
             raise ParseError(
-                f"value for {key} is not a number: {match.group('value')!r}",
+                f"value for {key} is not a number: {number!r}",
                 line=lineno,
             ) from None
         if not math.isfinite(value):
@@ -211,6 +214,7 @@ def test_kvn_fuzz_matches_line_parser():
     "OBJECT1_X = 1 [m]\nOBJECT1_X = 1 [m]\njunk\n",
     "junk\nOBJECT1_X = nan\n", "OBJECT1_X = nan\njunk\n",
     "OBJECT1_X = 1 []\n", "OBJECT1_X = 1 [ m ]\r\nOBJECT1_Y = x\r\n",
+    "OBJECT1_X = 1_0 [m]\n", "OBJECT1_X = \u0661\u0662 [m]\n", "OBJECT1_X = \uff11\uff12 [m]\n",
 ])
 def test_kvn_edge_cases_match_line_parser(text):
     assert _outcome(_parse_new, text) == _outcome(_reference_kvn, text)

@@ -10,10 +10,9 @@ from conjrisk import (
     JointState,
     NumericalError,
     relative_covariance,
-    standardize,
     standardized_encounter,
 )
-from conjrisk.geometry import covariance_eigh, encounter_frame
+from conjrisk.geometry import covariance_eigh, encounter_frame, standardize
 
 from conftest import DIFFERENCE_MATRIX, make_joint_state, random_rotation, random_spd
 

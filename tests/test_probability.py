@@ -370,12 +370,6 @@ class TestQuadrature:
         with pytest.raises(InputValidationError):
             pc_circular(1.0, 0.0)
 
-    def test_pc_result_validation(self):
-        with pytest.raises(InputValidationError):
-            PcResult(pc=1.5, n_quad=64, quad_error_est=0.0)
-        with pytest.raises(InputValidationError):
-            PcResult(pc=0.5, n_quad=-1, quad_error_est=0.0)
-
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -6,7 +6,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from conjrisk import (
     InputValidationError,
@@ -16,6 +15,7 @@ from conjrisk import (
     parse_conjunction,
     screen_conjunction,
 )
+from conjrisk.screening import position_ellipsoids
 
 from conftest import mp_ellipsoid_distance, random_rotation, random_spd
 
@@ -35,24 +35,8 @@ def _conjunction_state(p1, p2, cov1_pos, cov2_pos, r1=5.0, r2=5.0, vel_var=1e-4)
 
 
 class TestKsigmaConfidence:
-    def test_two_dimensional_reference_values(self):
-        assert ksigma_confidence(1.0, 2) == pytest.approx(0.393, abs=5e-4)
-        assert ksigma_confidence(2.0, 2) == pytest.approx(0.865, abs=5e-4)
-        assert ksigma_confidence(3.0, 2) == pytest.approx(0.989, abs=5e-4)
-
     def test_four_sigma_three_dimensional(self):
-        assert ksigma_confidence(4.0, 3) == pytest.approx(0.99887, abs=5e-6)
-
-    def test_two_dimensional_closed_form(self):
-        for k in np.linspace(0.05, 10.0, 60):
-            assert ksigma_confidence(float(k), 2) == pytest.approx(
-                1.0 - math.exp(-k * k / 2.0), abs=1e-12
-            )
-
-    def test_one_dimensional_gaussian_coverage(self):
-        for k in (0.5, 1.0, 1.96, 3.0):
-            expected = 2.0 * float(special.ndtr(k)) - 1.0
-            assert ksigma_confidence(k, 1) == pytest.approx(expected, rel=1e-12)
+        assert ksigma_confidence(4.0) == pytest.approx(0.99887, abs=5e-6)
 
     @pytest.mark.parametrize("k", [*np.geomspace(1e-8, 40.0, 61), 0.015, 1.5, 1.5 - 1e-12])
     def test_three_dimensional_against_mpmath(self, k):
@@ -61,22 +45,20 @@ class TestKsigmaConfidence:
         k = float(k)
         reference = mpmath.gammainc(mpmath.mpf(1.5), 0, mpmath.mpf(k) ** 2 / 2,
                                     regularized=True)
-        assert abs(ksigma_confidence(k, 3) - reference) <= 1e-14 * reference
+        assert abs(ksigma_confidence(k) - reference) <= 1e-14 * reference
 
     def test_strictly_increasing_in_k(self):
-        values = [ksigma_confidence(k, 3) for k in np.linspace(0.1, 6.0, 50)]
+        values = [ksigma_confidence(k) for k in np.linspace(0.1, 6.0, 50)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_validation(self):
         with pytest.raises(InputValidationError):
-            ksigma_confidence(0.0, 3)
-        with pytest.raises(InputValidationError):
-            ksigma_confidence(1.0, 0)
+            ksigma_confidence(0.0)
 
 
 class TestJointConfidence:
     def test_four_sigma_three_dimensional_example(self):
-        alpha = 1.0 - ksigma_confidence(4.0, 3)
+        alpha = 1.0 - ksigma_confidence(4.0)
         assert alpha == pytest.approx(0.001134, abs=2e-6)
         independent, frechet = joint_confidence(alpha)
         assert independent == pytest.approx(0.99773, abs=5e-6)
@@ -91,7 +73,28 @@ class TestJointConfidence:
     def test_frechet_never_exceeds_independence(self):
         for alpha in np.linspace(0.0, 1.0, 101):
             independent, frechet = joint_confidence(float(alpha))
-            assert frechet <= independent + 1e-15
+            assert frechet <= independent + 1e-15 <= 1.0 - alpha + 2e-15
+
+
+class TestPositionEllipsoids:
+    def test_bodies_are_valid_ellipsoids(self):
+        # the bodies skip Ellipsoid's checks; what those checked holds here,
+        # over position variances from 1e-200 to 1e200 and axis ratios to 1e8
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            covs = []
+            for _ in range(2):
+                variances = 10.0 ** (rng.uniform(-200.0, 192.0) + rng.uniform(0.0, 8.0, 3))
+                rot = random_rotation(rng)
+                covs.append((rot * variances) @ rot.T)
+            js = _conjunction_state(rng.normal(0.0, 1e3, 3), rng.normal(0.0, 1e3, 3), *covs)
+            for body in position_ellipsoids(js, float(rng.uniform(0.5, 6.0))):
+                assert np.abs(body.axes.T @ body.axes - np.eye(3)).max() <= 1e-10
+                assert (body.semi_lengths > 0.0).all()
+                assert np.isfinite(body.semi_lengths).all()
+                for arr in (body.center, body.axes, body.semi_lengths):
+                    assert arr.shape == (3, 3)[:arr.ndim]
+                    assert not arr.flags.writeable
 
 
 class TestScreenConjunction:
@@ -252,7 +255,7 @@ class TestCoverageCap:
         p1 = np.zeros(3)
         p2 = np.array([6.0, 3.0, 6.4])  # true miss 9.27 m < combined 10 m
         k = 3.0
-        alpha = 1.0 - ksigma_confidence(k, 3)
+        alpha = 1.0 - ksigma_confidence(k)
         n = 3000
         misses = 0
         for _ in range(n):

@@ -372,7 +372,7 @@ def false_confidence_demo(
     edge (subnormal for ``z*`` from about 37.5 to 38.5). With ``halfwidth
     <= proof_halfwidth(sigma, alpha)`` the edge is 0 and the rate is
     exactly one: the false proposition is always believed at level
-    ``1 - alpha``.
+    ``1 - alpha``, and no trial is drawn to say so.
     """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")

@@ -302,7 +302,8 @@ def _range_frame(prop: Ellipsoid, region: Ellipsoid, centers):
     rows = np.argsort(prop.semi_lengths)
     cols = np.argsort(-region.semi_lengths)
     prop_axes = prop.axes[:, rows]
-    with np.errstate(over="ignore"):
+    # a subnormal semi-axis gives inf * 0 = NaN, which the check below catches
+    with np.errstate(over="ignore", invalid="ignore"):
         inv_ap = 1.0 / prop.semi_lengths[rows]
         b = inv_ap * row_product(region.center - centers, prop_axes)
         mat = (inv_ap[:, None] * prop_axes.T) @ (
@@ -514,7 +515,7 @@ def _newton_ascent(shapes, delta, best: _Probe, halvings: int, upper: float):
     step = np.linalg.solve(tangent_hess, -(proj @ best.grad))
     for halving in range(halvings):
         trial = _probe(shapes, delta, n + 0.5**halving * step)
-        upper = min(upper, float(np.linalg.norm(trial.grad)))
+        upper = min(upper, math.hypot(*trial.grad))
         if trial.g > best.g:
             return trial, upper
     return None, upper
@@ -547,13 +548,13 @@ def min_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
         return 0.0
 
     delta = e2.center - e1.center
-    scale = max(float(np.linalg.norm(delta)), e1.bounding_radius, e2.bounding_radius)
+    scale = max(math.hypot(*delta), e1.bounding_radius, e2.bounding_radius)
     shapes = [e.semi_lengths[:, None] * e.axes.T for e in (e1, e2)]
     tol = _DISTANCE_TOL_SCALE * scale
     probes = [_probe(shapes, delta, d / np.abs(d).max()) for d in (start, delta)]
     best = max(probes, key=lambda probe: probe.g)
     lower = max(0.0, best.g)
-    upper = float(np.linalg.norm(best.grad))
+    upper = math.hypot(*best.grad)
     for _ in range(_DISTANCE_MAX_ITERS):
         halvings = 1 if upper - lower <= tol else _NEWTON_HALVINGS
         trial, upper = _newton_ascent(shapes, delta, best, halvings, upper)

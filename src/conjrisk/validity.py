@@ -23,7 +23,6 @@ additive`` and ``false-confidence`` start without scipy.
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -104,6 +103,12 @@ class BeliefRule(ABC):
                 "rule.belief must return one belief per realization of the block"
             )
         return np.count_nonzero(beliefs >= 1.0 - alphas[:, None], axis=1)
+
+    def counts_every_row(self, proposition: Proposition, alphas: np.ndarray) -> bool:
+        """Whether ``hits`` counts every row at every level of ``alphas``
+        whatever the (non-NaN) data, so that no block need be drawn. The
+        default does not tell."""
+        return False
 
     def plausibility(self, xs: np.ndarray, proposition: Proposition) -> np.ndarray:
         return 1.0 - self.belief(xs, Complement(proposition))
@@ -196,7 +201,8 @@ class AdditiveGaussianRule(BeliefRule):
 
     ``hits`` decides the complement of a one-dimensional ball at its band
     edge instead of from the masses; the edge of each radius and level is
-    solved once per rule, however many blocks are scored at once.
+    solved once per rule, by ``counts_every_row``, before ``validity_check``
+    shares any block out, so blocks scored at once only read it.
     """
 
     def __init__(self, cov):
@@ -209,7 +215,6 @@ class AdditiveGaussianRule(BeliefRule):
         isotropic = np.ptp(diag) <= tol and np.all(np.abs(cov - np.diag(diag)) <= tol)
         self._isotropic_var = float(diag[0]) if isotropic else None
         self._edges: dict[tuple[float, float], float] = {}
-        self._edges_lock = threading.Lock()
 
     def belief(self, xs, proposition):
         return self._mass(np.asarray(xs, dtype=float), proposition)
@@ -226,27 +231,40 @@ class AdditiveGaussianRule(BeliefRule):
         for ``r >= 1e-3 sigma``). Every other proposition, and a radius
         beyond ``1.8e308`` sigma, is counted from ``belief``.
         """
-        if (self.dim == 1 and isinstance(proposition, Complement)
+        edges = self._band_edges(proposition, alphas)
+        if edges is None:
+            return super().hits(xs, proposition, alphas)
+        # a temporary of its own: the caller scores this block again
+        dist = np.subtract(np.asarray(xs, dtype=float)[:, 0], proposition.inner.center[0])
+        np.abs(dist, out=dist)
+        return np.count_nonzero(dist >= math.sqrt(self._isotropic_var) * edges[:, None], axis=1)
+
+    def counts_every_row(self, proposition, alphas):
+        """True where every band edge is 0, as within the proof halfwidth
+        of the smallest level: ``hits`` then counts ``|x - c| >= 0``, which
+        every non-NaN row meets."""
+        edges = self._band_edges(proposition, alphas)
+        return edges is not None and not edges.any()
+
+    def _band_edges(self, proposition, alphas):
+        """The band edge of each level on the complement of a 1-D ball of
+        finite radius in sigmas; None where only belief decides."""
+        if not (self.dim == 1 and isinstance(proposition, Complement)
                 and isinstance(proposition.inner, Ball)):
-            ball = proposition.inner
-            sigma = math.sqrt(self._isotropic_var)
-            w = ball.radius / sigma
-            if math.isfinite(w):  # else only belief's (r - |x - c|) / sigma decides
-                edges = np.array([self._edge(w, float(a)) for a in alphas])
-                # a temporary of its own: the caller scores this block again
-                dist = np.subtract(np.asarray(xs, dtype=float)[:, 0], ball.center[0])
-                np.abs(dist, out=dist)
-                return np.count_nonzero(dist >= sigma * edges[:, None], axis=1)
-        return super().hits(xs, proposition, alphas)
+            return None
+        w = proposition.inner.radius / math.sqrt(self._isotropic_var)
+        if not math.isfinite(w):  # only belief's (r - |x - c|) / sigma decides
+            return None
+        return np.array([self._edge(w, float(a)) for a in alphas])
 
     def _edge(self, w: float, alpha: float) -> float:
-        """``_band_edge(w, alpha)``, solved on this rule's first call only:
-        the lock keeps blocks scored at once from solving it twice."""
+        """``_band_edge(w, alpha)``, solved on this rule's first call only;
+        unlocked, since ``validity_check`` solves every edge before it
+        shares blocks out."""
         key = (w, alpha)
-        with self._edges_lock:
-            if key not in self._edges:
-                self._edges[key] = _band_edge(w, alpha)
-            return self._edges[key]
+        if key not in self._edges:
+            self._edges[key] = _band_edge(w, alpha)
+        return self._edges[key]
 
     def _mass(self, xs: np.ndarray, prop: Proposition) -> np.ndarray:
         if isinstance(prop, FullSpace):
@@ -346,7 +364,10 @@ def validity_check(
     The blocks are scored by ``rng.reduce_blocks``, on every available
     core, so ``rule.hits`` and ``sampling_model`` may run on several blocks
     at once: a rule or model must not mutate shared state. The rates are
-    the same for any core count.
+    the same for any core count. Every proposition is first asked
+    ``rule.counts_every_row``, in the calling thread; when each says yes,
+    every rate is exactly 1, no block is drawn, and ``sampling_model`` is
+    neither called nor has its output shape checked.
 
     Args:
         rule: belief rule under test.
@@ -393,7 +414,12 @@ def validity_check(
             )
         return np.stack([rule.hits(xs, prop, levels) for prop in props], axis=1)
 
-    hits = rngmod.reduce_blocks(seed, n_trials, score)
+    # a list, so that every proposition is asked: no band edge is then left
+    # for blocks scored at once to solve
+    if all([rule.counts_every_row(prop, levels) for prop in props]):
+        hits = np.full((len(alphas), len(props)), n_trials)
+    else:
+        hits = rngmod.reduce_blocks(seed, n_trials, score)
     rate_matrix = hits / n_trials
     worst_per_alpha = rate_matrix.max(axis=1)
     excess = rate_matrix - np.asarray(alphas)[:, None]

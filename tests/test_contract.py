@@ -354,8 +354,9 @@ def _pc_and_screen(name: str, text: str, tmp_path_factory) -> tuple[str, dict]:
 @seed(2036)
 @settings(max_examples=10, deadline=None)
 @given(name=st.sampled_from(["head_on.json", "offset.kvn", "full12.json"]),
-       exponent=st.integers(-150, 150))
+       exponent=st.integers(-150, 152))
 @example(name="full12.json", exponent=150)  # np.linalg.norm overflowed here
+@example(name="full12.json", exponent=152)  # and ||delta||^2 here
 @example(name="full12.json", exponent=-150)
 def test_pc_and_screen_independent_of_length_unit(name, exponent, tmp_path_factory):
     pc, screen = _pc_and_screen(name, _scaled_input(name, exponent), tmp_path_factory)
@@ -365,6 +366,31 @@ def test_pc_and_screen_independent_of_length_unit(name, exponent, tmp_path_facto
     assert screen["min_distance_m"] / 10.0**exponent == pytest.approx(
         screen_1["min_distance_m"], rel=1e-12, abs=0.0
     )
+
+
+def test_distance_beyond_the_square_root_of_float_max(tmp_path):
+    # the centre offset's squared norm overflowed past 1.34e154 m, and the
+    # distance printed as Infinity with a numpy overflow warning
+    path = tmp_path / "far.json"
+    path.write_text(_scaled_input("full12.json", 152), encoding="utf-8")
+    status, out, err = _run(["screen", "--input", str(path)])
+    assert (status, err) == (0, "")
+    assert json.loads(out)["min_distance_m"] == pytest.approx(
+        1e152 * 950.6707187292401, rel=1e-9, abs=0.0
+    )
+
+
+def test_subnormal_semi_axes_fail_with_one_message(tmp_path):
+    # 1 / subnormal semi-axis is inf, and inf * 0 printed numpy's "invalid
+    # value" warnings before the overflow was reported
+    path = tmp_path / "tiny.json"
+    path.write_text(_scaled_input("head_on.json", -150), encoding="utf-8")
+    status, out, err = _run(["screen", "--input", str(path), "--k-sigma", "1e-170"])
+    assert (status, out) == (3, "")
+    assert err.splitlines() == [
+        _MISSING_CROSS.strip(),
+        "numerical failure: standardized ellipsoid offset or axis ratio overflows",
+    ]
 
 
 _MISSING_CROSS = "warning: cross-covariance missing, defaulting to zero\n"

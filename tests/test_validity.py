@@ -873,3 +873,88 @@ def test_hits_leave_the_block_unchanged():
     beliefs = additive.belief(xs, props[0])
     assert additive.hits(xs, props[0], alphas).tolist() == np.count_nonzero(
         beliefs >= 1.0 - alphas[:, None], axis=1).tolist()
+
+
+class _Drawing(AdditiveGaussianRule):
+    """The additive rule with ``counts_every_row`` forced off: it draws."""
+
+    def counts_every_row(self, proposition, alphas):
+        return False
+
+
+class TestDecidedWithoutDrawing:
+    """At or below the proof halfwidth of every level the additive rule's
+    band edges are 0, so ``validity_check`` knows every count before it
+    draws; above it the blocks are drawn as before."""
+
+    MODEL = staticmethod(gaussian_sampling_model([0.0], [[1.0]]))
+
+    @pytest.mark.parametrize("n_trials", [1000, 65536, 65537, 200000])
+    def test_report_equals_the_drawn_report(self, n_trials):
+        for run_seed in range(21):
+            rng = np.random.default_rng(run_seed)
+            levels = sorted([*10.0 ** rng.uniform(-12.0, math.log10(0.5), 2), 0.5])
+            if run_seed == 0:
+                levels[0] = 1e-12
+            widths = [1.0, rng.uniform(0.0, 1.0)]
+            family = [Complement(Ball(center=[0.0], radius=f * proof_halfwidth(1.0, levels[0])))
+                      for f in widths]
+            assert all(AdditiveGaussianRule([[1.0]]).counts_every_row(p, np.array(levels))
+                       for p in family)
+            reports = [validity_check(rule([[1.0]]), self.MODEL, [0.0], family, levels,
+                                      n_trials, run_seed)
+                       for rule in (AdditiveGaussianRule, _Drawing)]
+            assert reports[0] == reports[1]
+            assert reports[0].rates == (1.0, 1.0, 1.0)
+
+    def test_sampling_model_not_called(self):
+        def unreachable(gen, n):
+            raise AssertionError("sampling model called")
+
+        levels = [0.01, 0.05, 0.2]
+        family = [Complement(Ball(center=[0.0], radius=proof_halfwidth(1.0, 0.01))),
+                  Complement(Ball(center=[0.0], radius=1e-300))]
+        report = validity_check(AdditiveGaussianRule([[1.0]]), unreachable, [0.0], family,
+                                levels, 200000, 5)
+        assert report.rates == (1.0, 1.0, 1.0)
+        assert report.stderrs == (0.0, 0.0, 0.0)
+        assert report.verdicts == ("fail", "fail", "fail")
+        assert (report.worst_alpha, report.worst_proposition_index) == (0.01, 0)
+
+    def test_mixed_grid_draws_with_the_same_rates(self):
+        # 0.02 is beyond the proof halfwidth of 0.01 only
+        n = 2 * rngmod.BLOCK_SIZE + 1000
+        report = validity_check(AdditiveGaussianRule([[1.0]]), self.MODEL, [0.0],
+                                [Complement(Ball(center=[0.0], radius=0.02))],
+                                [0.01, 0.05, 0.2], n, 17)
+        assert report.rates == (44300 / n, 1.0, 1.0)
+        assert report.verdicts == ("fail", "fail", "fail")
+
+    def test_one_undecided_proposition_draws_every_block(self):
+        calls = []
+
+        def model(gen, n):
+            calls.append(n)
+            return self.MODEL(gen, n)
+
+        n = 2 * rngmod.BLOCK_SIZE + 1000
+        family = [Complement(Ball(center=[0.0], radius=0.05)),
+                  Complement(Ball(center=[0.0], radius=0.5))]
+        report = validity_check(AdditiveGaussianRule([[1.0]]), model, [0.0], family,
+                                [0.05], n, 18)
+        assert sorted(calls) == [1000, rngmod.BLOCK_SIZE, rngmod.BLOCK_SIZE]
+        assert report.rates == (1.0,)
+        assert report.worst_proposition_index == 0
+
+    def test_edges_solved_before_the_first_block(self):
+        rule = AdditiveGaussianRule([[1.0]])
+        levels = [0.01, 0.05, 0.2]
+        radii = (0.02, 0.5)
+
+        def model(gen, n):
+            assert set(rule._edges) == {(r, a) for r in radii for a in levels}
+            return self.MODEL(gen, n)
+
+        validity_check(rule, model, [0.0], [Complement(Ball(center=[0.0], radius=r))
+                                            for r in radii],
+                       levels, 2 * rngmod.BLOCK_SIZE + 1000, 19)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 from .errors import ConjunctionAnalysisError, InputValidationError, NumericalError
@@ -47,25 +46,33 @@ def _read_conjunction(args):
     return cf
 
 
-def _floats(flag: str, spec: str) -> list[float]:
-    """The comma-separated floats given to ``flag``."""
+def _floats(flag: str, spec: str):
+    """The comma-separated floats given to ``flag``, parsed as they are read
+    (``validity`` reads its grid after checking the halfwidth)."""
     try:
-        return [float(part) for part in spec.split(",") if part.strip()]
+        yield from (float(part) for part in spec.split(",") if part.strip())
     except ValueError:
         raise InputValidationError(
             f"{flag} must be comma-separated floats, got {spec!r}"
         ) from None
 
 
-def _emit(args, config: Config, doc: Callable[[], dict], rows: Callable[[], list]) -> None:
-    """Write a result to ``--output``: ``doc()`` as JSON or ``rows()`` as CSV.
-    Both are callables, so only the one ``--format`` selects is built."""
-    if args.output is None:
-        return
-    if args.format == "json":
-        write_text(json_text(doc()), args.output)
-    else:
-        write_text(csv_text(rows(), config.output_precision), args.output)
+def _emit(args, config: Config, result, summary: str) -> int:
+    """Write ``result`` to ``--output`` (a dict is its own JSON document and
+    CSV row), then print ``summary``; without ``--output`` a table command
+    prints its CSV rows instead. Returns the exit status 0."""
+    prec = config.output_precision
+    if args.output is not None:
+        if args.format == "json":
+            text = json_text(result if isinstance(result, dict) else result.to_json_dict())
+        else:
+            text = csv_text([result] if isinstance(result, dict) else result.csv_rows(), prec)
+        write_text(text, args.output)
+    elif args.table:
+        sys.stdout.write(csv_text(result.csv_rows(), prec))
+        return 0
+    print(summary)
+    return 0
 
 
 def _cmd_pc(args, config: Config) -> int:
@@ -75,9 +82,7 @@ def _cmd_pc(args, config: Config) -> int:
     cf = _read_conjunction(args)
     enc = standardized_encounter(cf.to_joint_state())
     result = pc_contour(enc)
-    print(format_cell(result.pc, config.output_precision))
-    _emit(args, config, result.to_json_dict, result.csv_rows)
-    return 0
+    return _emit(args, config, result, format_cell(result.pc, config.output_precision))
 
 
 def _cmd_dilution_curve(args, config: Config) -> int:
@@ -85,15 +90,10 @@ def _cmd_dilution_curve(args, config: Config) -> int:
 
     curve = dilution_curve(args.d_over_r, args.s_min, args.s_max, args.n_points)
     prec = config.output_precision
-    if args.output is None:
-        sys.stdout.write(csv_text(curve.csv_rows(), prec))
-    else:
-        _emit(args, config, curve.to_json_dict, curve.csv_rows)
-        print(
-            f"peak_s_over_r={format_cell(curve.peak_s_over_r, prec)} "
-            f"peak_pc={format_cell(curve.peak_pc, prec)}"
-        )
-    return 0
+    return _emit(args, config, curve, (
+        f"peak_s_over_r={format_cell(curve.peak_s_over_r, prec)} "
+        f"peak_pc={format_cell(curve.peak_pc, prec)}"
+    ))
 
 
 def _cmd_detection_curve(args, config: Config) -> int:
@@ -108,18 +108,13 @@ def _cmd_detection_curve(args, config: Config) -> int:
         args.d_true,
         thresholds=(
             None if args.threshold_grid == "default"
-            else _floats("--threshold-grid", args.threshold_grid)
+            else list(_floats("--threshold-grid", args.threshold_grid))
         ),
         method=args.method,
         n_trials=n_trials,
         seed=seed,
     )
-    if args.output is None:
-        sys.stdout.write(csv_text(curve.csv_rows(), config.output_precision))
-    else:
-        _emit(args, config, curve.to_json_dict, curve.csv_rows)
-        print(f"wrote {len(curve.points)} thresholds to {args.output}")
-    return 0
+    return _emit(args, config, curve, f"wrote {len(curve.points)} thresholds to {args.output}")
 
 
 def _cmd_boundary(args, config: Config) -> int:
@@ -133,6 +128,7 @@ def _cmd_boundary(args, config: Config) -> int:
     boundary = dilution_boundary(args.threshold)
     prec = config.output_precision
     doc = {"threshold": args.threshold, "s_over_r_boundary": boundary}
+    summary = format_cell(boundary, prec)
     if radius is not None:
         doc["uncertainty_m"] = boundary * radius
         if math.isinf(doc["uncertainty_m"]):
@@ -140,11 +136,8 @@ def _cmd_boundary(args, config: Config) -> int:
                 f"the uncertainty in meters (s/r boundary {boundary!r} times "
                 f"combined radius {radius!r}) overflows"
             )
-    print(format_cell(boundary, prec))
-    if radius is not None:
-        print(format_cell(doc["uncertainty_m"], prec))
-    _emit(args, config, lambda: doc, lambda: [doc])
-    return 0
+        summary += "\n" + format_cell(doc["uncertainty_m"], prec)
+    return _emit(args, config, doc, summary)
 
 
 def _cmd_screen(args, config: Config) -> int:
@@ -152,45 +145,19 @@ def _cmd_screen(args, config: Config) -> int:
 
     cf = _read_conjunction(args)
     decision = screen_conjunction(cf.to_joint_state(), args.k_sigma)
-    doc = decision.to_json_dict()
-    sys.stdout.write(json_text(doc))
-    _emit(args, config, lambda: doc, decision.csv_rows)
-    return 0
+    return _emit(args, config, decision, json_text(decision.to_json_dict()).rstrip("\n"))
 
 
 def _cmd_validity(args, config: Config) -> int:
-    from .propositions import Ball, Complement
-    from .validity import (
-        AdditiveGaussianRule,
-        gaussian_region_rule,
-        gaussian_sampling_model,
-        halfwidth_in_sigmas,
-        validity_check,
-    )
+    from .validity import AdditiveGaussianRule, gaussian_region_rule, interval_validity_check
 
     seed = _resolve_seed(args, config)
-    # in units of sigma: only halfwidth / sigma reaches the rule
-    radius = halfwidth_in_sigmas(args.halfwidth, args.sigma)
-    cov = [[1.0]]
-    if args.rule == "ksigma":
-        rule = gaussian_region_rule(cov)
-    else:
-        rule = AdditiveGaussianRule(cov)
-    report = validity_check(
-        rule=rule,
-        sampling_model=gaussian_sampling_model([0.0], cov),
-        theta_true=[0.0],
-        proposition_family=[Complement(Ball(center=[0.0], radius=radius))],
-        alpha_grid=_floats("--alpha-grid", args.alpha_grid),
-        n_trials=args.n_trials,
-        seed=seed,
+    rules = {"ksigma": gaussian_region_rule, "additive": AdditiveGaussianRule}
+    report = interval_validity_check(
+        rules[args.rule]([[1.0]]), args.halfwidth, args.sigma,
+        _floats("--alpha-grid", args.alpha_grid), args.n_trials, seed,
     )
-    if args.output is None:
-        sys.stdout.write(csv_text(report.csv_rows(), config.output_precision))
-    else:
-        _emit(args, config, report.to_json_dict, report.csv_rows)
-        print("pass" if report.passed() else "fail")
-    return 0
+    return _emit(args, config, report, "pass" if report.passed() else "fail")
 
 
 def _cmd_false_confidence(args, config: Config) -> int:
@@ -208,16 +175,16 @@ def _cmd_false_confidence(args, config: Config) -> int:
         seed=seed,
     )
     prec = config.output_precision
-    print(
+    return _emit(args, config, report, (
         f"empirical_rate={format_cell(report.empirical_rate, prec)} "
         f"p_target={format_cell(report.p_target, prec)} "
         f"halfwidth={format_cell(report.neighborhood_halfwidth, prec)}"
-    )
-    _emit(args, config, report.to_json_dict, report.csv_rows)
-    return 0
+    ))
 
 
-def _add_io_flags(sub: argparse.ArgumentParser, with_input: bool = False) -> None:
+def _add_io_flags(sub: argparse.ArgumentParser, with_input=False, table=False) -> None:
+    """``table``: without ``--output`` the command prints its CSV rows."""
+    sub.set_defaults(table=table)
     if with_input:
         sub.add_argument(
             "--input", required=True, help="conjunction file path (JSON or KVN)"
@@ -252,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(handler=_cmd_pc)
 
     dil = commands.add_parser("dilution-curve", help="probability vs uncertainty ratio")
-    _add_io_flags(dil)
+    _add_io_flags(dil, table=True)
     dil.add_argument("--d-over-r", type=float, required=True)
     dil.add_argument("--s-min", type=float, default=0.5)
     dil.add_argument("--s-max", type=float, default=1000.0)
@@ -262,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     det = commands.add_parser(
         "detection-curve", help="failure-to-detect probability vs threshold"
     )
-    _add_io_flags(det)
+    _add_io_flags(det, table=True)
     det.add_argument("--s-over-r", type=float, required=True)
     det.add_argument(
         "--d-true", type=float, required=True, help="true miss distance over combined radius"
@@ -296,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = commands.add_parser(
         "validity", help="empirical validity check of a belief rule (1D scenario)"
     )
-    _add_io_flags(val)
+    _add_io_flags(val, table=True)
     val.add_argument("--rule", choices=("ksigma", "additive"), default="ksigma")
     val.add_argument("--sigma", type=float, default=1.0)
     val.add_argument(

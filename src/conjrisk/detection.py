@@ -8,7 +8,8 @@ impending collision is detected, or missed, as a function of data quality.
 
 Also provides a one-dimensional constructive demonstration that an additive
 belief function is guaranteed to assign high belief to a suitably chosen
-false proposition, no matter the realized data.
+false proposition, no matter the realized data; the experiment itself is
+``validity.interval_validity_check``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from . import probability
 from . import rng as rngmod
 from .errors import InputValidationError, NumericalError
 from .ncx2 import ncx2_cdf
-from .propositions import Ball, Complement
-from .validity import (
-    AdditiveGaussianRule,
-    gaussian_sampling_model,
-    halfwidth_in_sigmas,
-    validity_check,
-)
+from .validity import AdditiveGaussianRule, interval_validity_check
 
 #: ``probability`` functions that are also importable from this module. They
 #: are read from ``probability`` on each access, and this module calls its
@@ -363,29 +358,25 @@ def false_confidence_demo(
     proposition belief at least ``1 - alpha``, together with the analytic
     rate ``p_target`` it should approach.
 
-    This is ``validity_check`` of the additive rule at the level ``alpha``,
-    run in units of ``sigma``, so the answer depends on ``halfwidth /
-    sigma`` alone; a ratio outside the float range raises
-    ``NumericalError``. The rule counts the draws at or beyond its band
-    edge ``z*``, where the mass on the neighborhood falls to ``alpha``, and
-    ``p_target = erfc(z* / sqrt 2)`` is the normal tail beyond that same
-    edge (subnormal for ``z*`` from about 37.5 to 38.5). With ``halfwidth
-    <= proof_halfwidth(sigma, alpha)`` the edge is 0 and the rate is
-    exactly one: the false proposition is always believed at level
-    ``1 - alpha``, and no trial is drawn to say so.
+    This is ``interval_validity_check`` of the additive rule at the level
+    ``alpha``, so the answer depends on ``halfwidth / sigma`` alone; a
+    ratio outside the float range raises ``NumericalError``. The rule
+    counts the draws at or beyond its band edge ``z*``, where the mass on
+    the neighborhood falls to ``alpha``, and ``p_target = erfc(z* / sqrt
+    2)`` is the normal tail beyond that same edge (subnormal for ``z*``
+    from about 37.5 to 38.5). With ``halfwidth`` at or below the exact
+    proof halfwidth the edge is 0 and the rate is exactly one: the false
+    proposition is always believed at level ``1 - alpha``, and no trial is
+    drawn to say so. (``proof_halfwidth`` can round just above it, to an
+    edge of a few 1e-9.)
     """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    radius = halfwidth_in_sigmas(halfwidth, sigma)
     rule = AdditiveGaussianRule([[1.0]])
-    near = Ball(center=[0.0], radius=radius)
-    report = validity_check(
-        rule, gaussian_sampling_model([0.0], [[1.0]]), [0.0], [Complement(near)],
-        [alpha], n_trials, seed,
-    )
+    report = interval_validity_check(rule, halfwidth, sigma, [alpha], n_trials, seed)
     return FalseConfidenceReport(
         alpha=float(alpha),
-        p_target=math.erfc(rule._edge(radius, float(alpha)) / math.sqrt(2.0)),
+        p_target=math.erfc(rule.band_edge(halfwidth / sigma, float(alpha)) / math.sqrt(2.0)),
         neighborhood_halfwidth=float(halfwidth),
         empirical_rate=report.rates[0],
         n_trials=report.n_trials,

@@ -13,7 +13,9 @@ realizations whose belief in each false proposition of a family reaches
 ``1 - alpha``, with one call of the rule per block and proposition, and
 compare the observed rates against every level of a grid. Additive rules
 (posterior mass) fail the test spectacularly for suitably small excluded
-neighborhoods; confidence-region rules pass.
+neighborhoods; confidence-region rules pass. The paper's 1-D experiment
+has one home, ``interval_validity_check``, which the CLI and
+``detection.false_confidence_demo`` both run.
 
 Only ``ConfidenceRegionRule.belief`` and some of the additive masses need
 ``scipy.special``, and they import it when they run: ``validity --rule
@@ -156,6 +158,31 @@ def _definite_covariance(cov) -> np.ndarray:
     return cov
 
 
+#: ``sqrt(pi / 2)`` to 50 digits.
+_SQRT_HALF_PI = "1.253314137315500251207882642405522626503493370305"
+
+
+def _peak_excess(w: float, alpha: float) -> tuple[float, float]:
+    """``P / alpha - 1`` and ``kappa = 2 w phi(w) / P``, the curvature of
+    ``-log P(|Z - z| <= w)`` at ``z = 0``, for ``P = P(|Z| <= w)``, ``0 <=
+    w <= 1/sqrt 2`` and ``alpha > 0``: from ``P = sqrt(2/pi) w S``, ``S =
+    sum_n (-w^2/2)^n / (n! (2n + 1))`` summed at 50 digits, so that the
+    excess keeps its digits however close ``P`` is to ``alpha``."""
+    from decimal import Context, Decimal, localcontext  # 1.4 ms to import
+
+    with localcontext(Context(prec=50)):
+        x = +Decimal(w)
+        q = -x * x / 2
+        term = total = Decimal(1)
+        n, end = 0, Decimal("1e-50")
+        while abs(term) > end:
+            n += 1
+            term *= q / n
+            total += term / (2 * n + 1)
+        excess = float(x * total / (Decimal(alpha) * Decimal(_SQRT_HALF_PI)) - 1)
+    return excess, math.exp(-0.5 * w * w) / float(total)
+
+
 def _band_edge(w: float, alpha: float) -> float:
     """The band edge ``z*``: the distance of an observation ``z`` from the
     centre of ``[-w, w]`` at which the unit normal about it puts mass
@@ -170,15 +197,26 @@ def _band_edge(w: float, alpha: float) -> float:
     the step variable ``h`` is formed from log masses, so the edge holds
     down to ``alpha = 5e-324``; ``-dlog mass/dz`` is ``phi(z - w) (1 -
     exp(-2 z w)) / mass``.
+
+    The float logs of the mass at ``z = 0`` and of ``alpha`` are off by up
+    to 1e-13 (near ``alpha = 1e-300``). Where their ``gap`` is within 1e-9
+    of 0 and ``w <= 1/sqrt 2``, ``_peak_excess`` decides if the edge is 0,
+    and a positive edge is ``sqrt(2 log(1 + excess) / kappa)``, where the
+    log mass's first, quadratic fall meets ``alpha``: to about ``z*^2``
+    relative.
     """
+    if alpha == 0.0:
+        return math.inf if w > 0.0 else 0.0
     band = np.array([w])
-    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
+    log_alpha = math.log(alpha)
     with np.errstate(divide="ignore"):  # w underflowed to 0: log mass -inf
         log_peak = float(probability._log_interval_mass(0.0, band)[0])
-    if log_peak <= log_alpha:
+    gap = log_peak - log_alpha
+    if abs(gap) <= 1e-9 and w * w <= 0.5:
+        excess, kappa = _peak_excess(w, alpha)
+        return math.sqrt(2.0 * math.log1p(excess) / kappa) if excess > 0.0 else 0.0
+    if gap <= 0.0:
         return 0.0
-    if alpha == 0.0:
-        return math.inf
 
     def evaluate(z, rows):
         log_mass = probability._log_interval_mass(z, band)
@@ -188,7 +226,7 @@ def _band_edge(w: float, alpha: float) -> float:
         h = np.sqrt(np.maximum(2.0 * (log_peak - log_mass), 0.0))
         return log_mass >= log_alpha, h, log_rate
 
-    h_t = np.array([math.sqrt(2.0 * (log_peak - log_alpha))])
+    h_t = np.array([math.sqrt(2.0 * gap)])
     return float(probability._falling_root(evaluate, h_t, w + h_t, 1e-15, "band edge", "z")[0])
 
 
@@ -255,12 +293,13 @@ class AdditiveGaussianRule(BeliefRule):
         w = proposition.inner.radius / math.sqrt(self._isotropic_var)
         if not math.isfinite(w):  # only belief's (r - |x - c|) / sigma decides
             return None
-        return np.array([self._edge(w, float(a)) for a in alphas])
+        return np.array([self.band_edge(w, float(a)) for a in alphas])
 
-    def _edge(self, w: float, alpha: float) -> float:
-        """``_band_edge(w, alpha)``, solved on this rule's first call only;
-        unlocked, since ``validity_check`` solves every edge before it
-        shares blocks out."""
+    def band_edge(self, w: float, alpha: float) -> float:
+        """The band edge ``z*`` of a ball of radius ``w`` sigmas at level
+        ``alpha``, in sigmas: ``_band_edge(w, alpha)``, solved on this
+        rule's first call only; unlocked, since ``validity_check`` solves
+        every edge before it shares blocks out."""
         key = (w, alpha)
         if key not in self._edges:
             self._edges[key] = _band_edge(w, alpha)
@@ -385,10 +424,10 @@ def validity_check(
             the sampling model or the rule's beliefs have the wrong shape.
     """
     theta_true = np.atleast_1d(np.asarray(theta_true, dtype=float))
+    alphas = [float(a) for a in alpha_grid]
     if n_trials < 10**3:
         raise InputValidationError(f"n_trials must be >= 1000, got {n_trials}")
     seed = rngmod.validate_seed(seed)
-    alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise InputValidationError("alpha_grid is empty")
     for a in alphas:
@@ -462,14 +501,19 @@ def gaussian_sampling_model(theta_true, cov):
     return draw
 
 
-def halfwidth_in_sigmas(halfwidth: float, sigma: float) -> float:
-    """``halfwidth / sigma``, the radius of the one-dimensional experiment's
-    excluded neighborhood in units of the estimator's deviation.
+def interval_validity_check(
+    rule: BeliefRule, halfwidth: float, sigma: float, alpha_grid: Sequence[float],
+    n_trials: int, seed: int,
+) -> ValidityReport:
+    """The paper's 1-D experiment: ``validity_check`` of ``rule``, built on
+    ``[[1.0]]``, on estimates from ``normal(0, sigma^2)`` at the truth 0 for
+    the false proposition ``|theta| > halfwidth``, run in units of
+    ``sigma``. ``alpha_grid`` is read after the halfwidth is checked.
 
     Raises:
         InputValidationError: if ``sigma`` or ``halfwidth`` is not positive
-            and finite.
-        NumericalError: if the ratio overflows or underflows to 0.
+            and finite, or as ``validity_check`` raises.
+        NumericalError: if ``halfwidth / sigma`` overflows or underflows to 0.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InputValidationError(f"sigma must be positive, got {sigma}")
@@ -481,4 +525,7 @@ def halfwidth_in_sigmas(halfwidth: float, sigma: float) -> float:
         raise NumericalError(
             f"halfwidth / sigma {fate} at halfwidth = {halfwidth!r}, sigma = {sigma!r}"
         )
-    return ratio
+    return validity_check(
+        rule, gaussian_sampling_model([0.0], [[1.0]]), [0.0],
+        [Complement(Ball([0.0], ratio))], alpha_grid, n_trials, seed,
+    )

@@ -1,6 +1,7 @@
 """Shared test helpers: random generators and independent oracles.
 
-The oracles here deliberately avoid the code paths they check: collision
+The ``streams`` fixture counts the Monte Carlo blocks a run draws. The
+oracles here deliberately avoid the code paths they check: collision
 probability is counted from raw normal samples against the disk condition,
 relative covariance is recomputed with the explicit difference matrix, and
 ellipsoid distance is minimized over densely sampled boundary points with a
@@ -21,15 +22,31 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy import optimize
 
-from conjrisk import Ellipsoid, JointState
+from conjrisk import Ellipsoid, JointState, rng
 
 # property tests run only their seeded examples, never ones replayed from a
 # local example database
 settings.register_profile("seeded", database=None)
 settings.load_profile("seeded")
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The arguments of every ``rng.stream`` call, one per Monte Carlo block
+    drawn."""
+    calls = []
+    stream = rng.stream
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "stream", counted)
+    return calls
 
 
 def random_rotation(rng: np.random.Generator, n: int = 3) -> np.ndarray:

@@ -31,7 +31,6 @@ from conjrisk import (
 from conjrisk import rng as rngmod
 from conjrisk import validity
 from conjrisk.detection import critical_displacement, default_threshold_grid
-from conjrisk.validity import halfwidth_in_sigmas
 
 FOUR_BLOCKS = 3 * rngmod.BLOCK_SIZE + 3392  # 200000 trials
 
@@ -92,9 +91,9 @@ def _sequential_hits(rule, model, props, alphas, n_trials, seed):
 def _library_case(name):
     """(rule, model, theta, false propositions, levels, trials, seed)."""
     if name == "false-confidence":
-        radius = halfwidth_in_sigmas(0.3, 1.0)
+        # halfwidth 0.3 at sigma 1.0: false_confidence_demo(1.0, 0.3, 0.05, ...)
         return (AdditiveGaussianRule([[1.0]]), gaussian_sampling_model([0.0], [[1.0]]),
-                [0.0], [Complement(Ball(center=[0.0], radius=radius))], [0.05],
+                [0.0], [Complement(Ball(center=[0.0], radius=0.3 / 1.0))], [0.05],
                 FOUR_BLOCKS, 7)
     if name in ("additive", "ksigma"):
         sigma = 0.8

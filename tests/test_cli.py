@@ -15,9 +15,12 @@ import pytest
 
 from conjrisk import cli, probability
 from conjrisk.cli import run_command
+from conjrisk.detection import proof_halfwidth
 from conjrisk.errors import ConjunctionAnalysisError, NumericalError
 
 KVN_WARNING = "warning: cross-covariance missing, defaulting to zero\n"
+_SEED_HINT = "provide --seed or set 'seed' in the config file"
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _error_classes(cls=ConjunctionAnalysisError):
@@ -628,6 +631,34 @@ class TestFalseConfidenceCommand:
         assert row[1] == fields["empirical_rate"]
         assert 0.0 < float(row[1]) < 1.0
 
+    @pytest.mark.parametrize("n_trials, blocks", [("200000", 0), ("50000", 1), ("200000", 4)])
+    def test_empirical_rate_is_the_validity_rate(self, n_trials, blocks, streams, capsys):
+        # false-confidence --alpha a is validity --rule additive --alpha-grid a:
+        # decided at the proof halfwidth, and drawn over 1 and 4 blocks
+        sigma, alpha = 1.5, 0.05
+        halfwidth = proof_halfwidth(sigma, alpha) if blocks == 0 else 0.4
+        common = ["--sigma", repr(sigma), "--halfwidth", repr(halfwidth),
+                  "--n-trials", n_trials, "--seed", "9"]
+        assert run_command(["false-confidence", "--alpha", repr(alpha)] + common) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert len(streams) == blocks
+        argv = ["validity", "--rule", "additive", "--alpha-grid", repr(alpha)] + common
+        assert run_command(argv) == 0
+        assert len(streams) == 2 * blocks
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == fields["empirical_rate"]
+        assert (fields["empirical_rate"] == "1") == (blocks == 0)
+
+    def test_proof_halfwidth_at_alpha_7e_220_draws_no_block(self, streams, capsys):
+        # float logs of the centre mass and of alpha, both near -505 (one ulp
+        # 1.1e-13), gave this level an edge of 3.4e-7: all 31 blocks were
+        # drawn, and this seed printed empirical_rate=0.999999 p_target=0.999999731
+        status = run_command(["false-confidence", "--alpha", "7.118364915588162e-220",
+                              "--n-trials", "2000000", "--seed", "2"])
+        assert status == 0
+        assert capsys.readouterr().out.startswith("empirical_rate=1 p_target=1 ")
+        assert streams == []
+
     def test_seed_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 12\n", encoding="utf-8")
@@ -642,6 +673,88 @@ class TestFalseConfidenceCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv, status, err", [
+        (["validity", "--sigma", "0", "--halfwidth", "0.1"],
+         2, "error: this command is stochastic; " + _SEED_HINT),
+        (["validity", "--halfwidth", "0.1", "--alpha-grid", "0.1,x"],
+         2, "error: this command is stochastic; " + _SEED_HINT),
+        (["validity", "--sigma", "-1", "--halfwidth", "0", "--seed", "1"],
+         2, "error: sigma must be positive, got -1.0"),
+        (["validity", "--sigma", "0", "--halfwidth", "0.1", "--alpha-grid", "0.1,x", "--seed", "1"],
+         2, "error: sigma must be positive, got 0.0"),
+        (["validity", "--halfwidth", "-0.1", "--alpha-grid", "0.1,x", "--seed", "1"],
+         2, "error: halfwidth must be positive, got -0.1"),
+        (["validity", "--halfwidth", "0", "--n-trials", "999", "--seed", "1"],
+         2, "error: halfwidth must be positive, got 0.0"),
+        (["validity", "--sigma", "1e-300", "--halfwidth", "1e300", "--alpha-grid", "x",
+          "--seed", "1"],
+         3, "numerical failure: halfwidth / sigma overflows at halfwidth = 1e+300, "
+            "sigma = 1e-300"),
+        (["validity", "--sigma", "1e-300", "--halfwidth", "1e300", "--alpha-grid", "-0.5",
+          "--seed", "1"],
+         3, "numerical failure: halfwidth / sigma overflows at halfwidth = 1e+300, "
+            "sigma = 1e-300"),
+        (["validity", "--sigma", "1e300", "--halfwidth", "1e-300", "--n-trials", "999",
+          "--seed", "1"],
+         3, "numerical failure: halfwidth / sigma underflows to 0 at halfwidth = 1e-300, "
+            "sigma = 1e+300"),
+        (["validity", "--halfwidth", "0.1", "--alpha-grid", "0.05;0.1", "--n-trials", "999",
+          "--seed", "1"],
+         2, "error: --alpha-grid must be comma-separated floats, got '0.05;0.1'"),
+        (["validity", "--halfwidth", "0.1", "--alpha-grid", "0.05,1.5", "--n-trials", "999",
+          "--seed", "1"],
+         2, "error: n_trials must be >= 1000, got 999"),
+        (["false-confidence", "--sigma", "0"],
+         2, "error: this command is stochastic; " + _SEED_HINT),
+        (["false-confidence", "--alpha", "1.5"],
+         2, "error: this command is stochastic; " + _SEED_HINT),
+        (["false-confidence", "--sigma", "0", "--halfwidth", "0", "--seed", "1"],
+         2, "error: sigma must be positive, got 0.0"),
+        # the level is checked first with --halfwidth, after sigma without it
+        (["false-confidence", "--sigma", "-1", "--alpha", "1.5", "--halfwidth", "0.1",
+          "--seed", "1"],
+         2, "error: alpha must be in (0, 1), got 1.5"),
+        (["false-confidence", "--sigma", "-1", "--alpha", "1.5", "--seed", "1"],
+         2, "error: sigma must be positive, got -1.0"),
+        (["false-confidence", "--halfwidth", "-1", "--n-trials", "999", "--seed", "1"],
+         2, "error: halfwidth must be positive, got -1.0"),
+        (["false-confidence", "--sigma", "1e-300", "--halfwidth", "1e300", "--n-trials", "999",
+          "--seed", "1"],
+         3, "numerical failure: halfwidth / sigma overflows at halfwidth = 1e+300, "
+            "sigma = 1e-300"),
+        (["false-confidence", "--sigma", "1e300", "--halfwidth", "1e-300", "--alpha", "0",
+          "--seed", "1"],
+         2, "error: alpha must be in (0, 1), got 0.0"),
+        (["false-confidence", "--sigma", "1e300", "--halfwidth", "1e-300", "--n-trials", "999",
+          "--seed", "1"],
+         3, "numerical failure: halfwidth / sigma underflows to 0 at halfwidth = 1e-300, "
+            "sigma = 1e+300"),
+        (["false-confidence", "--alpha", "1", "--n-trials", "999", "--seed", "1"],
+         2, "error: alpha must be in (0, 1), got 1.0"),
+    ])
+    def test_first_of_two_faults_is_reported(self, argv, status, err, capsys):
+        assert run_command(argv) == status
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["pc", "--input", str(GOLDEN_INPUTS / "full12.json")],
+        ["screen", "--input", str(GOLDEN_INPUTS / "full12.json")],
+        ["boundary", "--threshold", "1e-4"],
+        ["dilution-curve", "--d-over-r", "1", "--n-points", "16"],
+        ["detection-curve", "--s-over-r", "2", "--d-true", "0.5"],
+        ["validity", "--halfwidth", "0.1", "--seed", "1"],
+        ["false-confidence", "--seed", "1"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_prints_nothing(self, argv, fmt, tmp_path, capsys):
+        # the file is written before anything is printed
+        path = tmp_path / "missing" / "out"
+        assert run_command(argv + ["--output", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: [Errno 2] No such file or directory")
+
     @pytest.mark.parametrize(
         "argv, fate",
         [

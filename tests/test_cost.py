@@ -11,7 +11,7 @@ batched call, and the two ellipsoids built on them are not validated again.
 For the Monte Carlo commands: how many substream generators
 (``rng.stream``) the validity golden cases make, one per block drawn. At
 or below the proof halfwidth of every level the additive rule's rate is
-exactly 1 and no block is drawn.
+exactly 1 and no block is drawn, down to the smallest levels.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjrisk import ellipsoids, geometry, rng, screening, validity
+from conjrisk import ellipsoids, geometry, screening, validity
 from conjrisk.cli import run_command
 
 from test_golden import _argv
@@ -74,14 +74,15 @@ def test_screen_validates_the_joint_covariance_once(name, counts):
     ("validity_additive", 1),  # 0.0626 is beyond the proof halfwidth of 0.01
     ("validity_ksigma", 1),
 ])
-def test_monte_carlo_golden_draws_its_blocks(case, blocks, monkeypatch):
-    streams = []
-    stream = rng.stream
-
-    def counted(*args, **kwargs):
-        streams.append(args)
-        return stream(*args, **kwargs)
-
-    monkeypatch.setattr(rng, "stream", counted)
+def test_monte_carlo_golden_draws_its_blocks(case, blocks, streams):
     _run(_argv(case))
     assert len(streams) == blocks
+
+
+@pytest.mark.parametrize("alpha", ["1e-9", "1e-30", "7.118364915588162e-220"])
+def test_default_false_confidence_draws_no_block(alpha, streams):
+    # at the proof halfwidth the centre mass is within 1e-16 relative of
+    # alpha; float logs of both, near -505 at the last level, gave it an
+    # edge of 3.4e-7, and every block was drawn
+    _run(["false-confidence", "--alpha", alpha, "--seed", "1"])
+    assert streams == []

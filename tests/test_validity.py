@@ -309,7 +309,7 @@ class TestAdditiveGaussianRule:
         assert counts.tolist() == BeliefRule.hits(rule, xs, prop, alphas).tolist()
         assert counts[0] == 0 and counts[-1] == len(xs)
         for edge, a in zip(edges, alphas):
-            assert rule._edge(w, float(a)) == pytest.approx(edge, rel=1e-13, abs=0.0)
+            assert rule.band_edge(w, float(a)) == pytest.approx(edge, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("w", [1e-8, 1e-3, 0.25, 3.0, 30.0, 1e3])
     def test_band_edge_against_mpmath(self, w):
@@ -318,6 +318,49 @@ class TestAdditiveGaussianRule:
         for alpha in (5e-324, 1e-320, 1e-300, 1e-16, 1e-6, 0.05, 0.5):
             ref = float(mp_band_edge(w, alpha)[0])
             assert validity._band_edge(w, alpha) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_band_edge_is_zero_exactly_where_the_centre_mass_is_at_most_alpha(self):
+        # at the proof halfwidths of these levels the centre mass is within
+        # 1e-16 relative of alpha, and the float logs of both sit near -505 at
+        # 1e-220 (one ulp 1.1e-13): they gave 514 of these levels an edge of
+        # 1.7e-7 or 3.4e-7 where the mass is at most alpha, and 0 to three
+        # where it is above. For w this small the edge is sqrt(2 log(P / alpha)).
+        mismatches, above = [], 0
+        with mpmath.workdps(40):
+            for alpha in np.geomspace(1e-300, 1e-14, 3000).tolist():
+                w = proof_halfwidth(1.0, alpha)
+                excess = mpmath.erf(mpmath.mpf(w) / mpmath.sqrt(2)) / mpmath.mpf(alpha)
+                edge = validity._band_edge(w, alpha)
+                if excess <= 1:
+                    if edge != 0.0:
+                        mismatches.append(alpha)
+                    continue
+                above += 1
+                ref = float(mpmath.sqrt(2 * mpmath.log(excess)))
+                if edge != pytest.approx(ref, rel=1e-14, abs=0.0):
+                    mismatches.append(alpha)
+        assert mismatches == []
+        assert above == 4
+
+    @pytest.mark.parametrize("w", [1e-5, 0.25, 0.5, 0.7])
+    def test_band_edge_where_alpha_is_within_1e_9_of_the_centre_mass(self, w):
+        # a log gap of the centre mass over alpha within 1e-9 of 0 is decided
+        # at 50 digits, and a positive edge is where the log mass's quadratic
+        # fall meets alpha
+        with mpmath.workdps(60):
+            w_mp = mpmath.mpf(w)
+
+            def mass(z):
+                return (mpmath.erf((w_mp - z) / mpmath.sqrt(2))
+                        + mpmath.erf((w_mp + z) / mpmath.sqrt(2))) / 2
+
+            peak = mass(0)
+            for gap in ("1e-10", "1e-12", "1e-15", "3e-16"):
+                alpha = float(peak * (1 - mpmath.mpf(gap)))
+                z0 = mpmath.sqrt(2 * mpmath.log(peak / alpha))
+                ref = float(mpmath.findroot(lambda z: mpmath.log(mass(z) / alpha), z0))
+                assert validity._band_edge(w, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert validity._band_edge(w, float(peak * (1 + mpmath.mpf(gap)))) == 0.0
 
     def test_failed_band_edge_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(probability, "_NEWTON_MAX_ITERS", 1)
